@@ -85,9 +85,9 @@ from .solver import (
     QpSolution,
     SolverError,
     Tolerances,
-    lp_feasible,
     lp_solve,
     min_norm_solution,
+    nnls,
     nullspace,
     solve_qp,
     tolerances_with,

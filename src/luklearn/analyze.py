@@ -40,9 +40,9 @@ from .solver import (
     DEFAULT_TOLERANCES,
     NullspaceBasis,
     Tolerances,
-    lp_feasible,
     lp_solve,
     min_norm_solution,
+    nnls,
     nullspace,
 )
 from .train import TrainedModel, TrainingProblem, solve_primal
@@ -227,7 +227,7 @@ def deactivate(
         # lam(t) >= 0 on active coordinates, block coordinates pinned to zero
         ineq = -gs.basis[act_idx, :]
         rhs = gs.particular[act_idx]
-        res = lp_feasible(A_eq=eq_rows, b_eq=eq_rhs, A_ub=ineq, b_ub=rhs, n=dim, tol=tol.lp)
+        res = lp_solve(np.zeros(dim), ineq, rhs, eq_rows, eq_rhs, tol=tol.lp)
         if res.status == "optimal":
             t = res.x
             certificate = gs.lambda_of(t)
@@ -256,38 +256,21 @@ def deactivation_report(
     return out
 
 
-def _support_lp(
+def _support_multipliers(
     M: np.ndarray,
     target: np.ndarray,
     cols: Sequence[int],
     tol: Tolerances,
 ) -> np.ndarray | None:
     """Nonnegative multipliers on ``cols`` with M lam = target, found by
-    minimizing the largest equation violation; accepted when that
-    minimum is inside the stationarity tolerance."""
-    S = M.shape[0]
-    k = len(cols)
-    if k == 0:
-        if float(np.max(np.abs(target), initial=0.0)) <= tol.stationarity:
-            return np.zeros(M.shape[1])
-        return None
+    nonnegative least squares; accepted when every equation holds within
+    the stationarity tolerance."""
     sub = M[:, list(cols)]
-    # variables: nu_1..nu_k >= 0, then the violation bound s >= 0
-    A_ub = np.zeros((2 * S, k + 1))
-    b_ub = np.zeros(2 * S)
-    A_ub[:S, :k] = sub
-    A_ub[:S, k] = -1.0
-    b_ub[:S] = target
-    A_ub[S:, :k] = -sub
-    A_ub[S:, k] = -1.0
-    b_ub[S:] = -target
-    c = np.zeros(k + 1)
-    c[k] = 1.0
-    res = lp_solve(c, A_ub, b_ub, nonneg=np.ones(k + 1, dtype=bool), tol=tol.lp)
-    if res.status != "optimal" or res.x[k] > tol.stationarity:
+    lam_cols, _ = nnls(sub, target)
+    if float(np.max(np.abs(sub @ lam_cols - target), initial=0.0)) > tol.stationarity:
         return None
     lam = np.zeros(M.shape[1])
-    lam[list(cols)] = np.maximum(res.x[:k], 0.0)
+    lam[list(cols)] = lam_cols
     return lam
 
 
@@ -313,7 +296,7 @@ def kkt_certificate(
         for nu in range(matrix.n_columns)
         if active[nu] and matrix.column_block[nu] != exclude_block
     ]
-    return _support_lp(matrix.matrix, -2.0 * np.asarray(alpha, dtype=float), cols, tol)
+    return _support_multipliers(matrix.matrix, -2.0 * np.asarray(alpha, dtype=float), cols, tol)
 
 
 @dataclass(eq=False)
@@ -420,6 +403,13 @@ def minimal_support_sets(
             f"{len(pool)} active blocks exceed the search limit {limit}"
         )
     target = np.asarray(target, dtype=float)
+    # A subset fits the target no better than the whole pool does, and an
+    # inf-norm residual within tolerance has a 2-norm within sqrt(S) times
+    # it, so when the pool misses that bound no subset carries a solution.
+    pool_cols = [nu for block_id in pool for nu in matrix.block_columns[block_id] if active[nu]]
+    _, residual = nnls(matrix.matrix[:, pool_cols], target)
+    if residual > np.sqrt(matrix.matrix.shape[0]) * tol.stationarity:
+        return []
     for size in range(len(pool) + 1):
         found = []
         for subset in itertools.combinations(pool, size):
@@ -429,7 +419,7 @@ def minimal_support_sets(
                 for nu in matrix.block_columns[block_id]
                 if active[nu]
             ]
-            lam = _support_lp(matrix.matrix, target, cols, tol)
+            lam = _support_multipliers(matrix.matrix, target, cols, tol)
             if lam is not None:
                 found.append(SupportSet(subset, lam))
         if found:

@@ -1,9 +1,9 @@
-"""Dense numeric core: linear programming by a two-phase tableau simplex,
-convex quadratic programming by a primal active-set method, and
-nullspace / least-squares helpers.
+"""Dense numeric core: nonnegative least squares (NNLS), convex quadratic
+programming started from an NNLS solve, linear programming by a
+two-phase tableau simplex, and nullspace / least-squares helpers.
 
 Everything here is deliberately small-scale and deterministic.  The
-simplex uses Bland's rule, the QP resolves ties by lowest index, and all
+simplex uses Bland's rule, NNLS and the QP break ties by lowest index, and all
 tolerances live in one configuration record, so repeated runs on the
 same input produce identical numbers.
 """
@@ -21,21 +21,23 @@ class SolverError(Exception):
 
 
 class Infeasible(SolverError):
-    """The constraint system admits no point.
+    """The constraint system A x + b <= 0 admits no point.
 
-    ``certificate`` is the phase-1 optimum: the smallest achievable
-    constraint violation, strictly positive here.
+    ``farkas`` is a verified Farkas vector y: y >= 0 with A'y = 0 (to
+    1e-9 relative to b.y) and b.y > 0, so any x with A x + b <= 0 would
+    give 0 >= y.(A x + b) = b.y > 0.  ``certificate`` is the number b.y.
     """
 
-    def __init__(self, message: str, certificate: float):
-        super().__init__(f"{message} (phase-1 optimum {certificate:.3e})")
+    def __init__(self, message: str, certificate: float, farkas: np.ndarray):
+        super().__init__(f"{message} (Farkas certificate, b.y = {certificate:.3e})")
         self.certificate = certificate
+        self.farkas = farkas
 
 
 @dataclass(frozen=True)
 class Tolerances:
     qp: float = 1e-8           # multiplier nonnegativity / convergence in the QP
-    lp: float = 1e-9           # simplex pivoting and feasibility threshold
+    lp: float = 1e-9           # simplex pivoting and feasibility threshold, QP start's squared NNLS residual
     nullspace: float = 1e-10   # singular value cutoff, relative to the largest
     activity: float = 1e-6     # |piece value| below this counts as active
     stationarity: float = 1e-7 # multiplier-system residual acceptance
@@ -229,26 +231,6 @@ def lp_solve(
     return LpResult("optimal", x, float(c @ x), None)
 
 
-def lp_feasible(
-    A_eq: np.ndarray | None = None,
-    b_eq: Sequence[float] | None = None,
-    A_ub: np.ndarray | None = None,
-    b_ub: Sequence[float] | None = None,
-    n: int | None = None,
-    nonneg: Sequence[bool] | None = None,
-    tol: float = DEFAULT_TOLERANCES.lp,
-) -> LpResult:
-    """Find any point of the system, or certify that none exists."""
-    if n is None:
-        if A_eq is not None and len(A_eq):
-            n = np.atleast_2d(np.asarray(A_eq)).shape[1]
-        elif A_ub is not None and len(A_ub):
-            n = np.atleast_2d(np.asarray(A_ub)).shape[1]
-        else:
-            raise SolverError("cannot infer the variable count")
-    return lp_solve(np.zeros(n), A_ub, b_ub, A_eq, b_eq, nonneg, tol)
-
-
 # ---------------------------------------------------------------------------
 # Nullspace and least squares
 
@@ -288,20 +270,65 @@ def min_norm_solution(M: np.ndarray, rhs: Sequence[float]) -> tuple[np.ndarray, 
     return x, float(np.linalg.norm(M @ x - rhs))
 
 
+def nnls(A: np.ndarray, b: Sequence[float]) -> tuple[np.ndarray, float]:
+    """min ||A x - b|| subject to x >= 0, by Lawson and Hanson's active-set
+    method (Solving Least Squares Problems, 1974, ch. 23); returns x and
+    the residual 2-norm.  The column with the largest gradient entry
+    enters, lowest index on ties.  One whose trial coefficient comes out
+    <= 0, which only rounding causes, is set aside until the gradient is
+    recomputed: letting it in would step zero distance and pick it again.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = A.shape[1]
+    x = np.zeros(n)
+    gain_tol = 10.0 * max(A.shape) * np.finfo(float).eps * np.linalg.norm(b) * np.max(np.abs(A).sum(0), initial=0.0)
+
+    def fit(cols: np.ndarray) -> np.ndarray:
+        z = np.zeros(n)
+        z[cols] = np.linalg.lstsq(A[:, cols], b, rcond=None)[0]
+        return z
+
+    passive = np.zeros(n, dtype=bool)
+    gain = A.T @ b
+    for _ in range(3 * n + 1):
+        candidates = ~passive & (gain > gain_tol)
+        while candidates.any():
+            t = int(np.argmax(np.where(candidates, gain, -np.inf)))
+            passive[t] = True
+            z = fit(passive)
+            if z[t] > 0.0:
+                break
+            passive[t] = candidates[t] = False
+        else:
+            return x, float(np.linalg.norm(A @ x - b))
+        while np.any(z[passive] <= 0.0):
+            # step towards z until the first coefficient reaches zero; it
+            # and any other zero coefficient leave the passive set
+            blocked = np.flatnonzero(passive & (z <= 0.0))
+            ratios = x[blocked] / (x[blocked] - z[blocked])
+            x = x + float(np.min(ratios)) * (z - x)
+            x[blocked[np.argmin(ratios)]] = 0.0
+            passive &= x > 0.0
+            x[~passive] = 0.0
+            z = fit(passive)
+        x = z
+        gain = A.T @ (b - A @ x)
+    raise SolverError("nnls iteration limit exceeded")
+
+
 # ---------------------------------------------------------------------------
 # Quadratic programming
 
 
 @dataclass(eq=False)
 class QpProblem:
-    """min 0.5 x'Qx + c.x  subject to  A x + b <= 0  and  E x = d."""
+    """min 0.5 x'Qx + c.x  subject to  A x + b <= 0."""
 
     Q: np.ndarray
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    E: np.ndarray | None = None
-    d: np.ndarray | None = None
 
 
 @dataclass(eq=False)
@@ -309,51 +336,48 @@ class QpSolution:
     x: np.ndarray
     objective: float
     multipliers: np.ndarray      # one per inequality row, zero off the active set
-    eq_multipliers: np.ndarray
     active_set: tuple[int, ...]  # rows with |A_i x + b_i| <= activity tolerance
     residuals: dict[str, float]
     iterations: int
 
 
-def _feasible_start(
-    A: np.ndarray, b: np.ndarray, E: np.ndarray | None, d: np.ndarray | None, tol: Tolerances
-) -> np.ndarray:
-    n = A.shape[1]
-    if A.shape[0] == 0:
-        if E is None:
-            return np.zeros(n)
-        x, res = min_norm_solution(E, d)
-        if res > 10 * tol.lp * (1.0 + float(np.linalg.norm(d))):
-            raise Infeasible("equality system is inconsistent", res)
-        return x
-    # minimize the violation s with A x + b <= s, encoded via s' = s + 1 >= 0
-    m = A.shape[0]
-    ub = np.hstack([A, -np.ones((m, 1))])
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    nonneg = np.zeros(n + 1, dtype=bool)
-    nonneg[n] = True
-    eq = None
-    rhs_eq = None
-    if E is not None and E.shape[0]:
-        eq = np.hstack([E, np.zeros((E.shape[0], 1))])
-        rhs_eq = d
-    result = lp_solve(c, ub, -b - 1.0, eq, rhs_eq, nonneg, tol.lp)
-    if result.status == "infeasible":
-        raise Infeasible("constraint system is infeasible", result.certificate)
-    if result.status != "optimal":
-        raise SolverError(f"phase-1 LP ended {result.status}")
-    s = result.x[n] - 1.0
-    if s > tol.lp * 10:
-        raise Infeasible("constraint system is infeasible", s)
-    return result.x[:n]
+def _least_distance_start(
+    Q: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, list[int]]:
+    """Start point and working set for ``solve_qp``: the least-distance
+    program in z = diag(sqrt(w)) V'(x - x0), with Q = V diag(w) V' split
+    by ``eigh`` and weight 1 on Ker(Q), solved as its NNLS dual
+    min ||[G'; h'] u - e|| over u >= 0 (Lawson and Hanson, ch. 23).  A
+    residual whose square is within ``tol.lp`` makes u a Farkas vector,
+    checked before ``Infeasible`` is raised.
+    """
+    n = Q.shape[0]
+    w, V = np.linalg.eigh(Q)
+    w = np.where(w > tol.nullspace * np.max(w, initial=0.0), w, 1.0)
+    root_inv = V / np.sqrt(w)
+    x0 = -V @ ((V.T @ c) / w)
+    h = A @ x0 + b
+    E = np.vstack([-(A @ root_inv).T, h[None, :]])
+    e = np.zeros(n + 1)
+    e[n] = 1.0
+    u, rnorm = nnls(E, e)
+    if rnorm**2 <= tol.lp:
+        certificate = float(b @ u)
+        if certificate > 0.0 and np.min(u) >= 0.0 and np.max(np.abs(A.T @ u)) <= 1e-9 * certificate:
+            raise Infeasible("constraint system is infeasible", certificate, u)
+        raise SolverError(f"least-distance residual {rnorm:.3e} vanishes without a Farkas certificate")
+    r = E @ u - e
+    x = root_inv @ (-r[:n] / r[n]) + x0
+    return x, [i for i in range(A.shape[0]) if u[i] > 0.0]
 
 
-def solve_qp(problem: QpProblem, tol: Tolerances = DEFAULT_TOLERANCES, max_iter: int | None = None) -> QpSolution:
+def solve_qp(problem: QpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> QpSolution:
     """Global minimizer of a convex QP by a primal active-set method.
 
-    The working set starts from the constraints active at a phase-1
-    feasible point.  Equality-constrained subproblems are solved through
+    It starts from ``_least_distance_start``, which is already optimal
+    for a positive-definite Q; the iterations then only move along the
+    free directions of a singular Q, such as per-predicate biases.
+    Equality-constrained subproblems are solved through
     the KKT system with a minimum-norm least-squares solve, which keeps
     dependent active rows harmless.  All tie-breaking is lowest-index,
     so runs are reproducible.
@@ -363,49 +387,34 @@ def solve_qp(problem: QpProblem, tol: Tolerances = DEFAULT_TOLERANCES, max_iter:
     c = np.asarray(problem.c, dtype=float)
     A = np.asarray(problem.A, dtype=float).reshape(-1, n) if np.size(problem.A) else np.zeros((0, n))
     b = np.asarray(problem.b, dtype=float).reshape(-1)
-    E = None
-    d = None
-    if problem.E is not None and np.size(problem.E):
-        E = np.atleast_2d(np.asarray(problem.E, dtype=float))
-        d = np.asarray(problem.d, dtype=float).reshape(-1)
     if np.max(np.abs(Q - Q.T), initial=0.0) > 1e-8:
         raise SolverError("Q must be symmetric")
     Q = (Q + Q.T) / 2.0
     m = A.shape[0]
-    if max_iter is None:
-        max_iter = 100 + 30 * (n + m)
+    max_iter = 100 + 30 * (n + m)
 
-    x = _feasible_start(A, b, E, d, tol)
-    work: list[int] = (
-        [i for i in range(m) if A[i] @ x + b[i] >= -1e-8] if m else []
-    )
+    x, work = _least_distance_start(Q, c, A, b, tol)
 
-    def eqp(w: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def eqp(w: list[int]) -> tuple[np.ndarray, np.ndarray]:
         Aw = A[w] if w else np.zeros((0, n))
         bw = b[w] if w else np.zeros(0)
-        n_eq = E.shape[0] if E is not None else 0
-        size = n + len(w) + n_eq
+        size = n + len(w)
         K = np.zeros((size, size))
         rhs = np.zeros(size)
         K[:n, :n] = Q
-        K[:n, n : n + len(w)] = Aw.T
-        K[n : n + len(w), :n] = Aw
+        K[:n, n:] = Aw.T
+        K[n:, :n] = Aw
         rhs[:n] = -c
-        rhs[n : n + len(w)] = -bw
-        if n_eq:
-            K[:n, n + len(w) :] = E.T
-            K[n + len(w) :, :n] = E
-            rhs[n + len(w) :] = d
+        rhs[n:] = -bw
         sol, _, _, _ = np.linalg.lstsq(K, rhs, rcond=None)
         if np.max(np.abs(K @ sol - rhs), initial=0.0) > 1e-6 * (1.0 + float(np.max(np.abs(rhs), initial=0.0))):
             raise SolverError("equality-constrained subproblem is unbounded or inconsistent")
-        return sol[:n], sol[n : n + len(w)], sol[n + len(w) :]
+        return sol[:n], sol[n:]
 
     iterations = 0
     mu_w = np.zeros(0)
-    nu = np.zeros(0)
     for iterations in range(1, max_iter + 1):
-        x_new, mu_w, nu = eqp(work)
+        x_new, mu_w = eqp(work)
         if np.max(np.abs(x_new - x), initial=0.0) <= 1e-10 * (1.0 + float(np.max(np.abs(x), initial=0.0))):
             x = x_new
             if not mu_w.size or float(np.min(mu_w)) >= -tol.qp:
@@ -436,15 +445,12 @@ def solve_qp(problem: QpProblem, tol: Tolerances = DEFAULT_TOLERANCES, max_iter:
     for idx, w in enumerate(work):
         mu[w] = max(float(mu_w[idx]), 0.0) if mu_w.size else 0.0
     grad = Q @ x + c + (A.T @ mu if m else 0.0)
-    if E is not None and nu.size:
-        grad = grad + E.T @ nu
     violations = A @ x + b if m else np.zeros(0)
-    eq_res = float(np.max(np.abs(E @ x - d), initial=0.0)) if E is not None else 0.0
     residuals = {
         "stationarity": float(np.max(np.abs(grad), initial=0.0)),
-        "feasibility": max(float(np.max(violations, initial=0.0)), eq_res, 0.0),
+        "feasibility": float(np.max(violations, initial=0.0)),
         "slackness": float(np.max(np.abs(mu * violations), initial=0.0)) if m else 0.0,
     }
     active = tuple(i for i in range(m) if abs(violations[i]) <= tol.activity)
     objective = float(0.5 * x @ Q @ x + c @ x)
-    return QpSolution(x, objective, mu, np.asarray(nu), active, residuals, iterations)
+    return QpSolution(x, objective, mu, active, residuals, iterations)

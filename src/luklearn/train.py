@@ -245,7 +245,7 @@ def solve_primal(tp: TrainingProblem) -> TrainedModel:
     """Solve the constrained training problem to optimality.
 
     Raises solver.Infeasible when the constraint system admits no
-    grounding vector (the exception carries the phase-1 certificate).
+    grounding vector (the exception carries a verified Farkas vector).
     """
     S = tp.index.size
     khat = tp.khat()

@@ -66,3 +66,11 @@ def random_feasible_qp(rng, n_max=4, m_max=6):
     slack = rng.random(m) + 0.1
     b = -A @ x0 - slack
     return Q, c, A, b
+
+
+def is_farkas_vector(y, A, b, tol=1e-9):
+    """y >= 0, A'y = 0 (to ``tol`` relative to b.y) and b.y > 0: then
+    0 >= y.(A x + b) = b.y > 0 for any x with A x + b <= 0, so none exists."""
+    y = np.asarray(y, dtype=float)
+    bty = float(np.asarray(b, dtype=float) @ y)
+    return bool(np.min(y) >= 0.0 and bty > 0.0 and np.max(np.abs(np.asarray(A).T @ y)) <= tol * bty)

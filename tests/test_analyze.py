@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from luklearn import analyze
 from luklearn.analyze import (
     AnalysisError,
     InconsistentSystem,
@@ -316,6 +317,28 @@ def test_minimal_support_sets_limit_guard():
     model = _chain_model()
     with pytest.raises(SupportLimitExceeded):
         minimal_support_sets(model.problem.matrix, model.alpha, model.activity, limit=3)
+
+
+def test_minimal_support_sets_unsolvable_pool_takes_one_solve(monkeypatch):
+    """No active column has a negative first entry, so none of the 2^4
+    subsets of the pool can carry the target; one fit of the whole pool
+    decides that."""
+    matrix = _chain_model().problem.matrix
+    pool_cols = [1, 3, 4, 9]
+    activity = np.isin(np.arange(matrix.n_columns), pool_cols)
+    target = np.array([-1.0, 0.0, 0.0])
+    assert not _linprog_supports(matrix.matrix, target, pool_cols)
+
+    calls = []
+    nnls = analyze.nnls
+
+    def counting(*args):
+        calls.append(args)
+        return nnls(*args)
+
+    monkeypatch.setattr(analyze, "nnls", counting)
+    assert minimal_support_sets(matrix, target, activity, limit=20) == []
+    assert len(calls) == 1
 
 
 def _linprog_supports(M, target, cols, tol=1e-7):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -204,10 +205,12 @@ def test_invalid_json_exit_2(tmp_path):
 
 
 def test_module_entry_point_version():
+    # the child imports luklearn from wherever this process found it
     proc = subprocess.run(
         [sys.executable, "-m", "luklearn.cli", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
     assert __version__ in proc.stdout

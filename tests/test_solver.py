@@ -1,20 +1,21 @@
-"""Tests for the simplex LP, nullspace helpers, and the active-set QP."""
+"""Tests for the simplex LP, NNLS, nullspace helpers, and the active-set QP."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from oracles import kkt_enumeration_qp, random_feasible_qp
+from oracles import is_farkas_vector, kkt_enumeration_qp, random_feasible_qp
 from scipy.optimize import linprog
+from scipy.optimize import nnls as scipy_nnls
 
 from luklearn.solver import (
     DEFAULT_TOLERANCES,
     Infeasible,
     QpProblem,
     SolverError,
-    lp_feasible,
     lp_solve,
     min_norm_solution,
+    nnls,
     nullspace,
     solve_qp,
     tolerances_with,
@@ -81,13 +82,6 @@ def test_lp_no_constraints():
     assert np.array_equal(r.x, np.zeros(2))
 
 
-def test_lp_feasible_infers_size():
-    r = lp_feasible(A_ub=[[1.0, 0.0]], b_ub=[1.0])
-    assert r.status == "optimal"
-    with pytest.raises(SolverError, match="infer"):
-        lp_feasible()
-
-
 def test_lp_degenerate_cycling_guard():
     """A classically cycling-prone degenerate LP must still terminate."""
     c = [-0.75, 150.0, -0.02, 6.0]
@@ -119,6 +113,67 @@ def test_lp_random_against_scipy():
         assert r.objective == pytest.approx(ref.fun, abs=1e-7)
         assert np.all(A_box @ r.x <= b_box + 1e-8)
         assert np.all(r.x >= -1e-12)
+
+
+def _nnls_system(kind, rng):
+    if kind == "tall":
+        return rng.standard_normal((8, 4)), rng.standard_normal(8)
+    if kind == "wide":
+        return rng.standard_normal((3, 7)), rng.standard_normal(3)
+    if kind == "rank_deficient":
+        # small integers keep the rank deficiency exact in floating point
+        A = rng.integers(-3, 4, (6, 2)) @ rng.integers(-2, 3, (2, 5))
+        return A.astype(float), rng.integers(-5, 6, 6).astype(float)
+    A = rng.standard_normal((5, 4))
+    A[:, int(rng.integers(0, 4))] = 0.0
+    return A, rng.standard_normal(5)
+
+
+@pytest.mark.parametrize("kind", ["tall", "wide", "rank_deficient", "zero_column"])
+def test_nnls_against_scipy(kind):
+    rng = np.random.default_rng([89, len(kind)])
+    for _ in range(25):
+        A, b = _nnls_system(kind, rng)
+        x, rnorm = nnls(A, b)
+        _, ref = scipy_nnls(A, b)
+        assert np.all(x >= 0.0)
+        assert rnorm == pytest.approx(float(np.linalg.norm(A @ x - b)), abs=1e-12)
+        assert rnorm == pytest.approx(ref, abs=1e-9)
+        again, rnorm_again = nnls(A, b)
+        assert np.array_equal(x, again) and rnorm == rnorm_again
+
+
+def test_nnls_sets_aside_a_column_with_nonpositive_trial(monkeypatch):
+    """Column 4 is column 0 minus column 1, so once three columns fit b
+    exactly the remaining gradient entries are rounding noise, and two
+    of them pass the entry threshold with negative trial coefficients."""
+    rng = np.random.default_rng([97, 1871])
+    A = rng.standard_normal((3, 4))
+    A = np.hstack([A, A[:, :1] - A[:, 1:2]])
+    b = rng.standard_normal(3)
+
+    widths = []
+    lstsq = np.linalg.lstsq
+
+    def spy(a, *args, **kwargs):
+        widths.append(a.shape[1])
+        return lstsq(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    x, rnorm = nnls(A, b)
+    monkeypatch.undo()
+    # every entry widens the passive set by one and every leaving step
+    # narrows it, so two trials of one width in a row mean a column was
+    # set aside and another tried in its place
+    assert any(p == q for p, q in zip(widths, widths[1:]))
+    assert np.all(x >= 0.0)
+    assert rnorm == pytest.approx(scipy_nnls(A, b)[1], abs=1e-9)
+
+
+def test_nnls_without_columns():
+    x, rnorm = nnls(np.zeros((2, 0)), [3.0, 4.0])
+    assert x.shape == (0,)
+    assert rnorm == pytest.approx(5.0)
 
 
 def test_nullspace_identity_and_zero():
@@ -202,27 +257,13 @@ def test_qp_unconstrained():
     assert sol.residuals["stationarity"] <= 1e-9
 
 
-def test_qp_equality_constraint():
-    Q = 2.0 * np.eye(2)
-    sol = solve_qp(
-        QpProblem(
-            Q,
-            np.zeros(2),
-            np.zeros((0, 2)),
-            np.zeros(0),
-            E=np.array([[1.0, 1.0]]),
-            d=np.array([1.0]),
-        )
-    )
-    assert np.allclose(sol.x, [0.5, 0.5], atol=1e-9)
-    assert sol.eq_multipliers[0] == pytest.approx(-1.0, abs=1e-8)
-
-
 def test_qp_infeasible():
     A = np.array([[1.0], [-1.0]])
     b = np.array([1.0, 1.0])  # x <= -1 and x >= 1
-    with pytest.raises(Infeasible):
+    with pytest.raises(Infeasible) as info:
         solve_qp(QpProblem(np.array([[2.0]]), np.zeros(1), A, b))
+    assert is_farkas_vector(info.value.farkas, A, b)
+    assert info.value.certificate == pytest.approx(float(b @ info.value.farkas), rel=1e-12)
 
 
 def test_qp_rejects_asymmetric_matrix():

@@ -3,17 +3,22 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import is_farkas_vector
+from scipy.optimize import linprog
 
 from luklearn.constraints import restrict_columns
 from luklearn.grounding import PredicateDecl, build_samples
 from luklearn.kernels import KernelSpec
 from luklearn.logic import parse_formula
+from luklearn.problem import build_training_problem, load_problem
 from luklearn.solver import Infeasible
 from luklearn.train import TrainError, assemble_problem, load_model, solve_primal
 
+FIXTURES = Path(__file__).parent / "fixtures"
 POINT = {"points": {"x1": (0.4, 0.3)}}
 CHAIN_DECLS = [
     PredicateDecl("p1", ("points",)),
@@ -106,6 +111,36 @@ def test_conflicting_supervisions_are_infeasible():
     with pytest.raises(Infeasible) as info:
         solve_primal(tp)
     assert info.value.certificate > 0.0
+
+
+def _coefficient_system(tp):
+    """Training's constraints A a + b <= 0 over the coefficients a."""
+    return tp.matrix.matrix.T @ tp.khat(), tp.matrix.offsets
+
+
+def test_infeasible_carries_a_farkas_vector():
+    tp = build_training_problem(load_problem(FIXTURES / "conflict.json"))
+    with pytest.raises(Infeasible) as info:
+        solve_primal(tp)
+    A, b = _coefficient_system(tp)
+    y = info.value.farkas
+    assert y.shape == (tp.matrix.n_columns,)
+    assert is_farkas_vector(y, A, b)
+    assert info.value.certificate == pytest.approx(float(b @ y), rel=1e-12)
+
+
+def test_feasible_chain_is_not_reported_infeasible():
+    """The problem file is
+    ``gen.chain_kb(np.random.default_rng([460, 5, 4, 20]), 4, 0.2).problem()``
+    from ``perfbench/gen.py``: four RBF points, sigma 0.2, cond(K-hat) 28.6.
+    A phase-1 simplex start once reported it infeasible."""
+    tp = build_training_problem(load_problem(FIXTURES / "chain_false_infeasible.json"))
+    A, b = _coefficient_system(tp)
+    ref = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=-b, bounds=(None, None), method="highs")
+    assert ref.status == 0
+    model = solve_primal(tp)
+    assert max(model.qp.residuals.values()) <= 1e-7
+    assert model.max_violation() <= 1e-7
 
 
 def test_supervision_forces_target_value():
