@@ -50,10 +50,9 @@ from .grounding import (
     build_samples,
     expand_quantifiers,
     ground_assignment,
-    ground_conjuncts,
     sample_universe,
 )
-from .kernels import GramMatrix, KernelError, KernelSpec, gram, kernel_value, psd_check
+from .kernels import GramMatrix, KernelError, KernelSpec, cross_gram, gram, psd_check
 from .logic import (
     Atom,
     Forall,
@@ -69,7 +68,6 @@ from .logic import (
     WeakConj,
     WeakDisj,
     check_concave_fragment,
-    conjuncts,
     eval_lukasiewicz,
     parse_formula,
     to_nnf,

@@ -11,6 +11,7 @@ guard tripped.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -173,7 +174,6 @@ def cmd_predict_grid(args) -> int:
     problem = load_problem(args.problem)
     tol = _tolerances(args, problem)
     tp = build_training_problem(problem, tol)
-    model = solve_primal(tp)
     if all(d.name != args.predicate for d in tp.decls):
         raise ProblemError("predicates", f"unknown predicate {args.predicate!r}")
     dim = len(tp.index.tuple_points(args.predicate)[0])
@@ -182,22 +182,22 @@ def cmd_predict_grid(args) -> int:
             "predicates",
             f"predict-grid supports input dimension 1 or 2, {args.predicate!r} has {dim}",
         )
-    values = np.linspace(args.min, args.max, args.steps)
-    lines = []
-    if dim == 1:
-        lines.append(f"x,{args.predicate}")
-        for x in values:
-            lines.append(f"{float(x)!r},{model.predict(args.predicate, (float(x),))!r}")
-    else:
-        lines.append(f"x,y,{args.predicate}")
-        for x in values:
-            for y in values:
-                v = model.predict(args.predicate, (float(x), float(y)))
-                lines.append(f"{float(x)!r},{float(y)!r},{v!r}")
+    model = solve_primal(tp)
+    grid = list(itertools.product(np.linspace(args.min, args.max, args.steps).tolist(), repeat=dim))
+    values = model.predict(args.predicate, grid).tolist()
+    lines = [",".join(["x", "y"][:dim] + [args.predicate])]
+    lines += [",".join(repr(v) for v in (*point, value)) for point, value in zip(grid, values)]
     out = _out_dir(args)
     (out / "grid.csv").write_text("\n".join(lines) + "\n")
     print(f"wrote {out / 'grid.csv'}")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predicate", required=True)
     p.add_argument("--min", type=float, default=0.0)
     p.add_argument("--max", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=21)
+    p.add_argument("--steps", type=_positive_int, default=21, help="grid points per axis, at least 1")
     p.set_defaults(func=cmd_predict_grid)
     return parser
 

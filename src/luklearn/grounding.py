@@ -351,21 +351,6 @@ def expand_quantifiers(f: NnfFormula, index: GroundingIndex) -> GroundFormula:
     return GroundFormula(rec(f, {}), index, f)
 
 
-def ground_conjuncts(g: GroundFormula) -> list[object]:
-    """Flatten the top-level weak conjunction of a grounded formula."""
-    out: list[object] = []
-
-    def walk(node):
-        if type(node) is WeakConj:
-            walk(node.left)
-            walk(node.right)
-        else:
-            out.append(node)
-
-    walk(g.root)
-    return out
-
-
 def ground_assignment(index: GroundingIndex, p: Sequence[float]) -> dict[Atom, float]:
     """Truth assignment for every ground atom, read off a grounding vector."""
     vec = np.asarray(p, dtype=float)

@@ -35,16 +35,34 @@ class KernelSpec:
             raise KernelError("rbf width sigma must be positive")
 
 
-def kernel_value(spec: KernelSpec, x: Sequence[float], y: Sequence[float]) -> float:
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if xv.shape != yv.shape:
-        raise KernelError(f"dimension mismatch: {xv.shape} vs {yv.shape}")
-    if spec.kind == "linear":
-        return float(xv @ yv + spec.offset)
-    if spec.kind == "polynomial":
-        return float((xv @ yv + spec.offset) ** spec.degree)
-    return float(np.exp(-np.sum((xv - yv) ** 2) / (2.0 * spec.sigma**2)))
+def _rows(points: Sequence[Sequence[float]]) -> np.ndarray:
+    """``points`` as a float matrix, one row per point."""
+    try:
+        X = np.asarray(points, dtype=float)
+    except ValueError as exc:
+        raise KernelError("points must be rows of one common dimension") from exc
+    if X.ndim != 2:
+        raise KernelError("points must be rows of one common dimension")
+    return X
+
+
+def cross_gram(
+    spec: KernelSpec, X: Sequence[Sequence[float]], Y: Sequence[Sequence[float]]
+) -> np.ndarray:
+    """The matrix k(x_i, y_j) of ``spec`` between the rows of X and of Y.
+
+    The RBF distances use the squared-norm expansion |x|^2 + |y|^2 - 2 x.y,
+    clipped at zero.
+    """
+    X, Y = _rows(X), _rows(Y)
+    if X.shape[1] != Y.shape[1]:
+        raise KernelError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
+    if spec.kind == "rbf":
+        d2 = np.sum(X**2, axis=1)[:, None] + np.sum(Y**2, axis=1)[None, :] - 2.0 * (X @ Y.T)
+        np.maximum(d2, 0.0, out=d2)
+        return np.exp(-d2 / (2.0 * spec.sigma**2))
+    K = X @ Y.T + spec.offset
+    return K**spec.degree if spec.kind == "polynomial" else K
 
 
 @dataclass(eq=False)
@@ -62,23 +80,10 @@ def gram(spec: KernelSpec, points: Sequence[Sequence[float]]) -> GramMatrix:
     """
     if len(points) == 0:
         raise KernelError("empty sample list")
-    try:
-        X = np.asarray(points, dtype=float)
-    except ValueError as exc:
-        raise KernelError("samples must share a common dimension") from exc
-    if X.ndim != 2:
-        raise KernelError("samples must share a common dimension")
+    X = _rows(points)
+    K = cross_gram(spec, X, X)  # one array on both sides: X @ X.T comes out exactly symmetric
     if spec.kind == "rbf":
-        sq = np.sum(X**2, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-        np.maximum(d2, 0.0, out=d2)
-        K = np.exp(-d2 / (2.0 * spec.sigma**2))
         np.fill_diagonal(K, 1.0)
-    else:
-        K = X @ X.T + spec.offset
-        if spec.kind == "polynomial":
-            K = K**spec.degree
-    K = np.asarray(K, dtype=float)
     symmetric = bool(np.max(np.abs(K - K.T)) <= 1e-12) if K.size else True
     if symmetric:
         eigs = np.linalg.eigvalsh((K + K.T) / 2.0)

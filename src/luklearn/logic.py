@@ -479,10 +479,3 @@ def eval_lukasiewicz(
         raise FormulaError(f"unknown node {node!r}")
 
     return rec(f, {})
-
-
-def conjuncts(f: Formula) -> list[Formula]:
-    """Flatten a chain of weak conjunctions into its member formulas."""
-    if type(f) is WeakConj:
-        return conjuncts(f.left) + conjuncts(f.right)
-    return [f]

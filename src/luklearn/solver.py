@@ -343,13 +343,14 @@ class QpSolution:
 
 def _least_distance_start(
     Q: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray, tol: Tolerances
-) -> tuple[np.ndarray, list[int]]:
-    """Start point and working set for ``solve_qp``: the least-distance
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start point and multipliers for ``solve_qp``: the least-distance
     program in z = diag(sqrt(w)) V'(x - x0), with Q = V diag(w) V' split
     by ``eigh`` and weight 1 on Ker(Q), solved as its NNLS dual
-    min ||[G'; h'] u - e|| over u >= 0 (Lawson and Hanson, ch. 23).  A
-    residual whose square is within ``tol.lp`` makes u a Farkas vector,
-    checked before ``Infeasible`` is raised.
+    min ||[G'; h'] u - e|| over u >= 0 (Lawson and Hanson, ch. 23).  Its
+    multipliers are mu = u / (1 - h.u), where 1 - h.u is the squared
+    residual.  A residual whose square is within ``tol.lp`` makes u a
+    Farkas vector, checked before ``Infeasible`` is raised.
     """
     n = Q.shape[0]
     w, V = np.linalg.eigh(Q)
@@ -368,16 +369,39 @@ def _least_distance_start(
         raise SolverError(f"least-distance residual {rnorm:.3e} vanishes without a Farkas certificate")
     r = E @ u - e
     x = root_inv @ (-r[:n] / r[n]) + x0
-    return x, [i for i in range(A.shape[0]) if u[i] > 0.0]
+    return x, u / -r[n]
+
+
+def _kkt_residuals(
+    Q: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray, x: np.ndarray, mu: np.ndarray, tol: float
+) -> tuple[dict[str, float], bool]:
+    """KKT residuals of (x, mu), and whether they are within ``tol`` of
+    the problem's scale: the gradient terms for stationarity, the offsets
+    for feasibility, and those times the largest multiplier for slackness."""
+    violations = A @ x + b
+    res = {
+        "stationarity": float(np.max(np.abs(Q @ x + c + A.T @ mu), initial=0.0)),
+        "feasibility": float(np.max(violations, initial=0.0)),
+        "slackness": float(np.max(np.abs(mu * violations), initial=0.0)),
+    }
+    offsets = 1.0 + float(np.max(np.abs(b), initial=0.0))
+    gradient = 1.0 + float(np.max(np.abs(Q @ x), initial=0.0)) + float(np.max(np.abs(c), initial=0.0))
+    return res, (
+        res["stationarity"] <= tol * gradient
+        and res["feasibility"] <= tol * offsets
+        and res["slackness"] <= tol * offsets * (1.0 + float(np.max(mu, initial=0.0)))
+    )
 
 
 def solve_qp(problem: QpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> QpSolution:
     """Global minimizer of a convex QP by a primal active-set method.
 
-    It starts from ``_least_distance_start``, which is already optimal
-    for a positive-definite Q; the iterations then only move along the
-    free directions of a singular Q, such as per-predicate biases.
-    Equality-constrained subproblems are solved through
+    It starts from ``_least_distance_start`` and returns that start with
+    zero iterations when it is a KKT point within ``tol.qp``, which it
+    is, up to rounding, for a positive-definite Q.  Otherwise the
+    iterations move from it
+    along the free directions of a singular Q, such as per-predicate
+    biases.  Equality-constrained subproblems are solved through
     the KKT system with a minimum-norm least-squares solve, which keeps
     dependent active rows harmless.  All tie-breaking is lowest-index,
     so runs are reproducible.
@@ -390,10 +414,29 @@ def solve_qp(problem: QpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> QpSolu
     if np.max(np.abs(Q - Q.T), initial=0.0) > 1e-8:
         raise SolverError("Q must be symmetric")
     Q = (Q + Q.T) / 2.0
+
+    x, mu = _least_distance_start(Q, c, A, b, tol)
+    residuals, optimal = _kkt_residuals(Q, c, A, b, x, mu, tol.qp)
+    iterations = 0
+    if not optimal:
+        x, mu, iterations = _active_set(Q, c, A, b, x, np.flatnonzero(mu > 0.0).tolist(), tol)
+        residuals = _kkt_residuals(Q, c, A, b, x, mu, tol.qp)[0]
+    violations = A @ x + b
+    active = tuple(i for i in range(A.shape[0]) if abs(violations[i]) <= tol.activity)
+    objective = float(0.5 * x @ Q @ x + c @ x)
+    return QpSolution(x, objective, mu, active, residuals, iterations)
+
+
+def _active_set(
+    Q: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray, x: np.ndarray,
+    work: list[int], tol: Tolerances,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Primal active-set iterations from the feasible ``x`` and working
+    set ``work``; returns the optimum, its multipliers and the number of
+    iterations."""
+    n = Q.shape[0]
     m = A.shape[0]
     max_iter = 100 + 30 * (n + m)
-
-    x, work = _least_distance_start(Q, c, A, b, tol)
 
     def eqp(w: list[int]) -> tuple[np.ndarray, np.ndarray]:
         Aw = A[w] if w else np.zeros((0, n))
@@ -411,7 +454,6 @@ def solve_qp(problem: QpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> QpSolu
             raise SolverError("equality-constrained subproblem is unbounded or inconsistent")
         return sol[:n], sol[n:]
 
-    iterations = 0
     mu_w = np.zeros(0)
     for iterations in range(1, max_iter + 1):
         x_new, mu_w = eqp(work)
@@ -442,15 +484,5 @@ def solve_qp(problem: QpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> QpSolu
         raise SolverError("active-set iteration limit exceeded")
 
     mu = np.zeros(m)
-    for idx, w in enumerate(work):
-        mu[w] = max(float(mu_w[idx]), 0.0) if mu_w.size else 0.0
-    grad = Q @ x + c + (A.T @ mu if m else 0.0)
-    violations = A @ x + b if m else np.zeros(0)
-    residuals = {
-        "stationarity": float(np.max(np.abs(grad), initial=0.0)),
-        "feasibility": float(np.max(violations, initial=0.0)),
-        "slackness": float(np.max(np.abs(mu * violations), initial=0.0)) if m else 0.0,
-    }
-    active = tuple(i for i in range(m) if abs(violations[i]) <= tol.activity)
-    objective = float(0.5 * x @ Q @ x + c @ x)
-    return QpSolution(x, objective, mu, active, residuals, iterations)
+    mu[work] = np.maximum(mu_w, 0.0)
+    return x, mu, iterations

@@ -32,7 +32,7 @@ from .grounding import (
     build_grounding_index,
     expand_quantifiers,
 )
-from .kernels import GramMatrix, KernelSpec, gram, kernel_value, psd_check
+from .kernels import GramMatrix, KernelSpec, cross_gram, gram, psd_check
 from .logic import Formula, check_concave_fragment, to_nnf, to_text
 from .solver import DEFAULT_TOLERANCES, QpProblem, QpSolution, Tolerances, solve_qp
 
@@ -155,16 +155,6 @@ def assemble_problem(
     )
 
 
-def _expansion_value(
-    spec: KernelSpec,
-    points: Sequence[Sequence[float]],
-    alpha: np.ndarray,
-    bias: float,
-    x: Sequence[float],
-) -> float:
-    return float(sum(a * kernel_value(spec, pt, x) for a, pt in zip(alpha, points)) + bias)
-
-
 @dataclass(eq=False)
 class TrainedModel:
     problem: TrainingProblem
@@ -182,22 +172,14 @@ class TrainedModel:
             for decl in self.problem.decls
         }
 
-    def predict(self, predicate: str, x: Sequence[float]) -> float:
-        """Kernel-expansion value of ``predicate`` at input ``x``."""
+    def predict(self, predicate: str, X: Sequence[Sequence[float]]) -> np.ndarray:
+        """Kernel-expansion values of ``predicate``, one per input row of ``X``."""
         problem = self.problem
-        decl = next((d for d in problem.decls if d.name == predicate), None)
-        if decl is None:
+        if all(d.name != predicate for d in problem.decls):
             raise TrainError(f"unknown predicate {predicate!r}")
         points = problem.index.tuple_points(predicate)
-        dim = len(points[0])
-        if len(x) != dim:
-            raise TrainError(
-                f"predicate {predicate!r} expects inputs of dimension {dim}, got {len(x)}"
-            )
-        sl = problem.index.slice_of(predicate)
-        return _expansion_value(
-            problem.kernel_specs[predicate], points, self.alpha[sl], self.biases[predicate], x
-        )
+        K = cross_gram(problem.kernel_specs[predicate], X, points)
+        return K @ self.alpha[problem.index.slice_of(predicate)] + self.biases[predicate]
 
     def max_violation(self) -> float:
         v = self.problem.matrix.violations(self.p_star)
@@ -277,13 +259,12 @@ class LoadedModel:
 
     predicates: list[dict]
 
-    def predict(self, predicate: str, x: Sequence[float]) -> float:
+    def predict(self, predicate: str, X: Sequence[Sequence[float]]) -> np.ndarray:
+        """Kernel-expansion values of ``predicate``, one per input row of ``X``."""
         for entry in self.predicates:
             if entry["name"] == predicate:
-                spec = KernelSpec(**entry["kernel"])
-                return _expansion_value(
-                    spec, entry["points"], np.asarray(entry["alpha"]), entry["bias"], x
-                )
+                K = cross_gram(KernelSpec(**entry["kernel"]), X, entry["points"])
+                return K @ np.asarray(entry["alpha"]) + entry["bias"]
         raise TrainError(f"unknown predicate {predicate!r}")
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from luklearn import __version__
+from luklearn import __version__, cli
 from luklearn.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -191,6 +191,46 @@ def test_predict_grid_unknown_predicate(tmp_path):
         "predict-grid", FIXTURES / "example4.json", "-o", tmp_path, "--predicate", "zzz"
     )
     assert code == 2
+
+
+def test_predict_grid_one_dimensional(tmp_path):
+    problem = json.loads((FIXTURES / "tension.json").read_text())
+    problem["domains"]["points"]["x1"] = [0.5]
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(problem))
+    assert _run("predict-grid", path, "-o", tmp_path, "--predicate", "p1", "--steps", "3") == 0
+    lines = (tmp_path / "grid.csv").read_text().splitlines()
+    assert lines[0] == "x,p1"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "0.5", "1.0"]
+
+
+def test_predict_grid_is_deterministic(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert _run("predict-grid", FIXTURES / "example4.json", "-o", out, "--predicate", "p2") == 0
+    assert (a / "grid.csv").read_bytes() == (b / "grid.csv").read_bytes()
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_predict_grid_rejects_steps_below_one(tmp_path, capsys, steps):
+    with pytest.raises(SystemExit) as info:
+        _run("predict-grid", FIXTURES / "example4.json", "-o", tmp_path, "--predicate", "p2",
+             "--steps", steps)
+    assert info.value.code == 2
+    assert "--steps" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "fixture, predicate",
+    [("example4.json", "zzz"), ("example1.json", "p2")],  # unknown; input dimension 4
+)
+def test_predict_grid_checks_predicate_before_training(tmp_path, monkeypatch, fixture, predicate):
+    def no_training(tp):
+        raise AssertionError("trained before checking the predicate")
+
+    monkeypatch.setattr(cli, "solve_primal", no_training)
+    assert _run("predict-grid", FIXTURES / fixture, "-o", tmp_path, "--predicate", predicate) == 2
 
 
 def test_missing_problem_file_exit_2(tmp_path, capsys):

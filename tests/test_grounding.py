@@ -13,7 +13,6 @@ from luklearn.grounding import (
     build_samples,
     expand_quantifiers,
     ground_assignment,
-    ground_conjuncts,
     sample_universe,
 )
 from luklearn.logic import (
@@ -128,11 +127,18 @@ def test_empty_domain_rejected():
         build_grounding_index(DECLS, samples)
 
 
+def _conjuncts(node) -> list:
+    """Members of a chain of weak conjunctions."""
+    if type(node) is WeakConj:
+        return _conjuncts(node.left) + _conjuncts(node.right)
+    return [node]
+
+
 def test_expand_transitive_formula_conjunct_count():
     index = _index()
     text = "forall u: forall v: forall w: ~p2(u,v) + ~p2(v,w) + p2(u,w)"
     g = expand_quantifiers(to_nnf(parse_formula(text)), index)
-    parts = ground_conjuncts(g)
+    parts = _conjuncts(g.root)
     assert len(parts) == 8
     for part in parts:
         assert type(part) is StrongDisj

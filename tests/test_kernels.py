@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from luklearn.kernels import GramMatrix, KernelError, KernelSpec, gram, kernel_value, psd_check
+from luklearn.kernels import GramMatrix, KernelError, KernelSpec, cross_gram, gram, psd_check
 
 
 def test_kernel_spec_validation():
@@ -17,22 +19,55 @@ def test_kernel_spec_validation():
         KernelSpec(kind="rbf", sigma=0.0)
 
 
-def test_kernel_value_formulas():
+def _closed_form(spec, x, y):
+    """k(x, y) written out per kind, independently of the library."""
+    dot = sum(u * v for u, v in zip(x, y))
+    if spec.kind == "linear":
+        return dot + spec.offset
+    if spec.kind == "polynomial":
+        return (dot + spec.offset) ** spec.degree
+    return math.exp(-sum((u - v) ** 2 for u, v in zip(x, y)) / (2.0 * spec.sigma**2))
+
+
+SPECS = (
+    KernelSpec("linear", offset=0.5),
+    KernelSpec("polynomial", offset=1.0, degree=3),
+    KernelSpec("rbf", sigma=0.5),
+)
+
+
+def test_cross_gram_formulas():
     x, y = (0.4, 0.3), (0.1, 0.2)
     dot = 0.4 * 0.1 + 0.3 * 0.2
-    assert kernel_value(KernelSpec("linear", offset=1.0), x, y) == pytest.approx(dot + 1.0)
-    assert kernel_value(KernelSpec("polynomial", offset=1.0, degree=3), x, y) == pytest.approx(
-        (dot + 1.0) ** 3
-    )
     d2 = (0.4 - 0.1) ** 2 + (0.3 - 0.2) ** 2
-    assert kernel_value(KernelSpec("rbf", sigma=0.5), x, y) == pytest.approx(
-        np.exp(-d2 / (2.0 * 0.25))
-    )
+    K = cross_gram(KernelSpec("linear", offset=1.0), [x], [y])
+    assert K.shape == (1, 1)
+    assert K[0, 0] == pytest.approx(dot + 1.0)
+    K = cross_gram(KernelSpec("polynomial", offset=1.0, degree=3), [x], [y])
+    assert K[0, 0] == pytest.approx((dot + 1.0) ** 3)
+    K = cross_gram(KernelSpec("rbf", sigma=0.5), [x], [y])
+    assert K[0, 0] == pytest.approx(np.exp(-d2 / (2.0 * 0.25)))
 
 
-def test_kernel_value_dimension_mismatch():
+def test_cross_gram_non_square():
+    rng = np.random.default_rng(29)
+    X = rng.random((4, 3))
+    Y = rng.random((7, 3))
+    for spec in SPECS:
+        K = cross_gram(spec, X, Y)
+        assert K.shape == (4, 7)
+        for i, x in enumerate(X):
+            for j, y in enumerate(Y):
+                assert K[i, j] == pytest.approx(_closed_form(spec, x, y), rel=1e-12, abs=1e-12)
+        assert np.allclose(cross_gram(spec, Y, X), K.T, rtol=1e-14, atol=1e-14)
+
+
+def test_cross_gram_dimension_mismatch():
     with pytest.raises(KernelError, match="dimension mismatch"):
-        kernel_value(KernelSpec(), (1.0, 2.0), (1.0,))
+        cross_gram(KernelSpec(), [(1.0, 2.0)], [(1.0,)])
+    # a single point is not a list of points; it must not broadcast
+    with pytest.raises(KernelError, match="common dimension"):
+        cross_gram(KernelSpec(), (1.0, 2.0), [(1.0, 2.0)])
 
 
 def test_single_point_linear_gram():
@@ -45,16 +80,15 @@ def test_single_point_linear_gram():
 def test_gram_matches_pairwise_kernel_values():
     rng = np.random.default_rng(31)
     points = [tuple(rng.random(3)) for _ in range(5)]
-    for spec in (
-        KernelSpec("linear", offset=0.5),
-        KernelSpec("polynomial", offset=1.0, degree=2),
-        KernelSpec("rbf", sigma=0.7),
-    ):
+    X = np.asarray(points)
+    for spec in SPECS:
         g = gram(spec, points)
         for i, x in enumerate(points):
             for j, y in enumerate(points):
-                assert g.matrix[i, j] == pytest.approx(kernel_value(spec, x, y), abs=1e-12)
+                assert g.matrix[i, j] == pytest.approx(_closed_form(spec, x, y), abs=1e-12)
         assert g.symmetric
+        off = ~np.eye(5, dtype=bool)
+        assert np.array_equal(g.matrix[off], cross_gram(spec, X, X)[off])
 
 
 def test_rbf_gram_has_unit_diagonal():

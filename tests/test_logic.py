@@ -18,7 +18,6 @@ from luklearn.logic import (
     WeakConj,
     WeakDisj,
     check_concave_fragment,
-    conjuncts,
     eval_lukasiewicz,
     iter_atoms,
     parse_formula,
@@ -121,13 +120,6 @@ def test_to_text_round_trip_on_fixed_formulas():
 def test_iter_atoms_order():
     f = parse_formula("a(x) -> b(x) & c(x)")
     assert [atom.name for atom in iter_atoms(f)] == ["a", "b", "c"]
-
-
-def test_conjuncts_flattens_weak_conjunctions():
-    f = parse_formula("a(x) & b(x) & (c(x) + a(x))")
-    parts = conjuncts(f)
-    assert parts == [A, B, StrongDisj(C, A)]
-    assert conjuncts(A) == [A]
 
 
 def test_nnf_rewrites_implication():

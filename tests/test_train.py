@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 
 from luklearn.constraints import restrict_columns
 from luklearn.grounding import PredicateDecl, build_samples
-from luklearn.kernels import KernelSpec
+from luklearn.kernels import KernelError, KernelSpec
 from luklearn.logic import parse_formula
 from luklearn.problem import build_training_problem, load_problem
 from luklearn.solver import Infeasible
@@ -143,6 +143,63 @@ def test_feasible_chain_is_not_reported_infeasible():
     assert model.max_violation() <= 1e-7
 
 
+def _kkt_residuals(model):
+    """KKT residuals of the trained optimum, rebuilt from K-hat, M and q:
+    stationarity in the coefficients (2 K a + K M mu) and in the biases
+    (B'M mu), feasibility of M'p + q <= 0, and slackness mu * (M'p + q)."""
+    tp = model.problem
+    K, M, q = tp.khat(), tp.matrix.matrix, tp.matrix.offsets
+    mu = model.multipliers
+    bias = np.array([model.biases[d.name] for d in tp.decls])
+    p = K @ model.alpha + tp.bias_map() @ bias
+    violations = M.T @ p + q
+    assert np.min(mu) >= 0.0
+    assert np.max(np.abs(p - model.p_star)) <= 1e-12 * (1.0 + np.max(np.abs(p)))
+    return {
+        "stationarity": float(np.max(np.abs(2.0 * K @ model.alpha + K @ M @ mu))),
+        "bias_stationarity": float(np.max(np.abs(tp.bias_map().T @ M @ mu))),
+        "feasibility": float(np.max(violations, initial=0.0)),
+        "slackness": float(np.max(np.abs(mu * violations))),
+    }
+
+
+def test_ill_conditioned_chain_trains_from_its_start():
+    """The problem file is
+    ``gen.chain_kb(np.random.default_rng([0, 5, 20, 50]), 20, 0.5).problem()``
+    from ``perfbench/gen.py``: twenty RBF points, sigma 0.5, cond(K-hat)
+    3.8e7.  Active-set iterations from the least-distance start once
+    cycled on it until their iteration limit; the start is already a KKT
+    point, so no iteration runs."""
+    tp = build_training_problem(load_problem(FIXTURES / "chain_ill_conditioned.json"))
+    assert np.linalg.cond(tp.khat()) > 1e7
+    model = solve_primal(tp)
+    assert model.qp.iterations == 0
+    res = _kkt_residuals(model)
+    scale = 1.0 + float(np.max(model.multipliers))
+    assert scale > 1e4  # the absolute slackness is large only because mu is
+    assert res["stationarity"] <= 1e-8
+    assert res["feasibility"] <= 1e-8
+    assert res["slackness"] <= 1e-8 * scale
+    assert model.max_violation() <= 1e-8
+
+
+def test_bias_optimum_satisfies_kkt():
+    """With biases Q is singular, the start is not optimal, and the
+    active-set iterations find the optimum."""
+    decls = [PredicateDecl("p1", ("points",), kernel="rbf"), PredicateDecl("p2", ("points",), kernel="rbf")]
+    doms = {"points": {"x1": (0.2, 0.6), "x2": (0.7, 0.3), "x3": (0.5, 0.5)}}
+    samples = build_samples(doms, decls, [("p1", ("x1",), 1), ("p1", ("x2",), -1), ("p2", ("x3",), -1)])
+    formulas = [parse_formula("forall x: p1(x) -> p2(x)")]
+    kernels = {"rbf": KernelSpec("rbf", sigma=0.5)}
+    model = solve_primal(assemble_problem(decls, samples, formulas, kernels=kernels, bias=True))
+    assert model.qp.iterations > 0
+    assert min(abs(v) for v in model.biases.values()) > 0.1
+    res = _kkt_residuals(model)
+    assert max(res.values()) <= 1e-9
+    plain = solve_primal(assemble_problem(decls, samples, formulas, kernels=kernels))
+    assert model.loss < plain.loss - 1.0
+
+
 def test_supervision_forces_target_value():
     decls = [PredicateDecl("p1", ("points",))]
     point = {"points": {"x1": (0.5, 0.5)}}
@@ -188,11 +245,25 @@ def test_binary_predicate_training_is_consistent():
 def test_predict_reproduces_training_values():
     model = solve_primal(_chain_problem())
     for k, pred in enumerate(("p1", "p2", "p3")):
-        assert model.predict(pred, (0.4, 0.3)) == pytest.approx(model.p_star[k], abs=1e-9)
-    with pytest.raises(TrainError, match="dimension"):
-        model.predict("p1", (0.4,))
+        values = model.predict(pred, [(0.4, 0.3), (0.4, 0.3)])
+        assert values.shape == (2,)
+        assert values == pytest.approx([model.p_star[k]] * 2, abs=1e-9)
     with pytest.raises(TrainError, match="unknown predicate"):
-        model.predict("zzz", (0.4, 0.3))
+        model.predict("zzz", [(0.4, 0.3)])
+
+
+def test_predict_rejects_wrong_dimension(tmp_path):
+    model = solve_primal(_chain_problem())
+    model.save(tmp_path / "model.json")
+    loaded = load_model(tmp_path / "model.json")
+    for predictor in (model, loaded):
+        with pytest.raises(KernelError, match="dimension mismatch"):
+            predictor.predict("p1", [(0.4,)])
+        with pytest.raises(KernelError, match="dimension mismatch"):
+            predictor.predict("p1", [(0.4, 0.3, 0.2)])
+        # a bare point is not a sequence of inputs and must not broadcast
+        with pytest.raises(KernelError, match="common dimension"):
+            predictor.predict("p1", (0.4, 0.3))
 
 
 def test_save_and_load_round_trip(tmp_path):
@@ -200,11 +271,11 @@ def test_save_and_load_round_trip(tmp_path):
     path = tmp_path / "model.json"
     model.save(path)
     loaded = load_model(path)
-    rng = np.random.default_rng(89)
-    for _ in range(10):
-        x = rng.random(2)
-        for pred in ("p1", "p2", "p3"):
-            assert loaded.predict(pred, x) == pytest.approx(model.predict(pred, x), abs=1e-12)
+    X = np.random.default_rng(89).random((10, 2))
+    for pred in ("p1", "p2", "p3"):
+        assert np.allclose(loaded.predict(pred, X), model.predict(pred, X), rtol=0.0, atol=1e-12)
+    with pytest.raises(TrainError, match="unknown predicate"):
+        loaded.predict("zzz", X)
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"format": "something-else"}))
