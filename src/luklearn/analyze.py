@@ -256,6 +256,12 @@ def deactivation_report(
     return out
 
 
+def _fit_tolerance(target: np.ndarray, tol: Tolerances) -> float:
+    """Largest inf-norm residual accepted for a multiplier fit of
+    ``target``: the stationarity tolerance, relative to its scale."""
+    return tol.stationarity * (1.0 + float(np.max(np.abs(target), initial=0.0)))
+
+
 def _support_multipliers(
     M: np.ndarray,
     target: np.ndarray,
@@ -264,10 +270,10 @@ def _support_multipliers(
 ) -> np.ndarray | None:
     """Nonnegative multipliers on ``cols`` with M lam = target, found by
     nonnegative least squares; accepted when every equation holds within
-    the stationarity tolerance."""
+    the stationarity tolerance times 1 + ||target||_inf."""
     sub = M[:, list(cols)]
     lam_cols, _ = nnls(sub, target)
-    if float(np.max(np.abs(sub @ lam_cols - target), initial=0.0)) > tol.stationarity:
+    if float(np.max(np.abs(sub @ lam_cols - target), initial=0.0)) > _fit_tolerance(target, tol):
         return None
     lam = np.zeros(M.shape[1])
     lam[list(cols)] = lam_cols
@@ -408,7 +414,7 @@ def minimal_support_sets(
     # it, so when the pool misses that bound no subset carries a solution.
     pool_cols = [nu for block_id in pool for nu in matrix.block_columns[block_id] if active[nu]]
     _, residual = nnls(matrix.matrix[:, pool_cols], target)
-    if residual > np.sqrt(matrix.matrix.shape[0]) * tol.stationarity:
+    if residual > np.sqrt(matrix.matrix.shape[0]) * _fit_tolerance(target, tol):
         return []
     for size in range(len(pool) + 1):
         found = []

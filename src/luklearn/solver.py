@@ -1,6 +1,11 @@
 """Dense numeric core: nonnegative least squares (NNLS), convex quadratic
 programming started from an NNLS solve, linear programming by a
-two-phase tableau simplex, and nullspace / least-squares helpers.
+tableau simplex, and nullspace / least-squares helpers.
+
+The simplex starts from the slack basis and adds artificials, and a
+phase 1, only for rows that have no slack: ``<=`` rows with a negative
+right-hand side and equality rows.  It checks every optimum it returns
+against its rows.
 
 Everything here is deliberately small-scale and deterministic.  The
 simplex uses Bland's rule, NNLS and the QP break ties by lowest index, and all
@@ -58,43 +63,32 @@ def tolerances_with(base: Tolerances | None = None, **overrides) -> Tolerances:
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * T[row]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    rows = np.flatnonzero(factors)
+    T[rows] -= np.outer(factors[rows], T[row])
 
 
-def _run_simplex(T: np.ndarray, basis: list[int], cost: np.ndarray, tol: float, max_iter: int) -> str:
+def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, tol: float, max_iter: int) -> str:
     """Iterate a canonical tableau (basis columns = identity) to optimality.
 
     ``T`` has one trailing right-hand-side column.  Returns "optimal" or
-    "unbounded"; Bland's rule (lowest eligible index both for entering
-    and, on ratio ties, for leaving) prevents cycling.
+    "unbounded"; Bland's rule prevents cycling: the lowest eligible
+    column enters, and of the rows within 1e-12 of the minimum ratio the
+    one with the lowest basic index leaves.
     """
     ncols = T.shape[1] - 1
     for _ in range(max_iter):
-        reduced = cost[:ncols] - cost[basis] @ T[:, :ncols]
-        entering = -1
-        for j in range(ncols):
-            if reduced[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
+        eligible = np.flatnonzero(cost[:ncols] - cost[basis] @ T[:, :ncols] < -tol)
+        if not eligible.size:
             return "optimal"
-        col = T[:, entering]
-        best_ratio = None
-        leaving = -1
-        for i in range(T.shape[0]):
-            if col[i] > tol:
-                ratio = T[i, -1] / col[i]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio - 1e-12
-                    or (abs(ratio - best_ratio) <= 1e-12 and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
+        entering = int(eligible[0])
+        rows = np.flatnonzero(T[:, entering] > tol)
+        if not rows.size:
             return "unbounded"
+        ratios = T[rows, -1] / T[rows, entering]
+        ties = rows[ratios <= np.min(ratios) + 1e-12]
+        leaving = int(ties[np.argmin(basis[ties])])
         _pivot(T, leaving, entering)
         basis[leaving] = entering
     raise SolverError("simplex iteration limit exceeded")
@@ -105,8 +99,13 @@ def _simplex_standard(
 ) -> tuple[str, np.ndarray | None, float]:
     """min c.x subject to A x = b, x >= 0.
 
-    Returns (status, x, value); for "infeasible" the value is the
-    phase-1 optimum, for "unbounded" it is -inf.
+    Rows with b < 0 are negated; then each row starts basic in the last
+    unit column of A that has its 1 there, which for a ``<=`` row of
+    ``lp_solve`` is its slack (the all-slack crash basis; Bixby, ORSA J.
+    Computing 4(3), 1992).  Only rows without one get an artificial, and
+    phase 1 runs only when some row has one.  Returns (status, x, value);
+    for "infeasible" the value is the phase-1 optimum, for "unbounded" it
+    is -inf.
     """
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
@@ -115,41 +114,43 @@ def _simplex_standard(
     A[flip] *= -1.0
     b[flip] *= -1.0
 
-    T = np.hstack([A, np.eye(m), b[:, None]])
-    basis = list(range(n, n + m))
-    phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
-    # canonicalize the phase-1 objective against the artificial basis
-    status = _run_simplex(T, basis, phase1_cost, tol, max_iter)
-    if status != "optimal":
-        raise SolverError("phase 1 cannot be unbounded")
-    value = float(phase1_cost[basis] @ T[:, -1])
-    if value > tol * max(1.0, float(np.max(np.abs(b))) if b.size else 1.0):
-        return "infeasible", None, value
+    basis = np.full(m, -1)
+    units = np.flatnonzero((np.count_nonzero(A, axis=0) == 1) & (np.max(A, axis=0, initial=0.0) == 1.0))[::-1]
+    rows, last = np.unique(np.argmax(A[:, units], axis=0), return_index=True)
+    basis[rows] = units[last]
+    needy = np.flatnonzero(basis < 0)
+    artificials = np.zeros((m, needy.size))
+    artificials[needy, np.arange(needy.size)] = 1.0
+    basis[needy] = n + np.arange(needy.size)
+    T = np.hstack([A, artificials, b[:, None]])
+    if needy.size:
+        phase1_cost = np.concatenate([np.zeros(n), np.ones(needy.size)])
+        status = _run_simplex(T, basis, phase1_cost, tol, max_iter)
+        if status != "optimal":
+            raise SolverError("phase 1 cannot be unbounded")
+        value = float(phase1_cost[basis] @ T[:, -1])
+        if value > tol * max(1.0, float(np.max(np.abs(b))) if b.size else 1.0):
+            return "infeasible", None, value
 
     # drive remaining artificials out of the basis; rows that cannot be
     # pivoted are redundant and get dropped
     keep = []
     for i in range(m):
         if basis[i] >= n:
-            piv = -1
-            for j in range(n):
-                if abs(T[i, j]) > tol:
-                    piv = j
-                    break
-            if piv < 0:
+            candidates = np.flatnonzero(np.abs(T[i, :n]) > tol)
+            if not candidates.size:
                 continue
-            _pivot(T, i, piv)
-            basis[i] = piv
+            _pivot(T, i, int(candidates[0]))
+            basis[i] = candidates[0]
         keep.append(i)
     T = np.hstack([T[keep][:, :n], T[keep][:, -1:]])
-    basis = [basis[i] for i in keep]
+    basis = basis[keep]
 
     status = _run_simplex(T, basis, np.asarray(c, dtype=float), tol, max_iter)
     if status == "unbounded":
         return "unbounded", None, float("-inf")
     x = np.zeros(n)
-    for i, bi in enumerate(basis):
-        x[bi] = T[i, -1]
+    x[basis] = T[:, -1]
     return "optimal", x, float(np.asarray(c, dtype=float) @ x)
 
 
@@ -175,6 +176,8 @@ def lp_solve(
 
     Variables with ``nonneg[i]`` true are constrained to x_i >= 0; the
     rest are free and internally split into positive and negative parts.
+    An optimal x is checked against the rows, within ``tol`` times
+    1 + ||b||_inf, and SolverError is raised when it violates one.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
@@ -228,6 +231,11 @@ def lp_solve(
         else:
             x[i] = z[pos] - z[pos + 1]
             pos += 2
+    excess = G @ x - g
+    excess[n_ub:] = np.abs(excess[n_ub:])
+    worst = float(np.max(excess))
+    if worst > tol * (1.0 + float(np.max(np.abs(g)))):
+        raise SolverError(f"simplex optimum violates its own constraints by {worst:.3e}")
     return LpResult("optimal", x, float(c @ x), None)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,11 @@ from luklearn.analyze import (
 )
 from luklearn.grounding import PredicateDecl, build_samples
 from luklearn.logic import parse_formula
+from luklearn.problem import build_training_problem, load_problem
+from luklearn.solver import Infeasible
 from luklearn.train import assemble_problem, solve_primal
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 # ---------------------------------------------------------------------------
 # Shared fixtures: the transitive implication chain p1 -> p2 -> p3 over one
@@ -235,6 +240,27 @@ def test_kkt_certificate_chain_model():
     assert np.max(np.abs(matrix.matrix @ avoiding - target)) <= 1e-7
 
     assert kkt_certificate(matrix, model.alpha, model.activity, "pt:p2:x1") is None
+
+
+def test_kkt_certificate_scales_with_large_alpha():
+    """On the ill-conditioned chain max |alpha| is about 9e4, and the best
+    fit of the gradient system over the active columns leaves an inf-norm
+    residual near 1e-5: above the absolute stationarity tolerance, yet a
+    relative error of 1e-10.  A block with no active piece cannot move the
+    optimum, so dropping it must keep a certificate."""
+    model = solve_primal(build_training_problem(load_problem(FIXTURES / "chain_ill_conditioned.json")))
+    matrix = model.problem.matrix
+    target = -2.0 * model.alpha
+    assert np.max(np.abs(target)) > 1e5
+    cols = matrix.block_columns["ub:p1:x00"]
+    assert not np.any(model.activity[cols])
+
+    cert = kkt_certificate(matrix, model.alpha, model.activity, "ub:p1:x00")
+    assert cert is not None
+    assert np.min(cert) >= 0.0
+    assert np.all(cert[~model.activity] == 0.0)
+    residual = np.max(np.abs(matrix.matrix @ cert - target))
+    assert residual <= 1e-7 * (1.0 + np.max(np.abs(target)))
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +476,29 @@ def test_removable_constraints_logical_mode():
     assert np.allclose(report.target, reconstructed, atol=1e-12)
     assert np.array_equal(report.target, logical_coefficients(model, "logical"))
     assert report.general.residual <= 1e-7
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_deactivation_certificates_solve_the_target_system(path):
+    """Every reported deactivation certificate is a nonnegative solution of
+    M lam = target that vanishes on its block and on inactive columns,
+    whichever vertex of the solution set the LP returned."""
+    try:
+        model = solve_primal(build_training_problem(load_problem(path)))
+    except Infeasible:
+        assert path.stem == "conflict"
+        return
+    report = removable_constraints(model)
+    gs = report.general
+    scale = 1.0 + np.max(np.abs(gs.target), initial=0.0)
+    for entry in report.blocks:
+        cert = None if entry.deactivation is None else entry.deactivation.certificate
+        if cert is None:
+            continue
+        assert np.min(cert) >= 0.0
+        assert np.all(cert[gs.columns_of(entry.block_id)] == 0.0)
+        assert np.all(cert[~gs.active] == 0.0)
+        assert np.max(np.abs(gs.matrix @ cert - gs.target)) <= 1e-9 * scale
 
 
 def test_report_to_dict_structure():

@@ -8,6 +8,7 @@ from oracles import is_farkas_vector, kkt_enumeration_qp, random_feasible_qp
 from scipy.optimize import linprog
 from scipy.optimize import nnls as scipy_nnls
 
+from luklearn import solver
 from luklearn.solver import (
     DEFAULT_TOLERANCES,
     Infeasible,
@@ -97,22 +98,99 @@ def test_lp_degenerate_cycling_guard():
     assert r.objective == pytest.approx(ref.fun, abs=1e-9)
 
 
+def _random_lp(rng, kind):
+    """A random LP for ``lp_solve`` and its HiGHS form.  "slack": every
+    row is a <= row with a positive right-hand side, so no row needs an
+    artificial.  "mixed": mixed-sign right-hand sides, free variables and
+    sometimes equality rows.  "artificial": nonnegative variables,
+    equality rows and <= rows with negative right-hand sides only.  Free
+    variables get finite bounds on both sides, written as rows, since
+    HiGHS calls some LPs that are unbounded below over free variables
+    infeasible.  Nonnegative variables in "mixed" LPs are left unbounded
+    above half of the time, so that some LPs are unbounded."""
+    n = int(rng.integers(2, 6))
+    m = int(rng.integers(1, 5))
+    c = rng.standard_normal(n)
+    A_ub = rng.standard_normal((m, n))
+    if kind == "slack":
+        nonneg = np.ones(n, dtype=bool)
+        b_ub = rng.random(m) + 0.1
+        A_eq = np.zeros((0, n))
+    elif kind == "mixed":
+        nonneg = rng.random(n) < 0.5
+        b_ub = rng.standard_normal(m)
+        A_eq = rng.standard_normal((int(rng.integers(0, 3)), n))
+    else:
+        nonneg = np.ones(n, dtype=bool)
+        b_ub = -rng.random(m) - 0.1
+        # a positive row keeps the nonnegative orthant bounded
+        A_eq = np.vstack([rng.random(n) + 0.1, rng.standard_normal((int(rng.integers(0, 2)), n))])
+    b_eq = A_eq @ rng.random(n) if rng.random() < 0.7 else rng.standard_normal(A_eq.shape[0])
+    if kind != "artificial":
+        # -10 <= x <= 10 on the free variables, and x <= 10 on the others
+        capped = ~nonneg | (kind == "slack") | (rng.random() < 0.5)
+        box = np.vstack([np.eye(n)[capped], -np.eye(n)[~nonneg]])
+        A_ub = np.vstack([A_ub, box])
+        b_ub = np.concatenate([b_ub, np.full(box.shape[0], 10.0)])
+    bounds = [(0, None) if nn else (None, None) for nn in nonneg]
+    return c, A_ub, b_ub, A_eq, b_eq, nonneg, bounds
+
+
 def test_lp_random_against_scipy():
+    """Phase 1 runs with no, some and all rows on an artificial."""
     rng = np.random.default_rng(61)
-    for _ in range(50):
-        n = int(rng.integers(2, 6))
-        m = int(rng.integers(1, 7))
-        c = rng.standard_normal(n)
-        A = rng.standard_normal((m, n))
-        b = rng.random(m) + 0.1
-        A_box = np.vstack([A, np.eye(n)])
-        b_box = np.concatenate([b, np.full(n, 10.0)])
-        r = lp_solve(c, A_ub=A_box, b_ub=b_box, nonneg=[True] * n)
-        ref = linprog(c, A_ub=A_box, b_ub=b_box, bounds=(0, None), method="highs")
-        assert r.status == "optimal" and ref.status == 0
-        assert r.objective == pytest.approx(ref.fun, abs=1e-7)
-        assert np.all(A_box @ r.x <= b_box + 1e-8)
-        assert np.all(r.x >= -1e-12)
+    statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+    artificial_rows = set()
+    for kind in ("slack", "mixed", "artificial"):
+        for _ in range(100):
+            c, A_ub, b_ub, A_eq, b_eq, nonneg, bounds = _random_lp(rng, kind)
+            needy = int(np.sum(b_ub < 0)) + A_eq.shape[0]
+            rows = A_ub.shape[0] + A_eq.shape[0]
+            artificial_rows.add("none" if needy == 0 else "all" if needy == rows else "some")
+            r = lp_solve(c, A_ub, b_ub, A_eq, b_eq, nonneg=nonneg)
+            highs = dict(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq if A_eq.size else None,
+                         b_eq=b_eq if A_eq.size else None, bounds=bounds, method="highs")
+            ref = linprog(c, **highs)
+            expected = statuses[ref.status]
+            if expected == "infeasible" and linprog(np.zeros(len(c)), **highs).status == 0:
+                # HiGHS can call an LP that is unbounded below infeasible
+                expected = "unbounded"
+            assert r.status == expected
+            if r.status != "optimal":
+                continue
+            assert r.objective == pytest.approx(ref.fun, abs=1e-7)
+            assert np.all(A_ub @ r.x <= b_ub + 1e-8)
+            assert np.allclose(A_eq @ r.x, b_eq, atol=1e-8)
+            assert np.all(r.x[nonneg] >= -1e-12)
+    assert artificial_rows == {"none", "some", "all"}
+
+
+def test_lp_rejects_an_optimum_that_violates_its_rows(monkeypatch):
+    """A basic solution that breaks its own equations is an error, not an
+    optimum."""
+    monkeypatch.setattr(solver, "_simplex_standard", lambda A, b, c, tol, max_iter: ("optimal", np.array([2.0, 0.0]), 2.0))
+    with pytest.raises(SolverError, match="violates"):
+        lp_solve([1.0], A_ub=[[1.0]], b_ub=[1.0], nonneg=[True])
+    monkeypatch.setattr(solver, "_simplex_standard", lambda A, b, c, tol, max_iter: ("optimal", np.array([0.5, 0.4]), 0.9))
+    with pytest.raises(SolverError, match="violates"):
+        lp_solve([1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], nonneg=[True, True])
+
+
+def test_pivot_matches_row_loop():
+    """The rank-1 pivot gives the same bits as eliminating row by row."""
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        T = rng.standard_normal((6, 9))
+        T[rng.random(T.shape) < 0.3] = 0.0
+        row, col = int(rng.integers(0, 6)), int(rng.integers(0, 8))
+        T[row, col] = rng.standard_normal() + 3.0
+        expected = T.copy()
+        expected[row] /= expected[row, col]
+        for i in range(expected.shape[0]):
+            if i != row and expected[i, col] != 0.0:
+                expected[i] -= expected[i, col] * expected[row]
+        solver._pivot(T, row, col)
+        assert np.array_equal(T, expected)
 
 
 def _nnls_system(kind, rng):
