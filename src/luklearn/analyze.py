@@ -9,6 +9,10 @@ reported:
   plus the nullspace of the active-column matrix; zeroing a block's
   coordinates inside that set ("deactivation") is the published
   removability test, and minimal support sets are searched in it.
+  A deactivation certificate is a verified nonnegative least-squares
+  solution over the active columns outside the block; where the set
+  has more than one such point it may differ from the vertex an LP
+  would return.
 * The gradient system  M nu = -2 a_target, nu >= 0 on active pieces.
   At an optimum of the training QP this says the loss gradient is an
   (entering-sign-correct) conic combination of active constraint
@@ -180,13 +184,91 @@ class DeactivationResult:
     equality_residual: float
 
 
+def _fit_tolerance(target: np.ndarray, tol: Tolerances) -> float:
+    """Largest inf-norm residual accepted for a multiplier fit of
+    ``target``: the stationarity tolerance, relative to its scale."""
+    return tol.stationarity * (1.0 + float(np.max(np.abs(target), initial=0.0)))
+
+
+class _Fits:
+    """Nonnegative least-squares fits of M lam = target over subsets of
+    the columns ``pool``, each distinct subset solved once.
+
+    A subset fits the target no better than the whole pool does, and an
+    inf-norm residual within tolerance has a 2-norm within sqrt(S) times
+    it, so when the pool misses that bound no subset is solved at all.
+    """
+
+    def __init__(self, M: np.ndarray, target: np.ndarray, pool: Sequence[int], tol: Tolerances):
+        self.M = M
+        self.target = target
+        self.pool = tuple(pool)
+        self.limit = _fit_tolerance(target, tol)
+        self._solved: dict[tuple, tuple[np.ndarray, float]] = {}
+
+    def _solve(self, cols: Sequence[int]) -> tuple[np.ndarray, float]:
+        key = tuple(cols)
+        if key not in self._solved:
+            self._solved[key] = nnls(self.M[:, list(key)], self.target)
+        return self._solved[key]
+
+    @property
+    def pool_fits(self) -> bool:
+        return self._solve(self.pool)[1] <= np.sqrt(self.M.shape[0]) * self.limit
+
+    def multipliers(self, cols: Sequence[int]) -> np.ndarray | None:
+        """Nonnegative multipliers on ``cols`` with every equation of
+        M lam = target holding within the fit tolerance, or None."""
+        if not self.pool_fits:
+            return None
+        cols = list(cols)
+        lam_cols, _ = self._solve(cols)
+        if float(np.max(np.abs(self.M[:, cols] @ lam_cols - self.target), initial=0.0)) > self.limit:
+            return None
+        lam = np.zeros(self.M.shape[1])
+        lam[cols] = lam_cols
+        return lam
+
+
+def _support_multipliers(
+    M: np.ndarray,
+    target: np.ndarray,
+    cols: Sequence[int],
+    tol: Tolerances,
+) -> np.ndarray | None:
+    """Nonnegative multipliers on ``cols`` with M lam = target, found by
+    nonnegative least squares; accepted when every equation holds within
+    the stationarity tolerance times 1 + ||target||_inf."""
+    return _Fits(M, target, cols, tol).multipliers(cols)
+
+
 def deactivate(
     gs: GeneralSolution,
     block: str | Sequence[int],
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> DeactivationResult:
     """Search lam(t) for a nonnegative solution with every coordinate of
-    ``block`` equal to zero."""
+    ``block`` equal to zero.
+
+    The certificate is the nonnegative least-squares solution of
+    M lam = target over the active columns outside the block, reported
+    when every equation holds within the stationarity tolerance times
+    1 + ||target||_inf; its parameter is t = basis'(lam - particular).
+    Where ``t_unique`` is false, several multiplier vectors avoid the
+    block, and this one may differ from the vertex an LP would return.
+    """
+    return _deactivate(gs, block, tol, None)
+
+
+def _deactivate(
+    gs: GeneralSolution,
+    block: str | Sequence[int],
+    tol: Tolerances,
+    fits: _Fits | None,
+) -> DeactivationResult:
+    """``deactivate``, taking its certificate from ``fits``, whose pool
+    holds every active column; None fits the columns outside the block
+    on their own."""
     if isinstance(block, str):
         cols = gs.columns_of(block)
         name = block
@@ -221,18 +303,12 @@ def deactivate(
     else:
         t_unique = nullspace(eq_rows, tol.nullspace).dim == 0
 
-    certificate = None
-    t = None
-    if residual <= tol.stationarity:
-        # lam(t) >= 0 on active coordinates, block coordinates pinned to zero
-        ineq = -gs.basis[act_idx, :]
-        rhs = gs.particular[act_idx]
-        res = lp_solve(np.zeros(dim), ineq, rhs, eq_rows, eq_rhs, tol=tol.lp)
-        if res.status == "optimal":
-            t = res.x
-            certificate = gs.lambda_of(t)
-            certificate[np.abs(certificate) <= tol.nonneg] = 0.0
-            certificate = np.maximum(certificate, 0.0)
+    blocked = set(cols)
+    outside = [c for c in act_idx if c not in blocked]
+    if fits is None:
+        fits = _Fits(gs.matrix, gs.target, outside, tol)
+    certificate = fits.multipliers(outside)
+    t = None if certificate is None else gs.basis.T @ (certificate - gs.particular)
     return DeactivationResult(
         name, certificate, t, relaxed,
         relaxed_t if relaxed is not None else None, t_unique, residual
@@ -244,40 +320,19 @@ def deactivation_report(
 ) -> list[tuple[str, str, DeactivationResult]]:
     """Per-block verdicts based purely on the target multiplier system:
     a block with a deactivation certificate is "removable" under a
-    unique optimum (else "candidate"), otherwise "necessary"."""
+    unique optimum (else "candidate"), otherwise "necessary".  Blocks
+    with no active column share one fit, and none is fitted when the
+    whole active pool cannot carry the target."""
+    fits = _Fits(gs.matrix, gs.target, np.flatnonzero(gs.active), tol)
     out = []
     for block_id in gs.block_ids():
-        result = deactivate(gs, block_id, tol)
+        result = _deactivate(gs, block_id, tol, fits)
         if result.certificate is not None:
             verdict = "removable" if unique_optimum else "candidate"
         else:
             verdict = "necessary"
         out.append((block_id, verdict, result))
     return out
-
-
-def _fit_tolerance(target: np.ndarray, tol: Tolerances) -> float:
-    """Largest inf-norm residual accepted for a multiplier fit of
-    ``target``: the stationarity tolerance, relative to its scale."""
-    return tol.stationarity * (1.0 + float(np.max(np.abs(target), initial=0.0)))
-
-
-def _support_multipliers(
-    M: np.ndarray,
-    target: np.ndarray,
-    cols: Sequence[int],
-    tol: Tolerances,
-) -> np.ndarray | None:
-    """Nonnegative multipliers on ``cols`` with M lam = target, found by
-    nonnegative least squares; accepted when every equation holds within
-    the stationarity tolerance times 1 + ||target||_inf."""
-    sub = M[:, list(cols)]
-    lam_cols, _ = nnls(sub, target)
-    if float(np.max(np.abs(sub @ lam_cols - target), initial=0.0)) > _fit_tolerance(target, tol):
-        return None
-    lam = np.zeros(M.shape[1])
-    lam[list(cols)] = lam_cols
-    return lam
 
 
 def kkt_certificate(
@@ -331,44 +386,42 @@ def grounded_entailment(
     if target is None:
         raise AnalysisError(f"unknown block {block_id!r}")
 
+    # With the box, its lower sides are variable bounds and the
+    # consistency blocks, which repeat the box, add no rows.
     rows = []
     rhs = []
     for block in blocks:
-        if block.block_id == block_id:
+        if block.block_id == block_id or (include_box and block.family == "consistency"):
             continue
         for piece in block.pieces:
             rows.append(piece.dense(size))
             rhs.append(-piece.constant)
+    nonneg = None
     if include_box:
-        skip_lower = skip_upper = -1
+        nonneg = np.ones(size, dtype=bool)
+        skip_upper = -1
         if target.family == "consistency" and len(target.pieces) == 1:
             terms = target.pieces[0].terms
             if len(terms) == 1:
                 coord, coef = terms[0]
                 if coef < 0:
-                    skip_lower = coord
+                    nonneg[coord] = False
                 else:
                     skip_upper = coord
-        for k in range(size):
-            if k != skip_lower:
-                row = np.zeros(size)
-                row[k] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
-            if k != skip_upper:
-                row = np.zeros(size)
-                row[k] = 1.0
-                rhs.append(1.0)
-                rows.append(row)
-    A = np.vstack(rows) if rows else np.zeros((0, size))
-    b = np.asarray(rhs)
+        upper = [k for k in range(size) if k != skip_upper]
+        rows.extend(np.eye(size)[upper])
+        rhs.extend([1.0] * len(upper))
+    # lp_solve reads an LP without rows as solved at 0; one empty row
+    # keeps the variable bounds in force
+    A = np.vstack(rows) if rows else np.zeros((1, size))
+    b = np.asarray(rhs) if rows else np.zeros(1)
 
     maxima = []
     for piece in target.pieces:
         if not piece.terms:
             maxima.append(piece.constant)
             continue
-        res = lp_solve(-piece.dense(size), A, b, tol=tol.lp)
+        res = lp_solve(-piece.dense(size), A, b, nonneg=nonneg, tol=tol.lp)
         if res.status == "infeasible":
             return EntailmentResult(True, [], True)
         if res.status == "unbounded":
@@ -396,7 +449,10 @@ def minimal_support_sets(
     nonnegative solution of the target multiplier system.
 
     Exhaustive search in increasing cardinality over blocks with at
-    least one active piece; guarded by ``limit`` on the pool size.
+    least one active piece.  When one fit of the whole pool shows that no
+    subset can carry a solution, the answer is empty whatever the pool's
+    size; otherwise a pool larger than ``limit`` raises
+    SupportLimitExceeded.
     """
     active = np.asarray(activity, dtype=bool)
     pool = [
@@ -404,18 +460,14 @@ def minimal_support_sets(
         for block_id in matrix.block_order
         if any(active[nu] for nu in matrix.block_columns[block_id])
     ]
+    target = np.asarray(target, dtype=float)
+    pool_cols = [nu for block_id in pool for nu in matrix.block_columns[block_id] if active[nu]]
+    if not _Fits(matrix.matrix, target, pool_cols, tol).pool_fits:
+        return []
     if len(pool) > limit:
         raise SupportLimitExceeded(
             f"{len(pool)} active blocks exceed the search limit {limit}"
         )
-    target = np.asarray(target, dtype=float)
-    # A subset fits the target no better than the whole pool does, and an
-    # inf-norm residual within tolerance has a 2-norm within sqrt(S) times
-    # it, so when the pool misses that bound no subset carries a solution.
-    pool_cols = [nu for block_id in pool for nu in matrix.block_columns[block_id] if active[nu]]
-    _, residual = nnls(matrix.matrix[:, pool_cols], target)
-    if residual > np.sqrt(matrix.matrix.shape[0]) * _fit_tolerance(target, tol):
-        return []
     for size in range(len(pool) + 1):
         found = []
         for subset in itertools.combinations(pool, size):
@@ -628,6 +680,11 @@ def removable_constraints(
         b for b in matrix.block_order
         if mode == "all" or matrix.families[b] == "logical"
     ]
+    deactivations = {b: result for b, _, result in deactivation_report(gs, tp.unique_optimum, tol)}
+    # dropping a block with no active column poses the whole pool's
+    # gradient question, so those blocks share one certificate
+    idle = {b for b in block_ids if not model.activity[matrix.block_columns[b]].any()}
+    pool_cert = kkt_certificate(matrix, model.alpha, model.activity, None, tol) if idle else None
     reports = []
     for block_id in block_ids:
         cols = matrix.block_columns[block_id]
@@ -635,8 +692,10 @@ def removable_constraints(
         ent = None
         if check_entailment:
             ent = grounded_entailment(tp.blocks, block_id, tp.index.size, tol)
-        deact = deactivate(gs, block_id, tol) if gs.columns_of(block_id) else None
-        cert = kkt_certificate(matrix, model.alpha, model.activity, block_id, tol)
+        if block_id in idle:
+            cert = pool_cert
+        else:
+            cert = kkt_certificate(matrix, model.alpha, model.activity, block_id, tol)
         if ent is not None and ent.entailed:
             verdict = "entailed"
         elif cert is not None:
@@ -650,7 +709,7 @@ def removable_constraints(
                 matrix.sources[block_id],
                 verdict,
                 active_labels,
-                deact,
+                deactivations.get(block_id),
                 cert,
                 ent,
             )

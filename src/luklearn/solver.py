@@ -3,9 +3,8 @@ programming started from an NNLS solve, linear programming by a
 tableau simplex, and nullspace / least-squares helpers.
 
 The simplex starts from the slack basis and adds artificials, and a
-phase 1, only for rows that have no slack: ``<=`` rows with a negative
-right-hand side and equality rows.  It checks every optimum it returns
-against its rows.
+phase 1, only for the ``<=`` rows with a negative right-hand side.  It
+checks every optimum it returns against its rows.
 
 Everything here is deliberately small-scale and deterministic.  The
 simplex uses Bland's rule, NNLS and the QP break ties by lowest index, and all
@@ -166,75 +165,42 @@ def lp_solve(
     c: Sequence[float],
     A_ub: np.ndarray | None = None,
     b_ub: Sequence[float] | None = None,
-    A_eq: np.ndarray | None = None,
-    b_eq: Sequence[float] | None = None,
     nonneg: Sequence[bool] | None = None,
     tol: float = DEFAULT_TOLERANCES.lp,
     max_iter: int = 20000,
 ) -> LpResult:
-    """min c.x subject to A_ub x <= b_ub and A_eq x = b_eq.
+    """min c.x subject to A_ub x <= b_ub.
 
     Variables with ``nonneg[i]`` true are constrained to x_i >= 0; the
     rest are free and internally split into positive and negative parts.
-    An optimal x is checked against the rows, within ``tol`` times
-    1 + ||b||_inf, and SolverError is raised when it violates one.
+    An LP without rows is solved at x = 0.  An optimal x is checked
+    against the rows, within ``tol`` times 1 + ||b_ub||_inf, and
+    SolverError is raised when it violates one.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     nonneg = np.zeros(n, dtype=bool) if nonneg is None else np.asarray(nonneg, dtype=bool)
+    if A_ub is None or not len(A_ub):
+        return LpResult("optimal", np.zeros(n), 0.0, None)
+    A = np.atleast_2d(np.asarray(A_ub, dtype=float))
+    b = np.asarray(b_ub, dtype=float)
+    m = A.shape[0]
 
-    rows = []
-    rhs = []
-    n_ub = 0
-    if A_ub is not None and len(A_ub):
-        A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
-        rows.append(A_ub)
-        rhs.append(np.asarray(b_ub, dtype=float))
-        n_ub = A_ub.shape[0]
-    if A_eq is not None and len(A_eq):
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
-        rows.append(A_eq)
-        rhs.append(np.asarray(b_eq, dtype=float))
-    if not rows:
-        x = np.zeros(n)
-        return LpResult("optimal", x, 0.0, None)
-    G = np.vstack(rows)
-    g = np.concatenate(rhs)
+    # standard form: x, then the negative parts of the free variables,
+    # then one slack per row
+    free = np.flatnonzero(~nonneg)
+    A_std = np.hstack([A, -A[:, free], np.eye(m)])
+    c_std = np.concatenate([c, -c[free], np.zeros(m)])
 
-    # map original variables to standard-form columns
-    cols = []
-    std_c = []
-    for i in range(n):
-        if nonneg[i]:
-            cols.append(G[:, i : i + 1])
-            std_c.append(c[i])
-        else:
-            cols.append(G[:, i : i + 1])
-            std_c.append(c[i])
-            cols.append(-G[:, i : i + 1])
-            std_c.append(-c[i])
-    slack = np.vstack([np.eye(n_ub), np.zeros((G.shape[0] - n_ub, n_ub))])
-    A_std = np.hstack(cols + ([slack] if n_ub else []))
-    c_std = np.array(std_c + [0.0] * n_ub)
-
-    status, z, value = _simplex_standard(A_std, g, c_std, tol, max_iter)
+    status, z, value = _simplex_standard(A_std, b, c_std, tol, max_iter)
     if status == "infeasible":
         return LpResult("infeasible", None, None, value)
     if status == "unbounded":
         return LpResult("unbounded", None, None, None)
-    x = np.zeros(n)
-    pos = 0
-    for i in range(n):
-        if nonneg[i]:
-            x[i] = z[pos]
-            pos += 1
-        else:
-            x[i] = z[pos] - z[pos + 1]
-            pos += 2
-    excess = G @ x - g
-    excess[n_ub:] = np.abs(excess[n_ub:])
-    worst = float(np.max(excess))
-    if worst > tol * (1.0 + float(np.max(np.abs(g)))):
+    x = z[:n].copy()
+    x[free] -= z[n : n + free.size]
+    worst = float(np.max(A @ x - b))
+    if worst > tol * (1.0 + float(np.max(np.abs(b)))):
         raise SolverError(f"simplex optimum violates its own constraints by {worst:.3e}")
     return LpResult("optimal", x, float(c @ x), None)
 

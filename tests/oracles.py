@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def kkt_enumeration_qp(Q, c, A, b, tol=1e-9):
@@ -74,3 +75,23 @@ def is_farkas_vector(y, A, b, tol=1e-9):
     y = np.asarray(y, dtype=float)
     bty = float(np.asarray(b, dtype=float) @ y)
     return bool(np.min(y) >= 0.0 and bty > 0.0 and np.max(np.abs(np.asarray(A).T @ y)) <= tol * bty)
+
+
+def linprog_supports(M, target, cols, tol=1e-7):
+    """Can the columns ``cols`` of M alone carry a nonnegative solution of
+    M lam = target?  Decided by HiGHS on min ||M lam - target||_inf over
+    lam >= 0 on ``cols``, accepted when that minimum is within ``tol``."""
+    k = len(cols)
+    target = np.asarray(target, dtype=float)
+    if k == 0:
+        return float(np.max(np.abs(target), initial=0.0)) <= tol
+    sub = np.asarray(M, dtype=float)[:, list(cols)]
+    S = sub.shape[0]
+    A_ub = np.vstack(
+        [np.hstack([sub, -np.ones((S, 1))]), np.hstack([-sub, -np.ones((S, 1))])]
+    )
+    b_ub = np.concatenate([target, -target])
+    c = np.zeros(k + 1)
+    c[k] = 1.0
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+    return res.status == 0 and res.x[k] <= tol

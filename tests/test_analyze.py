@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import linprog_supports
 from scipy.optimize import linprog
 
 from luklearn import analyze
@@ -32,6 +33,22 @@ from luklearn.solver import Infeasible
 from luklearn.train import assemble_problem, solve_primal
 
 FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE_PATHS = sorted(FIXTURES.glob("*.json"))
+
+
+def _fixture_model(path):
+    """The trained model of a fixture, or None for the infeasible one."""
+    try:
+        return solve_primal(build_training_problem(load_problem(path)))
+    except Infeasible:
+        assert path.stem == "conflict"
+        return None
+
+
+def _outside(gs, block_id):
+    blocked = set(gs.columns_of(block_id))
+    return [c for c in np.flatnonzero(gs.active) if c not in blocked]
+
 
 # ---------------------------------------------------------------------------
 # Shared fixtures: the transitive implication chain p1 -> p2 -> p3 over one
@@ -317,10 +334,70 @@ def test_entailment_of_box_side_is_not_circular():
     result = grounded_entailment(free.blocks, "ub:p2:x1", free.index.size)
     assert not result.entailed
 
+    # with one atom and no other block, nothing but the tested side bounds it
+    alone = assemble_problem(decls[:1], build_samples(POINT, decls[:1], []), [])
+    for side in ("lb", "ub"):
+        result = grounded_entailment(alone.blocks, f"{side}:p1:x1", alone.index.size)
+        assert result.piece_maxima == [float("inf")]
+
     # p2 <= p1 plus the p1 box does bound p2
     bounded = assemble_problem(decls, samples, [parse_formula("forall x: p2(x) -> p1(x)")])
     result = grounded_entailment(bounded.blocks, "ub:p2:x1", bounded.index.size)
     assert result.entailed
+
+
+def _highs_entailment(tp, block_id, include_box):
+    """(vacuous, piece maxima) of ``block_id`` by HiGHS over every other
+    block's rows, within the unit box as variable bounds (less the tested
+    side of a box block) when ``include_box`` is set."""
+    size = tp.index.size
+    rows, rhs = [], []
+    for block in tp.blocks:
+        if block.block_id != block_id:
+            for piece in block.pieces:
+                rows.append(piece.dense(size))
+                rhs.append(-piece.constant)
+    bounds = [(0.0, 1.0) if include_box else (None, None)] * size
+    kind, _, label = block_id.partition(":")
+    if include_box and kind in ("lb", "ub"):
+        k = [tp.index.label(i) for i in range(size)].index(label)
+        bounds[k] = (None, 1.0) if kind == "lb" else (0.0, None)
+    region = dict(A_ub=np.array(rows) if rows else None, b_ub=np.array(rhs) if rows else None,
+                  bounds=bounds, method="highs")
+    target = next(b for b in tp.blocks if b.block_id == block_id)
+    maxima = []
+    for piece in target.pieces:
+        if not piece.terms:
+            maxima.append(piece.constant)
+            continue
+        res = linprog(-piece.dense(size), **region)
+        assert res.status in (0, 2, 3)
+        # HiGHS can call an LP that is unbounded over free variables
+        # infeasible; the region alone tells the two apart
+        if res.status == 2 and linprog(np.zeros(size), **region).status == 2:
+            return True, []
+        maxima.append(-res.fun + piece.constant if res.status == 0 else np.inf)
+    return False, maxima
+
+
+@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
+def test_entailment_maxima_match_highs(path):
+    """The presolved entailment LPs (box lower sides as variable bounds,
+    consistency blocks dropped) and the plain ones without the box give
+    HiGHS's maxima over the unpresolved region, for every block."""
+    tp = build_training_problem(load_problem(path))
+    for block in tp.blocks:
+        for include_box in (True, False):
+            result = grounded_entailment(tp.blocks, block.block_id, tp.index.size, tp.tolerances, include_box)
+            vacuous, maxima = _highs_entailment(tp, block.block_id, include_box)
+            where = (block.block_id, include_box)
+            assert result.vacuous == vacuous, where
+            assert len(result.piece_maxima) == len(maxima), where
+            for got, want in zip(result.piece_maxima, maxima):
+                if np.isinf(want):
+                    assert got == want, where
+                else:
+                    assert abs(got - want) <= 1e-9, where
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +430,7 @@ def test_minimal_support_sets_unsolvable_pool_takes_one_solve(monkeypatch):
     pool_cols = [1, 3, 4, 9]
     activity = np.isin(np.arange(matrix.n_columns), pool_cols)
     target = np.array([-1.0, 0.0, 0.0])
-    assert not _linprog_supports(matrix.matrix, target, pool_cols)
+    assert not linprog_supports(matrix.matrix, target, pool_cols)
 
     calls = []
     nnls = analyze.nnls
@@ -367,21 +444,17 @@ def test_minimal_support_sets_unsolvable_pool_takes_one_solve(monkeypatch):
     assert len(calls) == 1
 
 
-def _linprog_supports(M, target, cols, tol=1e-7):
-    """Reference check: can cols alone carry a nonnegative solution?"""
-    k = len(cols)
-    if k == 0:
-        return float(np.max(np.abs(target), initial=0.0)) <= tol
-    sub = M[:, cols]
-    S = M.shape[0]
-    A_ub = np.vstack(
-        [np.hstack([sub, -np.ones((S, 1))]), np.hstack([-sub, -np.ones((S, 1))])]
-    )
-    b_ub = np.concatenate([target, -target])
-    c = np.zeros(k + 1)
-    c[k] = 1.0
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
-    return res.status == 0 and res.x[k] <= tol
+def test_minimal_support_sets_unsolvable_pool_ignores_the_limit():
+    """The ill-conditioned chain's pool of active blocks exceeds the
+    default limit, but it cannot carry the target, so no set exists and
+    the guard does not apply."""
+    model = _fixture_model(FIXTURES / "chain_ill_conditioned.json")
+    matrix = model.problem.matrix
+    pool = [b for b in matrix.block_order if model.activity[matrix.block_columns[b]].any()]
+    assert len(pool) > 20
+    tol = model.problem.tolerances.stationarity * (1.0 + np.max(np.abs(model.alpha)))
+    assert not linprog_supports(matrix.matrix, model.alpha, np.flatnonzero(model.activity), tol)
+    assert minimal_support_sets(matrix, model.alpha, model.activity, limit=20) == []
 
 
 def test_minimal_support_sets_against_brute_force():
@@ -399,7 +472,7 @@ def test_minimal_support_sets_against_brute_force():
             cols = [
                 nu for b in subset for nu in matrix.block_columns[b] if active[nu]
             ]
-            if _linprog_supports(matrix.matrix, target, cols):
+            if linprog_supports(matrix.matrix, target, cols):
                 reference.append(subset)
         if reference:
             break
@@ -478,15 +551,14 @@ def test_removable_constraints_logical_mode():
     assert report.general.residual <= 1e-7
 
 
-@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
 def test_deactivation_certificates_solve_the_target_system(path):
     """Every reported deactivation certificate is a nonnegative solution of
     M lam = target that vanishes on its block and on inactive columns,
-    whichever vertex of the solution set the LP returned."""
-    try:
-        model = solve_primal(build_training_problem(load_problem(path)))
-    except Infeasible:
-        assert path.stem == "conflict"
+    whichever point of the solution set NNLS returned, and its parameter
+    t reproduces it."""
+    model = _fixture_model(path)
+    if model is None:
         return
     report = removable_constraints(model)
     gs = report.general
@@ -499,6 +571,60 @@ def test_deactivation_certificates_solve_the_target_system(path):
         assert np.all(cert[gs.columns_of(entry.block_id)] == 0.0)
         assert np.all(cert[~gs.active] == 0.0)
         assert np.max(np.abs(gs.matrix @ cert - gs.target)) <= 1e-9 * scale
+        assert np.max(np.abs(gs.lambda_of(entry.deactivation.t) - cert)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
+def test_deactivation_certificates_exist_where_linprog_finds_one(path):
+    """A block has a deactivation certificate exactly when HiGHS fits the
+    target with nonnegative multipliers on the active columns outside it,
+    within the stationarity tolerance times 1 + ||target||_inf."""
+    model = _fixture_model(path)
+    if model is None:
+        return
+    for mode in ("all", "logical"):
+        report = removable_constraints(model, mode=mode)
+        gs = report.general
+        tol = model.problem.tolerances.stationarity * (1.0 + np.max(np.abs(gs.target), initial=0.0))
+        for entry in report.blocks:
+            if entry.deactivation is None:
+                continue
+            expected = linprog_supports(gs.matrix, gs.target, _outside(gs, entry.block_id), tol)
+            assert (entry.deactivation.certificate is not None) == expected, (mode, entry.block_id)
+
+
+def test_deactivation_fits_each_distinct_question_once(monkeypatch):
+    """On the ill-conditioned chain the whole active pool cannot carry the
+    target, so deactivation fits no block and runs no LP.  The gradient
+    system is fitted once per distinct column set: once for the whole
+    pool, which every block with no active column poses, and once per
+    block with an active column."""
+    model = _fixture_model(FIXTURES / "chain_ill_conditioned.json")
+    matrix = model.problem.matrix
+    act = np.flatnonzero(model.activity)
+    tol = model.problem.tolerances.stationarity * (1.0 + np.max(np.abs(model.alpha)))
+    assert not linprog_supports(matrix.matrix, model.alpha, act, tol)
+
+    calls = []
+    nnls = analyze.nnls
+
+    def counting(A, b):
+        calls.append((A.shape, A.tobytes(), np.asarray(b).tobytes()))
+        return nnls(A, b)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("deactivation ran an LP")
+
+    monkeypatch.setattr(analyze, "nnls", counting)
+    monkeypatch.setattr(analyze, "lp_solve", no_lp)
+    report = removable_constraints(model)
+
+    assert all(entry.deactivation.certificate is None for entry in report.blocks)
+    assert len(set(calls)) == len(calls)
+    assert sum(b == model.alpha.tobytes() for _, _, b in calls) == 1
+    busy = [b for b in matrix.block_order if model.activity[matrix.block_columns[b]].any()]
+    assert len(busy) < len(matrix.block_order)
+    assert len(calls) == 2 + len(busy)
 
 
 def test_report_to_dict_structure():

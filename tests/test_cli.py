@@ -146,6 +146,15 @@ def test_analyze_support_limit_exit_4(tmp_path, capsys):
     assert "resource guard" in capsys.readouterr().err
 
 
+def test_analyze_minimal_sets_of_an_unsolvable_pool(tmp_path):
+    """The ill-conditioned chain's 52 active blocks exceed the support
+    limit, but one fit of the pool shows no set exists."""
+    code = _run("analyze", FIXTURES / "chain_ill_conditioned.json", "-o", tmp_path, "--minimal-sets")
+    assert code == 0
+    data = json.loads((tmp_path / "analysis.json").read_text())
+    assert data["minimal_support_sets"] == []
+
+
 def test_ablate_removable_block(tmp_path):
     assert _run("ablate", FIXTURES / "example4.json", "-o", tmp_path, "--drop", "pt:p3:x1") == 0
     record = json.loads((tmp_path / "ablation.json").read_text())
