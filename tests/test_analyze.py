@@ -45,6 +45,11 @@ def _fixture_model(path):
         return None
 
 
+def _fit_tol(model, target):
+    """The inf-norm residual luklearn accepts for a multiplier fit."""
+    return model.problem.tolerances.stationarity * (1.0 + np.max(np.abs(target), initial=0.0))
+
+
 def _outside(gs, block_id):
     blocked = set(gs.columns_of(block_id))
     return [c for c in np.flatnonzero(gs.active) if c not in blocked]
@@ -452,8 +457,7 @@ def test_minimal_support_sets_unsolvable_pool_ignores_the_limit():
     matrix = model.problem.matrix
     pool = [b for b in matrix.block_order if model.activity[matrix.block_columns[b]].any()]
     assert len(pool) > 20
-    tol = model.problem.tolerances.stationarity * (1.0 + np.max(np.abs(model.alpha)))
-    assert not linprog_supports(matrix.matrix, model.alpha, np.flatnonzero(model.activity), tol)
+    assert not linprog_supports(matrix.matrix, model.alpha, np.flatnonzero(model.activity), _fit_tol(model, model.alpha))
     assert minimal_support_sets(matrix, model.alpha, model.activity, limit=20) == []
 
 
@@ -585,7 +589,7 @@ def test_deactivation_certificates_exist_where_linprog_finds_one(path):
     for mode in ("all", "logical"):
         report = removable_constraints(model, mode=mode)
         gs = report.general
-        tol = model.problem.tolerances.stationarity * (1.0 + np.max(np.abs(gs.target), initial=0.0))
+        tol = _fit_tol(model, gs.target)
         for entry in report.blocks:
             if entry.deactivation is None:
                 continue
@@ -601,9 +605,7 @@ def test_deactivation_fits_each_distinct_question_once(monkeypatch):
     block with an active column."""
     model = _fixture_model(FIXTURES / "chain_ill_conditioned.json")
     matrix = model.problem.matrix
-    act = np.flatnonzero(model.activity)
-    tol = model.problem.tolerances.stationarity * (1.0 + np.max(np.abs(model.alpha)))
-    assert not linprog_supports(matrix.matrix, model.alpha, act, tol)
+    assert not linprog_supports(matrix.matrix, model.alpha, np.flatnonzero(model.activity), _fit_tol(model, model.alpha))
 
     calls = []
     nnls = analyze.nnls
