@@ -42,9 +42,9 @@ from .constraints import (
 )
 from .solver import (
     DEFAULT_TOLERANCES,
+    LpRegion,
     NullspaceBasis,
     Tolerances,
-    lp_solve,
     min_norm_solution,
     nnls,
     nullspace,
@@ -367,6 +367,68 @@ class EntailmentResult:
     vacuous: bool
 
 
+class _EntailmentRegion:
+    """The feasible region of the entailment LPs over every block, with
+    one phase 1, from which each block's LPs drop that block.
+
+    With the box, its lower sides are variable bounds, its upper sides
+    one row per coordinate, and the consistency blocks, which repeat the
+    box, add no rows.  A tested box side is left out of the region, so
+    that the test is not circular: a lower side frees its coordinate and
+    an upper side drops its row.  Without the box every block is rows
+    and every variable is free.
+    """
+
+    def __init__(self, blocks: Sequence[ConstraintBlock], size: int, tol: Tolerances, include_box: bool):
+        self.size = size
+        self.include_box = include_box
+        self.tol = tol
+        self.rows: dict[str, list[int]] = {}
+        rows = []
+        rhs = []
+        for block in blocks:
+            if include_box and block.family == "consistency":
+                continue
+            for piece in block.pieces:
+                self.rows.setdefault(block.block_id, []).append(len(rows))
+                rows.append(piece.dense(size))
+                rhs.append(-piece.constant)
+        self.upper = len(rows)  # the row of coordinate k's upper side is upper + k
+        if include_box:
+            rows.extend(np.eye(size))
+            rhs.extend([1.0] * size)
+        A = np.asarray(rows, dtype=float).reshape(-1, size)
+        self.region = LpRegion(A, rhs, np.full(size, include_box), tol.lp)
+
+    def test(self, target: ConstraintBlock) -> EntailmentResult:
+        """Maximize each piece of ``target`` over the region without it;
+        the block is entailed when no piece can become positive."""
+        drop = self.rows.get(target.block_id, [])
+        free = []
+        if self.include_box and target.family == "consistency" and len(target.pieces) == 1:
+            terms = target.pieces[0].terms
+            if len(terms) == 1:
+                coord, coef = terms[0]
+                if coef < 0:
+                    free = [coord]
+                else:
+                    drop = [self.upper + coord]
+        maxima = []
+        for piece in target.pieces:
+            if not piece.terms:
+                maxima.append(piece.constant)
+                continue
+            res = self.region.minimize(-piece.dense(self.size), drop, free)
+            if res.status == "infeasible":
+                return EntailmentResult(True, [], True)
+            if res.status == "unbounded":
+                maxima.append(float("inf"))
+                continue
+            maxima.append(float(-res.objective + piece.constant))
+        entailed = all(v <= self.tol.entailment for v in maxima)
+        return EntailmentResult(entailed, maxima, False)
+
+
 def grounded_entailment(
     blocks: Sequence[ConstraintBlock],
     block_id: str,
@@ -380,56 +442,15 @@ def grounded_entailment(
     assignments in [0,1]^S satisfying every other block; the block is
     entailed when no piece can become positive.  When the block under
     test is itself one side of the unit box, that side is left out of
-    the feasible region so the test is not circular.
+    the feasible region so the test is not circular.  The LPs start from
+    one phase 1 over every block, this one included; when that region
+    is empty, each LP runs its own phase 1 without the block, and an
+    empty one makes the result vacuous.
     """
     target = next((b for b in blocks if b.block_id == block_id), None)
     if target is None:
         raise AnalysisError(f"unknown block {block_id!r}")
-
-    # With the box, its lower sides are variable bounds and the
-    # consistency blocks, which repeat the box, add no rows.
-    rows = []
-    rhs = []
-    for block in blocks:
-        if block.block_id == block_id or (include_box and block.family == "consistency"):
-            continue
-        for piece in block.pieces:
-            rows.append(piece.dense(size))
-            rhs.append(-piece.constant)
-    nonneg = None
-    if include_box:
-        nonneg = np.ones(size, dtype=bool)
-        skip_upper = -1
-        if target.family == "consistency" and len(target.pieces) == 1:
-            terms = target.pieces[0].terms
-            if len(terms) == 1:
-                coord, coef = terms[0]
-                if coef < 0:
-                    nonneg[coord] = False
-                else:
-                    skip_upper = coord
-        upper = [k for k in range(size) if k != skip_upper]
-        rows.extend(np.eye(size)[upper])
-        rhs.extend([1.0] * len(upper))
-    # lp_solve reads an LP without rows as solved at 0; one empty row
-    # keeps the variable bounds in force
-    A = np.vstack(rows) if rows else np.zeros((1, size))
-    b = np.asarray(rhs) if rows else np.zeros(1)
-
-    maxima = []
-    for piece in target.pieces:
-        if not piece.terms:
-            maxima.append(piece.constant)
-            continue
-        res = lp_solve(-piece.dense(size), A, b, nonneg=nonneg, tol=tol.lp)
-        if res.status == "infeasible":
-            return EntailmentResult(True, [], True)
-        if res.status == "unbounded":
-            maxima.append(float("inf"))
-            continue
-        maxima.append(float(-res.objective + piece.constant))
-    entailed = all(v <= tol.entailment for v in maxima)
-    return EntailmentResult(entailed, maxima, False)
+    return _EntailmentRegion(blocks, size, tol, include_box).test(target)
 
 
 @dataclass(eq=False)
@@ -685,13 +706,14 @@ def removable_constraints(
     # gradient question, so those blocks share one certificate
     idle = {b for b in block_ids if not model.activity[matrix.block_columns[b]].any()}
     pool_cert = kkt_certificate(matrix, model.alpha, model.activity, None, tol) if idle else None
+    # every block's entailment LPs start from one phase 1, which p* makes feasible
+    entailment = _EntailmentRegion(tp.blocks, tp.index.size, tol, True) if check_entailment else None
+    by_id = {b.block_id: b for b in tp.blocks}
     reports = []
     for block_id in block_ids:
         cols = matrix.block_columns[block_id]
         active_labels = [matrix.column_labels[nu] for nu in cols if model.activity[nu]]
-        ent = None
-        if check_entailment:
-            ent = grounded_entailment(tp.blocks, block_id, tp.index.size, tol)
+        ent = None if entailment is None else entailment.test(by_id[block_id])
         if block_id in idle:
             cert = pool_cert
         else:

@@ -3,8 +3,11 @@ programming started from an NNLS solve, linear programming by a
 tableau simplex, and nullspace / least-squares helpers.
 
 The simplex starts from the slack basis and adds artificials, and a
-phase 1, only for the ``<=`` rows with a negative right-hand side.  It
-checks every optimum it returns against its rows.
+phase 1, only for the ``<=`` rows with a negative right-hand side.  An
+``LpRegion`` keeps the feasible tableau of that phase 1, so LPs over the
+region less some rows or variable bounds each run phase 2 alone;
+``lp_solve`` is one region and one such LP.  Every optimum is checked
+against the rows it was solved over.
 
 Everything here is deliberately small-scale and deterministic.  The
 simplex uses Bland's rule, NNLS and the QP break ties by lowest index, and all
@@ -93,18 +96,20 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, tol: float,
     raise SolverError("simplex iteration limit exceeded")
 
 
-def _simplex_standard(
-    A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float, max_iter: int
-) -> tuple[str, np.ndarray | None, float]:
-    """min c.x subject to A x = b, x >= 0.
+def _phase1(
+    A: np.ndarray, b: np.ndarray, tol: float, max_iter: int
+) -> tuple[np.ndarray | None, np.ndarray | None, float]:
+    """Feasible canonical tableau of A x = b, x >= 0.
 
     Rows with b < 0 are negated; then each row starts basic in the last
     unit column of A that has its 1 there, which for a ``<=`` row of
-    ``lp_solve`` is its slack (the all-slack crash basis; Bixby, ORSA J.
+    ``LpRegion`` is its slack (the all-slack crash basis; Bixby, ORSA J.
     Computing 4(3), 1992).  Only rows without one get an artificial, and
-    phase 1 runs only when some row has one.  Returns (status, x, value);
-    for "infeasible" the value is the phase-1 optimum, for "unbounded" it
-    is -inf.
+    the phase-1 simplex runs only when some row has one.  Artificials
+    still basic at its optimum are pivoted out, and rows where none can
+    be are redundant and dropped.  Returns (T, basis, value): T has the
+    columns of A and a trailing right-hand side, and value is the
+    phase-1 optimum.  For an infeasible system T and basis are None.
     """
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
@@ -115,42 +120,33 @@ def _simplex_standard(
 
     basis = np.full(m, -1)
     units = np.flatnonzero((np.count_nonzero(A, axis=0) == 1) & (np.max(A, axis=0, initial=0.0) == 1.0))[::-1]
-    rows, last = np.unique(np.argmax(A[:, units], axis=0), return_index=True)
-    basis[rows] = units[last]
+    if units.size:
+        rows, last = np.unique(np.argmax(A[:, units], axis=0), return_index=True)
+        basis[rows] = units[last]
     needy = np.flatnonzero(basis < 0)
     artificials = np.zeros((m, needy.size))
     artificials[needy, np.arange(needy.size)] = 1.0
     basis[needy] = n + np.arange(needy.size)
     T = np.hstack([A, artificials, b[:, None]])
+    value = 0.0
     if needy.size:
         phase1_cost = np.concatenate([np.zeros(n), np.ones(needy.size)])
         status = _run_simplex(T, basis, phase1_cost, tol, max_iter)
         if status != "optimal":
             raise SolverError("phase 1 cannot be unbounded")
         value = float(phase1_cost[basis] @ T[:, -1])
-        if value > tol * max(1.0, float(np.max(np.abs(b))) if b.size else 1.0):
-            return "infeasible", None, value
+        if value > tol * max(1.0, float(np.max(np.abs(b)))):
+            return None, None, value
 
-    # drive remaining artificials out of the basis; rows that cannot be
-    # pivoted are redundant and get dropped
-    keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            candidates = np.flatnonzero(np.abs(T[i, :n]) > tol)
-            if not candidates.size:
-                continue
-            _pivot(T, i, int(candidates[0]))
-            basis[i] = candidates[0]
-        keep.append(i)
-    T = np.hstack([T[keep][:, :n], T[keep][:, -1:]])
-    basis = basis[keep]
-
-    status = _run_simplex(T, basis, np.asarray(c, dtype=float), tol, max_iter)
-    if status == "unbounded":
-        return "unbounded", None, float("-inf")
-    x = np.zeros(n)
-    x[basis] = T[:, -1]
-    return "optimal", x, float(np.asarray(c, dtype=float) @ x)
+    keep = np.ones(m, dtype=bool)
+    for i in np.flatnonzero(basis >= n):
+        candidates = np.flatnonzero(np.abs(T[i, :n]) > tol)
+        if not candidates.size:
+            keep[i] = False
+            continue
+        _pivot(T, i, int(candidates[0]))
+        basis[i] = candidates[0]
+    return np.hstack([T[keep, :n], T[keep, -1:]]), basis[keep], value
 
 
 @dataclass(eq=False)
@@ -161,6 +157,93 @@ class LpResult:
     certificate: float | None  # phase-1 optimum when infeasible
 
 
+class LpRegion:
+    """The region A_ub x <= b_ub, with x_i >= 0 where ``nonneg[i]``,
+    ready to minimize any linear cost over it or over a relaxation.
+
+    Its standard form has the variables x, then the negative parts of
+    the free variables, then one slack per row.  Phase 1 runs once, in
+    the constructor, and every ``minimize`` runs phase 2 on a copy of
+    its tableau.  Dropping rows or freeing variables only enlarges the
+    region, so that tableau stays a feasible start for each relaxation
+    (Chvatal, Linear Programming, 1983, ch. 10).
+    """
+
+    def __init__(
+        self,
+        A_ub: np.ndarray,
+        b_ub: Sequence[float],
+        nonneg: Sequence[bool],
+        tol: float = DEFAULT_TOLERANCES.lp,
+        max_iter: int = 20000,
+    ):
+        self.nonneg = np.asarray(nonneg, dtype=bool)
+        n = self.nonneg.size
+        self.A = np.asarray(A_ub, dtype=float).reshape(-1, n)
+        self.b = np.asarray(b_ub, dtype=float).reshape(-1)
+        self.tol = tol
+        self.max_iter = max_iter
+        m = self.A.shape[0]
+        self._free = np.flatnonzero(~self.nonneg)
+        self._slack0 = n + self._free.size
+        A_std = np.hstack([self.A, -self.A[:, self._free], np.eye(m)])
+        self._T, self._basis, self.certificate = _phase1(A_std, self.b, tol, max_iter)
+
+    @property
+    def feasible(self) -> bool:
+        return self._T is not None
+
+    def minimize(
+        self, c: Sequence[float], drop_rows: Sequence[int] = (), free_vars: Sequence[int] = ()
+    ) -> LpResult:
+        """min c.x over the region without the rows ``drop_rows`` and
+        with the variables ``free_vars`` free.
+
+        A dropped row's slack becomes free and a freed variable loses
+        its bound: each gets a negative part, whose column is the
+        negated tableau column of the slack or the variable.  An optimal
+        x is checked against the kept rows, within ``tol`` times
+        1 + ||b_ub||_inf over them, and SolverError is raised when it
+        violates one.  Over an infeasible region, a relaxation runs its
+        own phase 1 over the kept rows.
+        """
+        c = np.asarray(c, dtype=float)
+        n = self.nonneg.size
+        keep = np.ones(self.b.size, dtype=bool)
+        keep[np.asarray(drop_rows, dtype=int)] = False
+        freed = np.zeros(n, dtype=bool)
+        freed[np.asarray(free_vars, dtype=int)] = True
+        freed &= self.nonneg
+        if not self.feasible:
+            if keep.all() and not freed.any():
+                return LpResult("infeasible", None, None, self.certificate)
+            relaxed = LpRegion(self.A[keep], self.b[keep], self.nonneg & ~freed, self.tol, self.max_iter)
+            return relaxed.minimize(c)
+
+        extra = np.flatnonzero(freed)
+        dropped = self._slack0 + np.flatnonzero(~keep)
+        width = self._T.shape[1] - 1
+        T = np.hstack([self._T[:, :-1], -self._T[:, extra], -self._T[:, dropped], self._T[:, -1:]])
+        cost = np.zeros(T.shape[1] - 1)
+        cost[:n] = c
+        cost[n : self._slack0] = -c[self._free]
+        cost[width : width + extra.size] = -c[extra]
+        basis = self._basis.copy()
+        if _run_simplex(T, basis, cost, self.tol, self.max_iter) == "unbounded":
+            return LpResult("unbounded", None, None, None)
+        z = np.zeros(T.shape[1] - 1)
+        z[basis] = T[:, -1]
+        x = z[:n].copy()
+        x[self._free] -= z[n : self._slack0]
+        x[extra] -= z[width : width + extra.size]
+        if keep.any():
+            b = self.b[keep]
+            worst = float(np.max(self.A[keep] @ x - b))
+            if worst > self.tol * (1.0 + float(np.max(np.abs(b)))):
+                raise SolverError(f"simplex optimum violates its own constraints by {worst:.3e}")
+        return LpResult("optimal", x, float(c @ x), None)
+
+
 def lp_solve(
     c: Sequence[float],
     A_ub: np.ndarray | None = None,
@@ -169,40 +252,21 @@ def lp_solve(
     tol: float = DEFAULT_TOLERANCES.lp,
     max_iter: int = 20000,
 ) -> LpResult:
-    """min c.x subject to A_ub x <= b_ub.
+    """min c.x subject to A_ub x <= b_ub: one ``LpRegion`` and one
+    ``minimize``.
 
     Variables with ``nonneg[i]`` true are constrained to x_i >= 0; the
     rest are free and internally split into positive and negative parts.
-    An LP without rows is solved at x = 0.  An optimal x is checked
-    against the rows, within ``tol`` times 1 + ||b_ub||_inf, and
-    SolverError is raised when it violates one.
+    An LP without rows is unbounded when a free variable has a nonzero
+    cost or a nonnegative one a negative cost, and otherwise optimal at
+    x = 0.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     nonneg = np.zeros(n, dtype=bool) if nonneg is None else np.asarray(nonneg, dtype=bool)
-    if A_ub is None or not len(A_ub):
-        return LpResult("optimal", np.zeros(n), 0.0, None)
-    A = np.atleast_2d(np.asarray(A_ub, dtype=float))
-    b = np.asarray(b_ub, dtype=float)
-    m = A.shape[0]
-
-    # standard form: x, then the negative parts of the free variables,
-    # then one slack per row
-    free = np.flatnonzero(~nonneg)
-    A_std = np.hstack([A, -A[:, free], np.eye(m)])
-    c_std = np.concatenate([c, -c[free], np.zeros(m)])
-
-    status, z, value = _simplex_standard(A_std, b, c_std, tol, max_iter)
-    if status == "infeasible":
-        return LpResult("infeasible", None, None, value)
-    if status == "unbounded":
-        return LpResult("unbounded", None, None, None)
-    x = z[:n].copy()
-    x[free] -= z[n : n + free.size]
-    worst = float(np.max(A @ x - b))
-    if worst > tol * (1.0 + float(np.max(np.abs(b)))):
-        raise SolverError(f"simplex optimum violates its own constraints by {worst:.3e}")
-    return LpResult("optimal", x, float(c @ x), None)
+    if A_ub is None:
+        A_ub, b_ub = np.zeros((0, n)), np.zeros(0)
+    return LpRegion(A_ub, b_ub, nonneg, tol, max_iter).minimize(c)
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +439,11 @@ def solve_qp(problem: QpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> QpSolu
     is, up to rounding, for a positive-definite Q.  Otherwise the
     iterations move from it
     along the free directions of a singular Q, such as per-predicate
-    biases.  Equality-constrained subproblems are solved through
-    the KKT system with a minimum-norm least-squares solve, which keeps
-    dependent active rows harmless.  All tie-breaking is lowest-index,
-    so runs are reproducible.
+    biases, and SolverError is raised when the point they reach is not
+    a KKT point within ``tol.qp``.  Equality-constrained subproblems are
+    solved through the KKT system with a minimum-norm least-squares
+    solve, which keeps dependent active rows harmless.  All tie-breaking
+    is lowest-index, so runs are reproducible.
     """
     Q = np.atleast_2d(np.asarray(problem.Q, dtype=float))
     n = Q.shape[0]
@@ -394,7 +459,10 @@ def solve_qp(problem: QpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> QpSolu
     iterations = 0
     if not optimal:
         x, mu, iterations = _active_set(Q, c, A, b, x, np.flatnonzero(mu > 0.0).tolist(), tol)
-        residuals = _kkt_residuals(Q, c, A, b, x, mu, tol.qp)[0]
+        residuals, optimal = _kkt_residuals(Q, c, A, b, x, mu, tol.qp)
+        if not optimal:
+            named = ", ".join(f"{k} {v:.3e}" for k, v in residuals.items())
+            raise SolverError(f"active-set point is not a KKT point within tolerance: {named}")
     violations = A @ x + b
     active = tuple(i for i in range(A.shape[0]) if abs(violations[i]) <= tol.activity)
     objective = float(0.5 * x @ Q @ x + c @ x)

@@ -10,7 +10,7 @@ import pytest
 from oracles import linprog_supports
 from scipy.optimize import linprog
 
-from luklearn import analyze
+from luklearn import analyze, solver
 from luklearn.analyze import (
     AnalysisError,
     InconsistentSystem,
@@ -405,6 +405,42 @@ def test_entailment_maxima_match_highs(path):
                     assert abs(got - want) <= 1e-9, where
 
 
+@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
+def test_analysis_entailment_matches_grounded_entailment(path):
+    """The entailment LPs of one analysis, all started from one region,
+    give each block the result of its own ``grounded_entailment``."""
+    model = _fixture_model(path)
+    if model is None:
+        return
+    tp = model.problem
+    for mode in ("all", "logical"):
+        for entry in removable_constraints(model, mode=mode, check_entailment=True).blocks:
+            alone = grounded_entailment(tp.blocks, entry.block_id, tp.index.size, tp.tolerances)
+            where = (mode, entry.block_id)
+            assert (entry.entailment.entailed, entry.entailment.vacuous) == (alone.entailed, alone.vacuous), where
+            assert len(entry.entailment.piece_maxima) == len(alone.piece_maxima), where
+            for got, want in zip(entry.entailment.piece_maxima, alone.piece_maxima):
+                assert got == want or abs(got - want) <= 1e-9, where
+
+
+def test_analysis_runs_one_phase1(monkeypatch):
+    """One analysis with entailment runs phase 1 once, for every block of
+    the ill-conditioned chain."""
+    model = _fixture_model(FIXTURES / "chain_ill_conditioned.json")
+    calls = []
+    phase1 = solver._phase1
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return phase1(*args)
+
+    monkeypatch.setattr(solver, "_phase1", counting)
+    report = removable_constraints(model, check_entailment=True)
+    assert len(calls) == 1
+    assert len(report.blocks) > 100
+    assert all(entry.entailment is not None and not entry.entailment.vacuous for entry in report.blocks)
+
+
 # ---------------------------------------------------------------------------
 # minimal support sets
 
@@ -618,7 +654,7 @@ def test_deactivation_fits_each_distinct_question_once(monkeypatch):
         raise AssertionError("deactivation ran an LP")
 
     monkeypatch.setattr(analyze, "nnls", counting)
-    monkeypatch.setattr(analyze, "lp_solve", no_lp)
+    monkeypatch.setattr(analyze, "LpRegion", no_lp)
     report = removable_constraints(model)
 
     assert all(entry.deactivation.certificate is None for entry in report.blocks)

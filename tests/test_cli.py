@@ -263,3 +263,32 @@ def test_module_entry_point_version():
     )
     assert proc.returncode == 0
     assert __version__ in proc.stdout
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    """Every subcommand, run in one fresh interpreter, leaves numpy.ma
+    unimported: numpy loads it lazily, for example from np.setdiff1d
+    and np.isin, and it costs memory and start-up time."""
+    fixture = FIXTURES / "example1.json"
+    commands = [
+        ["compile", fixture],
+        ["train", fixture],
+        ["analyze", fixture, "--entailment", "--minimal-sets"],
+        ["ablate", fixture, "--drop", "phi1"],
+        ["predict-grid", fixture, "--predicate", "p1"],
+    ]
+    argvs = [[str(a) for a in argv] + ["-o", str(tmp_path)] for argv in commands]
+    script = (
+        "import sys\n"
+        "from luklearn.cli import main\n"
+        f"codes = [main(argv) for argv in {argvs!r}]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False"

@@ -65,9 +65,15 @@ def test_lp_unbounded():
 
 
 def test_lp_no_constraints():
-    r = lp_solve([1.0, -2.0])
-    assert r.status == "optimal"
+    """Without rows, only the variable bounds hold the objective down."""
+    assert lp_solve([1.0, -2.0]).status == "unbounded"
+    assert lp_solve([1.0, 0.0], nonneg=[False, True]).status == "unbounded"
+    assert lp_solve([1.0, -2.0], nonneg=[True, True]).status == "unbounded"
+    r = lp_solve([1.0, 2.0], nonneg=[True, True])
+    assert r.status == "optimal" and r.objective == 0.0
     assert np.array_equal(r.x, np.zeros(2))
+    r = lp_solve([0.0, 3.0], np.zeros((0, 2)), [], nonneg=[False, True])
+    assert r.status == "optimal" and np.array_equal(r.x, np.zeros(2))
 
 
 def test_lp_degenerate_cycling_guard():
@@ -120,10 +126,21 @@ def _random_lp(rng, kind):
     return c, A_ub, b_ub, nonneg, bounds
 
 
+def _highs_status(c, A, b, bounds):
+    """HiGHS's status and optimum of min c.x over A x <= b and ``bounds``."""
+    statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+    highs = dict(A_ub=A if len(A) else None, b_ub=b if len(A) else None, bounds=bounds, method="highs")
+    ref = linprog(c, **highs)
+    status = statuses[ref.status]
+    if status == "infeasible" and linprog(np.zeros(len(c)), **highs).status == 0:
+        # HiGHS can call an LP that is unbounded below infeasible
+        status = "unbounded"
+    return status, ref.fun
+
+
 def test_lp_random_against_scipy():
     """Phase 1 runs with no, some and all rows on an artificial."""
     rng = np.random.default_rng(61)
-    statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
     artificial_rows = set()
     seen = set()
     for kind in ("slack", "mixed", "artificial"):
@@ -132,33 +149,96 @@ def test_lp_random_against_scipy():
             needy = int(np.sum(b_ub < 0))
             artificial_rows.add("none" if needy == 0 else "all" if needy == len(b_ub) else "some")
             r = lp_solve(c, A_ub, b_ub, nonneg=nonneg)
-            highs = dict(A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-            ref = linprog(c, **highs)
-            expected = statuses[ref.status]
-            if expected == "infeasible" and linprog(np.zeros(len(c)), **highs).status == 0:
-                # HiGHS can call an LP that is unbounded below infeasible
-                expected = "unbounded"
+            expected, fun = _highs_status(c, A_ub, b_ub, bounds)
             assert r.status == expected
             seen.add((kind, r.status))
             if r.status != "optimal":
                 continue
-            assert r.objective == pytest.approx(ref.fun, abs=1e-7)
+            assert r.objective == pytest.approx(fun, abs=1e-7)
             assert np.all(A_ub @ r.x <= b_ub + 1e-8)
             assert np.all(r.x[nonneg] >= -1e-12)
     assert artificial_rows == {"none", "some", "all"}
     assert {("mixed", "unbounded"), ("artificial", "optimal"), ("artificial", "infeasible")} <= seen
 
 
+def _bogus_phase1(T, basis):
+    """A phase 1 that returns the optimal tableau ``T``, whose basic
+    solution breaks the rows it stands for."""
+    return lambda A, b, tol, max_iter: (np.array(T), np.array(basis), 0.0)
+
+
 def test_lp_rejects_an_optimum_that_violates_its_rows(monkeypatch):
     """A basic solution that breaks its own equations is an error, not an
     optimum."""
-    monkeypatch.setattr(solver, "_simplex_standard", lambda A, b, c, tol, max_iter: ("optimal", np.array([2.0, 0.0]), 2.0))
+    # columns x, s: x = 2 breaks x <= 1
+    monkeypatch.setattr(solver, "_phase1", _bogus_phase1([[1.0, 0.0, 2.0]], [0]))
     with pytest.raises(SolverError, match="violates"):
         lp_solve([1.0], A_ub=[[1.0]], b_ub=[1.0], nonneg=[True])
     # a free x is split into x+ and x-: x = 0.5 - 0 breaks x >= 1
-    monkeypatch.setattr(solver, "_simplex_standard", lambda A, b, c, tol, max_iter: ("optimal", np.array([0.5, 0.0, 0.0]), 0.5))
+    monkeypatch.setattr(solver, "_phase1", _bogus_phase1([[1.0, -1.0, 0.0, 0.5]], [0]))
     with pytest.raises(SolverError, match="violates"):
         lp_solve([1.0], A_ub=[[-1.0]], b_ub=[-1.0])
+    # a dropped row is not checked, a kept one is
+    region = solver.LpRegion([[1.0], [1.0]], [1.0, 3.0], [True])
+    region._T, region._basis = np.array([[1.0, 0.0, 0.0, 2.0], [0.0, 0.0, 1.0, 1.0]]), np.array([0, 2])
+    assert region.minimize([1.0], drop_rows=[0]).x[0] == 2.0
+    with pytest.raises(SolverError, match="violates"):
+        region.minimize([1.0], drop_rows=[1])
+
+
+def _random_region(rng, conflicting):
+    """A random region A x <= b, x >= 0 where ``nonneg``, for
+    ``LpRegion``, around a random point of it.  Every variable is capped
+    at 10 by a row, and a free one floored at -10 by another, but those
+    rows can be dropped like any other.  With ``conflicting``, a last row
+    contradicts one of the others, so the region is empty until one of
+    the two is dropped."""
+    n = int(rng.integers(2, 6))
+    m = int(rng.integers(1, 5))
+    nonneg = rng.random(n) < 0.5
+    x0 = rng.standard_normal(n)
+    x0[nonneg] = np.abs(x0[nonneg])
+    A = np.vstack([rng.standard_normal((m, n)), np.eye(n), -np.eye(n)[~nonneg]])
+    b = A @ x0 + np.where(rng.random(A.shape[0]) < 0.3, 0.0, rng.random(A.shape[0]))
+    b[m:] = 10.0
+    if conflicting:
+        r = int(rng.integers(0, m))
+        A = np.vstack([A, -A[r]])
+        b = np.append(b, -b[r] - 1.0)
+    return A, b, nonneg
+
+
+def test_lp_region_against_scipy():
+    """Every ``minimize`` over a relaxation of one region matches HiGHS
+    over the kept rows and bounds, from the region's feasible tableau or,
+    for an empty region, from a phase 1 of its own."""
+    rng = np.random.default_rng(131)
+    seen = set()
+    for conflicting in (False, True):
+        for _ in range(60):
+            A, b, nonneg = _random_region(rng, conflicting)
+            region = solver.LpRegion(A, b, nonneg)
+            bounds = [(0, None) if nn else (None, None) for nn in nonneg]
+            assert region.feasible == (_highs_status(np.zeros(len(nonneg)), A, b, bounds)[0] == "optimal")
+            for _ in range(5):
+                drop = np.flatnonzero(rng.random(len(b)) < 0.3)
+                free = np.flatnonzero(rng.random(len(nonneg)) < 0.4)
+                c = rng.standard_normal(len(nonneg))
+                r = region.minimize(c, drop, free)
+                keep = np.ones(len(b), dtype=bool)
+                keep[drop] = False
+                freed = np.zeros(len(nonneg), dtype=bool)
+                freed[free] = True
+                bounds = [(0, None) if nn and not f else (None, None) for nn, f in zip(nonneg, freed)]
+                expected, fun = _highs_status(c, A[keep], b[keep], bounds)
+                assert r.status == expected
+                seen.add((region.feasible, r.status))
+                if r.status != "optimal":
+                    continue
+                assert r.objective == pytest.approx(fun, abs=1e-7)
+                assert np.all(A[keep] @ r.x <= b[keep] + 1e-8)
+                assert np.all(r.x[nonneg & ~freed] >= -1e-12)
+    assert {(True, "optimal"), (True, "unbounded"), (False, "optimal"), (False, "infeasible")} <= seen
 
 
 def test_pivot_matches_row_loop():
@@ -366,3 +446,25 @@ def test_qp_reruns_are_identical():
     second = solve_qp(QpProblem(Q, c, A, b))
     assert np.array_equal(first.x, second.x)
     assert first.iterations == second.iterations
+
+
+def test_qp_rejects_an_active_set_point_off_its_kkt_conditions(monkeypatch):
+    """min x1^2 + x2 over x2 >= x1 and x2 >= -5, with Q zero along x2:
+    the start is not a KKT point, so the active-set iterations run, and a
+    point they return off the KKT conditions is an error, not an optimum."""
+    problem = QpProblem(
+        np.diag([2.0, 0.0]), np.array([0.0, 1.0]), np.array([[0.0, -1.0], [1.0, -1.0]]), np.array([-5.0, 0.0])
+    )
+    sol = solve_qp(problem)
+    assert sol.iterations > 0
+    assert np.allclose(sol.x, [-0.5, -0.5], atol=1e-9)
+
+    active_set = solver._active_set
+
+    def perturbed(*args):
+        x, mu, iterations = active_set(*args)
+        return x + np.array([1e-3, 0.0]), mu, iterations
+
+    monkeypatch.setattr(solver, "_active_set", perturbed)
+    with pytest.raises(SolverError, match="stationarity 2.000e-03"):
+        solve_qp(problem)
