@@ -20,6 +20,11 @@ reported:
   avoiding a block exists exactly when dropping that block keeps the
   same optimal grounding vector, so the final verdicts rely on it.
 
+An analysis puts every question about one system to one ``_Fits``: a
+nonnegative least-squares fit per distinct column set, where a column
+set holding every column that the whole active pool's fit uses is
+answered by that fit, since only an optimum's support matters to it.
+
 Verdicts per block: "entailed" (the block follows from the others over
 all truth assignments), "removable" (drop-safe, optimum provably
 unchanged), "candidate" (certificate exists but uniqueness is not
@@ -29,7 +34,8 @@ guaranteed), "necessary" (no certificate; dropping moves the optimum).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +49,6 @@ from .constraints import (
 from .solver import (
     DEFAULT_TOLERANCES,
     LpRegion,
-    NullspaceBasis,
     Tolerances,
     min_norm_solution,
     nnls,
@@ -97,7 +102,6 @@ class GeneralSolution:
     column_blocks: list[str]
     particular: np.ndarray        # length N, zero off the active set
     basis: np.ndarray             # N x dim, zero off the active set
-    kernel_info: NullspaceBasis = field(repr=False)
     residual: float = 0.0
 
     @property
@@ -111,11 +115,7 @@ class GeneralSolution:
         return [i for i, b in enumerate(self.column_blocks) if b == block_id]
 
     def block_ids(self) -> list[str]:
-        seen = []
-        for b in self.column_blocks:
-            if b not in seen:
-                seen.append(b)
-        return seen
+        return list(dict.fromkeys(self.column_blocks))
 
 
 def solve_problem2(
@@ -161,9 +161,7 @@ def solve_problem2(
     particular[act_idx] = lam_act
     basis = np.zeros((N, ns.dim))
     basis[act_idx, :] = ns.vectors
-    return GeneralSolution(
-        M, target, active, list(column_blocks), particular, basis, ns, residual
-    )
+    return GeneralSolution(M, target, active, list(column_blocks), particular, basis, residual)
 
 
 @dataclass(eq=False)
@@ -194,9 +192,15 @@ class _Fits:
     """Nonnegative least-squares fits of M lam = target over subsets of
     the columns ``pool``, each distinct subset solved once.
 
-    A subset fits the target no better than the whole pool does, and an
-    inf-norm residual within tolerance has a 2-norm within sqrt(S) times
-    it, so when the pool misses that bound no subset is solved at all.
+    A subset's problem is the pool's with the other columns pinned to
+    zero, which gives two rules.  The subset fits the target no better
+    than the whole pool does, and an inf-norm residual within tolerance
+    has a 2-norm within sqrt(S) times it, so when the pool misses that
+    bound no subset is solved at all.  And a subset holding every column
+    the pool's fit uses contains that fit, which is then optimal for it
+    too; the residual of a least-squares optimum is unique (Lawson and
+    Hanson, Solving Least Squares Problems, 1974, ch. 23), so the pool's
+    fit answers it with no NNLS.
     """
 
     def __init__(self, M: np.ndarray, target: np.ndarray, pool: Sequence[int], tol: Tolerances):
@@ -206,40 +210,37 @@ class _Fits:
         self.limit = _fit_tolerance(target, tol)
         self._solved: dict[tuple, tuple[np.ndarray, float]] = {}
 
-    def _solve(self, cols: Sequence[int]) -> tuple[np.ndarray, float]:
-        key = tuple(cols)
-        if key not in self._solved:
-            self._solved[key] = nnls(self.M[:, list(key)], self.target)
-        return self._solved[key]
+    def _solve(self, cols: tuple) -> tuple[np.ndarray, float]:
+        if cols not in self._solved:
+            self._solved[cols] = nnls(self.M[:, list(cols)], self.target)
+        return self._solved[cols]
 
     @property
     def pool_fits(self) -> bool:
         return self._solve(self.pool)[1] <= np.sqrt(self.M.shape[0]) * self.limit
 
+    @cached_property
+    def _support(self) -> np.ndarray:
+        """Mask over the columns of M of those the pool's fit uses."""
+        support = np.zeros(self.M.shape[1], dtype=bool)
+        support[list(self.pool)] = self._solve(self.pool)[0] > 0.0
+        return support
+
     def multipliers(self, cols: Sequence[int]) -> np.ndarray | None:
-        """Nonnegative multipliers on ``cols`` with every equation of
-        M lam = target holding within the fit tolerance, or None."""
+        """Nonnegative multipliers on ``cols``, a subset of the pool,
+        with every equation of M lam = target holding within the fit
+        tolerance, or None."""
         if not self.pool_fits:
             return None
-        cols = list(cols)
-        lam_cols, _ = self._solve(cols)
-        if float(np.max(np.abs(self.M[:, cols] @ lam_cols - self.target), initial=0.0)) > self.limit:
+        unused = self._support.copy()
+        unused[list(cols)] = False
+        key = tuple(cols) if unused.any() else self.pool
+        lam_key, _ = self._solve(key)
+        if float(np.max(np.abs(self.M[:, list(key)] @ lam_key - self.target), initial=0.0)) > self.limit:
             return None
         lam = np.zeros(self.M.shape[1])
-        lam[cols] = lam_cols
+        lam[list(key)] = lam_key
         return lam
-
-
-def _support_multipliers(
-    M: np.ndarray,
-    target: np.ndarray,
-    cols: Sequence[int],
-    tol: Tolerances,
-) -> np.ndarray | None:
-    """Nonnegative multipliers on ``cols`` with M lam = target, found by
-    nonnegative least squares; accepted when every equation holds within
-    the stationarity tolerance times 1 + ||target||_inf."""
-    return _Fits(M, target, cols, tol).multipliers(cols)
 
 
 def deactivate(
@@ -257,18 +258,17 @@ def deactivate(
     Where ``t_unique`` is false, several multiplier vectors avoid the
     block, and this one may differ from the vertex an LP would return.
     """
-    return _deactivate(gs, block, tol, None)
+    return _deactivate(gs, block, tol, _Fits(gs.matrix, gs.target, np.flatnonzero(gs.active), tol))
 
 
 def _deactivate(
     gs: GeneralSolution,
     block: str | Sequence[int],
     tol: Tolerances,
-    fits: _Fits | None,
+    fits: _Fits,
 ) -> DeactivationResult:
     """``deactivate``, taking its certificate from ``fits``, whose pool
-    holds every active column; None fits the columns outside the block
-    on their own."""
+    holds every active column."""
     if isinstance(block, str):
         cols = gs.columns_of(block)
         name = block
@@ -305,8 +305,6 @@ def _deactivate(
 
     blocked = set(cols)
     outside = [c for c in act_idx if c not in blocked]
-    if fits is None:
-        fits = _Fits(gs.matrix, gs.target, outside, tol)
     certificate = fits.multipliers(outside)
     t = None if certificate is None else gs.basis.T @ (certificate - gs.particular)
     return DeactivationResult(
@@ -320,9 +318,10 @@ def deactivation_report(
 ) -> list[tuple[str, str, DeactivationResult]]:
     """Per-block verdicts based purely on the target multiplier system:
     a block with a deactivation certificate is "removable" under a
-    unique optimum (else "candidate"), otherwise "necessary".  Blocks
-    with no active column share one fit, and none is fitted when the
-    whole active pool cannot carry the target."""
+    unique optimum (else "candidate"), otherwise "necessary".  The
+    certificates come from one ``_Fits`` over the active columns, so a
+    block whose columns the pool's fit does not use takes that fit, and
+    none is fitted when the whole active pool cannot carry the target."""
     fits = _Fits(gs.matrix, gs.target, np.flatnonzero(gs.active), tol)
     out = []
     for block_id in gs.block_ids():
@@ -357,7 +356,7 @@ def kkt_certificate(
         for nu in range(matrix.n_columns)
         if active[nu] and matrix.column_block[nu] != exclude_block
     ]
-    return _support_multipliers(matrix.matrix, -2.0 * np.asarray(alpha, dtype=float), cols, tol)
+    return _Fits(matrix.matrix, -2.0 * np.asarray(alpha, dtype=float), cols, tol).multipliers(cols)
 
 
 @dataclass(eq=False)
@@ -483,7 +482,8 @@ def minimal_support_sets(
     ]
     target = np.asarray(target, dtype=float)
     pool_cols = [nu for block_id in pool for nu in matrix.block_columns[block_id] if active[nu]]
-    if not _Fits(matrix.matrix, target, pool_cols, tol).pool_fits:
+    fits = _Fits(matrix.matrix, target, pool_cols, tol)
+    if not fits.pool_fits:
         return []
     if len(pool) > limit:
         raise SupportLimitExceeded(
@@ -498,7 +498,7 @@ def minimal_support_sets(
                 for nu in matrix.block_columns[block_id]
                 if active[nu]
             ]
-            lam = _support_multipliers(matrix.matrix, target, cols, tol)
+            lam = fits.multipliers(cols)
             if lam is not None:
                 found.append(SupportSet(subset, lam))
         if found:
@@ -702,10 +702,7 @@ def removable_constraints(
         if mode == "all" or matrix.families[b] == "logical"
     ]
     deactivations = {b: result for b, _, result in deactivation_report(gs, tp.unique_optimum, tol)}
-    # dropping a block with no active column poses the whole pool's
-    # gradient question, so those blocks share one certificate
-    idle = {b for b in block_ids if not model.activity[matrix.block_columns[b]].any()}
-    pool_cert = kkt_certificate(matrix, model.alpha, model.activity, None, tol) if idle else None
+    gradient = _Fits(matrix.matrix, -2.0 * model.alpha, np.flatnonzero(model.activity), tol)
     # every block's entailment LPs start from one phase 1, which p* makes feasible
     entailment = _EntailmentRegion(tp.blocks, tp.index.size, tol, True) if check_entailment else None
     by_id = {b.block_id: b for b in tp.blocks}
@@ -714,10 +711,9 @@ def removable_constraints(
         cols = matrix.block_columns[block_id]
         active_labels = [matrix.column_labels[nu] for nu in cols if model.activity[nu]]
         ent = None if entailment is None else entailment.test(by_id[block_id])
-        if block_id in idle:
-            cert = pool_cert
-        else:
-            cert = kkt_certificate(matrix, model.alpha, model.activity, block_id, tol)
+        outside = model.activity.copy()
+        outside[cols] = False
+        cert = gradient.multipliers(np.flatnonzero(outside))
         if ent is not None and ent.entailed:
             verdict = "entailed"
         elif cert is not None:

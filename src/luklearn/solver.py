@@ -62,6 +62,8 @@ def tolerances_with(base: Tolerances | None = None, **overrides) -> Tolerances:
 # ---------------------------------------------------------------------------
 # Simplex
 
+SIMPLEX_MAX_ITER = 20000  # pivots per simplex phase
+
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
@@ -175,19 +177,17 @@ class LpRegion:
         b_ub: Sequence[float],
         nonneg: Sequence[bool],
         tol: float = DEFAULT_TOLERANCES.lp,
-        max_iter: int = 20000,
     ):
         self.nonneg = np.asarray(nonneg, dtype=bool)
         n = self.nonneg.size
         self.A = np.asarray(A_ub, dtype=float).reshape(-1, n)
         self.b = np.asarray(b_ub, dtype=float).reshape(-1)
         self.tol = tol
-        self.max_iter = max_iter
         m = self.A.shape[0]
         self._free = np.flatnonzero(~self.nonneg)
         self._slack0 = n + self._free.size
         A_std = np.hstack([self.A, -self.A[:, self._free], np.eye(m)])
-        self._T, self._basis, self.certificate = _phase1(A_std, self.b, tol, max_iter)
+        self._T, self._basis, self.certificate = _phase1(A_std, self.b, tol, SIMPLEX_MAX_ITER)
 
     @property
     def feasible(self) -> bool:
@@ -217,7 +217,7 @@ class LpRegion:
         if not self.feasible:
             if keep.all() and not freed.any():
                 return LpResult("infeasible", None, None, self.certificate)
-            relaxed = LpRegion(self.A[keep], self.b[keep], self.nonneg & ~freed, self.tol, self.max_iter)
+            relaxed = LpRegion(self.A[keep], self.b[keep], self.nonneg & ~freed, self.tol)
             return relaxed.minimize(c)
 
         extra = np.flatnonzero(freed)
@@ -229,7 +229,7 @@ class LpRegion:
         cost[n : self._slack0] = -c[self._free]
         cost[width : width + extra.size] = -c[extra]
         basis = self._basis.copy()
-        if _run_simplex(T, basis, cost, self.tol, self.max_iter) == "unbounded":
+        if _run_simplex(T, basis, cost, self.tol, SIMPLEX_MAX_ITER) == "unbounded":
             return LpResult("unbounded", None, None, None)
         z = np.zeros(T.shape[1] - 1)
         z[basis] = T[:, -1]
@@ -250,7 +250,6 @@ def lp_solve(
     b_ub: Sequence[float] | None = None,
     nonneg: Sequence[bool] | None = None,
     tol: float = DEFAULT_TOLERANCES.lp,
-    max_iter: int = 20000,
 ) -> LpResult:
     """min c.x subject to A_ub x <= b_ub: one ``LpRegion`` and one
     ``minimize``.
@@ -266,7 +265,7 @@ def lp_solve(
     nonneg = np.zeros(n, dtype=bool) if nonneg is None else np.asarray(nonneg, dtype=bool)
     if A_ub is None:
         A_ub, b_ub = np.zeros((0, n)), np.zeros(0)
-    return LpRegion(A_ub, b_ub, nonneg, tol, max_iter).minimize(c)
+    return LpRegion(A_ub, b_ub, nonneg, tol).minimize(c)
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +436,11 @@ def solve_qp(problem: QpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> QpSolu
     It starts from ``_least_distance_start`` and returns that start with
     zero iterations when it is a KKT point within ``tol.qp``, which it
     is, up to rounding, for a positive-definite Q.  Otherwise the
-    iterations move from it
-    along the free directions of a singular Q, such as per-predicate
-    biases, and SolverError is raised when the point they reach is not
-    a KKT point within ``tol.qp``.  Equality-constrained subproblems are
+    iterations move from it, with the rows active there (within
+    ``tol.activity``) as the first working set, along the free
+    directions of a singular Q, such as per-predicate biases, and
+    SolverError is raised when the point they reach is not a KKT point
+    within ``tol.qp``.  Equality-constrained subproblems are
     solved through the KKT system with a minimum-norm least-squares
     solve, which keeps dependent active rows harmless.  All tie-breaking
     is lowest-index, so runs are reproducible.
@@ -458,7 +458,8 @@ def solve_qp(problem: QpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> QpSolu
     residuals, optimal = _kkt_residuals(Q, c, A, b, x, mu, tol.qp)
     iterations = 0
     if not optimal:
-        x, mu, iterations = _active_set(Q, c, A, b, x, np.flatnonzero(mu > 0.0).tolist(), tol)
+        work = np.flatnonzero(np.abs(A @ x + b) <= tol.activity).tolist()
+        x, mu, iterations = _active_set(Q, c, A, b, x, work, tol)
         residuals, optimal = _kkt_residuals(Q, c, A, b, x, mu, tol.qp)
         if not optimal:
             named = ", ".join(f"{k} {v:.3e}" for k, v in residuals.items())

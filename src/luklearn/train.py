@@ -34,7 +34,7 @@ from .grounding import (
 )
 from .kernels import GramMatrix, KernelSpec, cross_gram, gram, psd_check
 from .logic import Formula, check_concave_fragment, to_nnf, to_text
-from .solver import DEFAULT_TOLERANCES, QpProblem, QpSolution, Tolerances, solve_qp
+from .solver import DEFAULT_TOLERANCES, Infeasible, QpProblem, QpSolution, SolverError, Tolerances, solve_qp
 
 
 class TrainError(Exception):
@@ -227,7 +227,11 @@ def solve_primal(tp: TrainingProblem) -> TrainedModel:
     """Solve the constrained training problem to optimality.
 
     Raises solver.Infeasible when the constraint system admits no
-    grounding vector (the exception carries a verified Farkas vector).
+    grounding vector.  The QP's Farkas vector y is checked in the
+    coefficients, where K-hat M y can vanish while M y does not, so it is
+    checked again in grounding space: M y = 0 to 1e-9 relative to q.y.
+    A vector that fails there proves nothing, and SolverError is raised
+    instead, naming cond(K-hat).
     """
     S = tp.index.size
     khat = tp.khat()
@@ -239,7 +243,17 @@ def solve_primal(tp: TrainingProblem) -> TrainedModel:
     rows = tp.matrix.matrix.T @ khat  # one row per constraint column
     if n_bias:
         rows = np.hstack([rows, tp.matrix.matrix.T @ tp.bias_map()])
-    qp = solve_qp(QpProblem(Q, np.zeros(n), rows, tp.matrix.offsets.copy()), tp.tolerances)
+    try:
+        qp = solve_qp(QpProblem(Q, np.zeros(n), rows, tp.matrix.offsets.copy()), tp.tolerances)
+    except Infeasible as exc:
+        drift = float(np.max(np.abs(tp.matrix.matrix @ exc.farkas), initial=0.0))
+        if drift > 1e-9 * exc.certificate:
+            raise SolverError(
+                f"training: the QP start's Farkas vector y fails in grounding space "
+                f"(||M y||_inf = {drift:.3e}, q.y = {exc.certificate:.3e}); "
+                f"cond(K-hat) = {np.linalg.cond(khat):.3e}"
+            ) from exc
+        raise
 
     alpha = qp.x[:S]
     bias_vec = qp.x[S:] if n_bias else np.zeros(len(tp.decls))

@@ -633,16 +633,9 @@ def test_deactivation_certificates_exist_where_linprog_finds_one(path):
             assert (entry.deactivation.certificate is not None) == expected, (mode, entry.block_id)
 
 
-def test_deactivation_fits_each_distinct_question_once(monkeypatch):
-    """On the ill-conditioned chain the whole active pool cannot carry the
-    target, so deactivation fits no block and runs no LP.  The gradient
-    system is fitted once per distinct column set: once for the whole
-    pool, which every block with no active column poses, and once per
-    block with an active column."""
-    model = _fixture_model(FIXTURES / "chain_ill_conditioned.json")
-    matrix = model.problem.matrix
-    assert not linprog_supports(matrix.matrix, model.alpha, np.flatnonzero(model.activity), _fit_tol(model, model.alpha))
-
+def _counting_nnls(monkeypatch):
+    """Route ``analyze``'s NNLS through a wrapper; returns the list of
+    (shape, matrix bytes, target bytes) it appends one entry per call to."""
     calls = []
     nnls = analyze.nnls
 
@@ -650,19 +643,104 @@ def test_deactivation_fits_each_distinct_question_once(monkeypatch):
         calls.append((A.shape, A.tobytes(), np.asarray(b).tobytes()))
         return nnls(A, b)
 
+    monkeypatch.setattr(analyze, "nnls", counting)
+    return calls
+
+
+def test_deactivation_fits_each_distinct_question_once(monkeypatch):
+    """On the ill-conditioned chain the whole active pool cannot carry the
+    target, so deactivation fits no block and runs no LP.  Each system's
+    pool is fitted once.  A gradient question is fitted on its own only
+    when its columns miss one the pool's fit uses, that is, once per
+    block holding a column of that fit's support; every other block takes
+    the pool's fit."""
+    model = _fixture_model(FIXTURES / "chain_ill_conditioned.json")
+    matrix = model.problem.matrix
+    assert not linprog_supports(matrix.matrix, model.alpha, np.flatnonzero(model.activity), _fit_tol(model, model.alpha))
+    pool = np.flatnonzero(model.activity)
+    gradient = -2.0 * model.alpha
+    lam_pool, _ = solver.nnls(matrix.matrix[:, pool], gradient)
+    support = np.zeros(matrix.n_columns, dtype=bool)
+    support[pool] = lam_pool > 0.0
+
     def no_lp(*args, **kwargs):
         raise AssertionError("deactivation ran an LP")
 
-    monkeypatch.setattr(analyze, "nnls", counting)
+    calls = _counting_nnls(monkeypatch)
     monkeypatch.setattr(analyze, "LpRegion", no_lp)
     report = removable_constraints(model)
 
     assert all(entry.deactivation.certificate is None for entry in report.blocks)
     assert len(set(calls)) == len(calls)
     assert sum(b == model.alpha.tobytes() for _, _, b in calls) == 1
+    pool_shape = (matrix.matrix.shape[0], pool.size)
+    assert sum(shape == pool_shape and b == gradient.tobytes() for shape, _, b in calls) == 1
+    holding = [b for b in matrix.block_order if support[matrix.block_columns[b]].any()]
     busy = [b for b in matrix.block_order if model.activity[matrix.block_columns[b]].any()]
-    assert len(busy) < len(matrix.block_order)
-    assert len(calls) == 2 + len(busy)
+    assert 0 < len(holding) < len(busy)
+    assert len(calls) == 2 + len(holding)
+
+
+@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
+def test_gradient_certificates_exist_where_linprog_finds_one(path):
+    """A block has a gradient certificate exactly when HiGHS fits -2 alpha
+    with nonnegative multipliers on the active columns outside it, within
+    the stationarity tolerance times 1 + ||2 alpha||_inf, whether the
+    analysis fitted those columns or took the whole pool's fit."""
+    model = _fixture_model(path)
+    if model is None:
+        return
+    matrix = model.problem.matrix
+    target = -2.0 * model.alpha
+    tol = _fit_tol(model, target)
+    for mode in ("all", "logical"):
+        for entry in removable_constraints(model, mode=mode).blocks:
+            outside = model.activity.copy()
+            outside[matrix.block_columns[entry.block_id]] = False
+            expected = linprog_supports(matrix.matrix, target, np.flatnonzero(outside), tol)
+            assert (entry.kkt is not None) == expected, (mode, entry.block_id)
+
+
+def test_fits_answer_every_subset_like_a_fresh_nnls(monkeypatch):
+    """On random systems, every subset of the pool gets the accept or
+    reject decision of its own NNLS, and an accepted answer fits the
+    target as well as that NNLS does; a subset holding the support of
+    the pool's fit costs no NNLS."""
+    rng = np.random.default_rng(2024)
+    tol = solver.DEFAULT_TOLERANCES
+    calls = _counting_nnls(monkeypatch)
+    reused = 0
+    for trial in range(40):
+        S, N = int(rng.integers(2, 5)), int(rng.integers(4, 8))
+        M = rng.standard_normal((S, N))
+        pool = sorted(int(c) for c in rng.choice(N, size=int(rng.integers(3, N + 1)), replace=False))
+        if trial % 2:
+            target = rng.standard_normal(S)
+        else:
+            used = rng.choice(pool, size=int(rng.integers(1, S + 1)), replace=False)
+            target = M[:, used] @ rng.uniform(0.5, 2.0, used.size)
+        limit = analyze._fit_tolerance(target, tol)
+        fits = analyze._Fits(M, target, pool, tol)
+        if fits.pool_fits:
+            lam_pool, _ = solver.nnls(M[:, pool], target)
+            support = {c for c, v in zip(pool, lam_pool) if v > 0.0}
+        for size in range(len(pool) + 1):
+            for cols in itertools.combinations(pool, size):
+                cols = list(cols)
+                before = len(calls)
+                lam = fits.multipliers(cols)
+                fresh, _ = solver.nnls(M[:, cols], target)
+                fresh_residual = np.max(np.abs(M[:, cols] @ fresh - target), initial=0.0)
+                assert (lam is not None) == (fresh_residual <= limit), (trial, cols)
+                if fits.pool_fits and support <= set(cols):
+                    assert len(calls) == before, (trial, cols)
+                    reused += 1
+                if lam is None:
+                    continue
+                assert np.min(lam) >= 0.0
+                assert np.all(np.delete(lam, cols) == 0.0)
+                assert np.max(np.abs(M @ lam - M[:, cols] @ fresh)) <= limit
+    assert reused > 0
 
 
 def test_report_to_dict_structure():

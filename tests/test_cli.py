@@ -79,6 +79,15 @@ def test_train_conflicting_labels_exit_3(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_train_refuses_a_false_farkas_vector_exit_4(tmp_path, capsys):
+    """A Farkas vector that holds only through a near-singular K-hat is
+    not reported as infeasibility."""
+    assert _run("train", FIXTURES / "refused" / "chain_near_singular.json", "-o", tmp_path) == 4
+    err = capsys.readouterr().err
+    assert "cond" in err and "infeasible" not in err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_train_records_seed_and_tolerance_overrides(tmp_path):
     assert (
         _run(

@@ -468,3 +468,19 @@ def test_qp_rejects_an_active_set_point_off_its_kkt_conditions(monkeypatch):
     monkeypatch.setattr(solver, "_active_set", perturbed)
     with pytest.raises(SolverError, match="stationarity 2.000e-03"):
         solve_qp(problem)
+
+
+def test_qp_singular_q_starts_from_the_rows_active_at_its_start():
+    """min x1^2 + x2 over x2 >= -1, with Q zero along x2: the start lands
+    on x2 = -1 with multiplier 0, and an active-set step over no rows
+    would be unbounded along x2.  The rows active at the start bound it."""
+    Q, c = np.diag([2.0, 0.0]), np.array([0.0, 1.0])
+    A, b = np.array([[0.0, -1.0]]), np.array([-1.0])
+    sol = solve_qp(QpProblem(Q, c, A, b))
+    assert sol.iterations > 0
+    assert np.allclose(sol.x, [0.0, -1.0], atol=1e-9)
+    assert sol.multipliers[0] == pytest.approx(1.0, abs=1e-9)
+    assert sol.active_set == (0,)
+    assert np.max(np.abs(Q @ sol.x + c + A.T @ sol.multipliers)) <= 1e-9
+    assert np.max(A @ sol.x + b) <= 1e-9
+    assert np.max(np.abs(sol.multipliers * (A @ sol.x + b))) <= 1e-9

@@ -15,7 +15,7 @@ from luklearn.grounding import PredicateDecl, build_samples
 from luklearn.kernels import KernelError, KernelSpec
 from luklearn.logic import parse_formula
 from luklearn.problem import build_training_problem, load_problem
-from luklearn.solver import Infeasible
+from luklearn.solver import Infeasible, SolverError
 from luklearn.train import TrainError, assemble_problem, load_model, solve_primal
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -141,6 +141,23 @@ def test_feasible_chain_is_not_reported_infeasible():
     model = solve_primal(tp)
     assert max(model.qp.residuals.values()) <= 1e-7
     assert model.max_violation() <= 1e-7
+
+
+def test_near_singular_chain_is_refused_not_reported_infeasible():
+    """The problem file is
+    ``gen.chain_kb(np.random.default_rng([0, 5, 40, 50]), 40, 0.5).problem()``
+    from ``perfbench/gen.py``: forty RBF points, sigma 0.5, cond(K-hat)
+    2.0e12.  HiGHS finds M'p + q <= 0 feasible, yet the QP start returns
+    a vector y with K-hat M y near zero and q.y > 0, which is a Farkas
+    vector in the coefficients only: ||M y||_inf is about 1.4 q.y."""
+    tp = build_training_problem(load_problem(FIXTURES / "refused" / "chain_near_singular.json"))
+    M, q = tp.matrix.matrix, tp.matrix.offsets
+    ref = linprog(np.zeros(M.shape[0]), A_ub=M.T, b_ub=-q, bounds=(None, None), method="highs")
+    assert ref.status == 0
+    with pytest.raises(SolverError, match="cond") as info:
+        solve_primal(tp)
+    assert not isinstance(info.value, Infeasible)
+    assert isinstance(info.value.__cause__, Infeasible)
 
 
 def _kkt_residuals(model):
