@@ -16,10 +16,8 @@ from .analyze import (
     SupportSet,
     ablate_and_compare,
     ablated_problem,
-    deactivate,
     deactivation_report,
     grounded_entailment,
-    kkt_certificate,
     logical_coefficients,
     minimal_support_sets,
     removable_constraints,
@@ -77,13 +75,13 @@ from .problem import Problem, ProblemError, build_training_problem, load_problem
 from .solver import (
     DEFAULT_TOLERANCES,
     Infeasible,
+    LpRegion,
     LpResult,
     NullspaceBasis,
     QpProblem,
     QpSolution,
     SolverError,
     Tolerances,
-    lp_solve,
     min_norm_solution,
     nnls,
     nullspace,

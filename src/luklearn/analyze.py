@@ -20,10 +20,14 @@ reported:
   avoiding a block exists exactly when dropping that block keeps the
   same optimal grounding vector, so the final verdicts rely on it.
 
-An analysis puts every question about one system to one ``_Fits``: a
-nonnegative least-squares fit per distinct column set, where a column
-set holding every column that the whole active pool's fit uses is
-answered by that fit, since only an optimum's support matters to it.
+Each question has one entry point: ``deactivation_report`` for the
+deactivation of every block of a target system, ``removable_constraints``
+for a whole analysis (gradient certificates included),
+``grounded_entailment`` and ``minimal_support_sets``.  An analysis puts
+every question about one system to one ``_Fits``: a nonnegative
+least-squares fit per distinct column set, where a column set holding
+every column that the whole active pool's fit uses is answered by that
+fit, since only an optimum's support matters to it.
 
 Verdicts per block: "entailed" (the block follows from the others over
 all truth assignments), "removable" (drop-safe, optimum provably
@@ -34,7 +38,7 @@ guaranteed), "necessary" (no certificate; dropping moves the optimum).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -177,7 +181,6 @@ class DeactivationResult:
     certificate: np.ndarray | None
     t: np.ndarray | None
     relaxed: np.ndarray | None
-    relaxed_t: np.ndarray | None
     t_unique: bool
     equality_residual: float
 
@@ -243,74 +246,29 @@ class _Fits:
         return lam
 
 
-def deactivate(
-    gs: GeneralSolution,
-    block: str | Sequence[int],
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> DeactivationResult:
+def _deactivate(gs: GeneralSolution, block_id: str, tol: Tolerances, fits: _Fits) -> DeactivationResult:
     """Search lam(t) for a nonnegative solution with every coordinate of
-    ``block`` equal to zero.
+    ``block_id`` equal to zero.
 
-    The certificate is the nonnegative least-squares solution of
-    M lam = target over the active columns outside the block, reported
-    when every equation holds within the stationarity tolerance times
-    1 + ||target||_inf; its parameter is t = basis'(lam - particular).
-    Where ``t_unique`` is false, several multiplier vectors avoid the
-    block, and this one may differ from the vertex an LP would return.
+    The certificate comes from ``fits``, whose pool holds every active
+    column: the nonnegative least-squares solution of M lam = target over
+    the active columns outside the block, reported when every equation
+    holds within the stationarity tolerance times 1 + ||target||_inf.
+    Its parameter is t = basis'(lam - particular).  Where ``t_unique`` is
+    false, several multiplier vectors avoid the block, and this one may
+    differ from the vertex an LP would return.
     """
-    return _deactivate(gs, block, tol, _Fits(gs.matrix, gs.target, np.flatnonzero(gs.active), tol))
-
-
-def _deactivate(
-    gs: GeneralSolution,
-    block: str | Sequence[int],
-    tol: Tolerances,
-    fits: _Fits,
-) -> DeactivationResult:
-    """``deactivate``, taking its certificate from ``fits``, whose pool
-    holds every active column."""
-    if isinstance(block, str):
-        cols = gs.columns_of(block)
-        name = block
-    else:
-        cols = list(block)
-        name = ",".join(str(c) for c in cols)
-    if not cols:
-        raise AnalysisError(f"unknown block {name!r}")
+    cols = gs.columns_of(block_id)
     act_cols = [c for c in cols if gs.active[c]]
-    eq_rows = gs.basis[act_cols, :] if act_cols else np.zeros((0, gs.nullspace_dim))
-    eq_rhs = -gs.particular[act_cols] if act_cols else np.zeros(0)
-    dim = gs.nullspace_dim
-    act_idx = np.flatnonzero(gs.active)
-
-    if dim == 0:
-        residual = float(np.linalg.norm(eq_rhs))
-        solvable = residual <= tol.stationarity
-        t0 = np.zeros(0)
-        relaxed = gs.particular.copy() if solvable else None
-        cert = None
-        if solvable and float(np.min(gs.particular[act_idx], initial=0.0)) >= -tol.nonneg:
-            cert = np.maximum(gs.particular, 0.0)
-        return DeactivationResult(
-            name, cert, t0 if cert is not None else None, relaxed,
-            t0 if relaxed is not None else None, True, residual
-        )
-
-    relaxed_t, residual = min_norm_solution(eq_rows, eq_rhs)
+    eq_rows = gs.basis[act_cols, :]
+    relaxed_t, residual = min_norm_solution(eq_rows, -gs.particular[act_cols])
     relaxed = gs.lambda_of(relaxed_t) if residual <= tol.stationarity else None
-    if eq_rows.shape[0] == 0:
-        t_unique = False
-    else:
-        t_unique = nullspace(eq_rows, tol.nullspace).dim == 0
+    t_unique = nullspace(eq_rows, tol.nullspace).dim == 0
 
     blocked = set(cols)
-    outside = [c for c in act_idx if c not in blocked]
-    certificate = fits.multipliers(outside)
+    certificate = fits.multipliers([c for c in np.flatnonzero(gs.active) if c not in blocked])
     t = None if certificate is None else gs.basis.T @ (certificate - gs.particular)
-    return DeactivationResult(
-        name, certificate, t, relaxed,
-        relaxed_t if relaxed is not None else None, t_unique, residual
-    )
+    return DeactivationResult(block_id, certificate, t, relaxed, t_unique, residual)
 
 
 def deactivation_report(
@@ -332,31 +290,6 @@ def deactivation_report(
             verdict = "necessary"
         out.append((block_id, verdict, result))
     return out
-
-
-def kkt_certificate(
-    matrix: ConstraintMatrix,
-    alpha: np.ndarray,
-    activity: Sequence[bool],
-    exclude_block: str | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray | None:
-    """Multipliers certifying the trained optimum for the problem with
-    ``exclude_block`` dropped.
-
-    Solves M nu = -2 alpha with nu >= 0 supported on active pieces
-    outside the excluded block; -2 alpha is the loss gradient pulled
-    back through the Gram matrix.  With positive-definite kernels the
-    certificate exists exactly when the drop leaves the optimal
-    grounding vector unchanged.
-    """
-    active = np.asarray(activity, dtype=bool)
-    cols = [
-        nu
-        for nu in range(matrix.n_columns)
-        if active[nu] and matrix.column_block[nu] != exclude_block
-    ]
-    return _Fits(matrix.matrix, -2.0 * np.asarray(alpha, dtype=float), cols, tol).multipliers(cols)
 
 
 @dataclass(eq=False)
@@ -533,19 +466,7 @@ def ablated_problem(tp: TrainingProblem, block_id: str) -> TrainingProblem:
     if all(b.block_id != block_id for b in tp.blocks):
         raise AnalysisError(f"unknown block {block_id!r}")
     blocks = [b for b in tp.blocks if b.block_id != block_id]
-    matrix = assemble_matrix(blocks, tp.index.size, tp.keep_zero_pieces)
-    return TrainingProblem(
-        tp.decls,
-        tp.index,
-        blocks,
-        matrix,
-        tp.grams,
-        tp.kernel_specs,
-        tp.psd,
-        tp.bias,
-        tp.tolerances,
-        tp.keep_zero_pieces,
-    )
+    return replace(tp, blocks=blocks, matrix=assemble_matrix(blocks, tp.index.size, tp.keep_zero_pieces))
 
 
 def ablate_and_compare(

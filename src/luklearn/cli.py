@@ -11,6 +11,7 @@ guard tripped.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -29,11 +30,11 @@ from .constraints import CompileError, matrix_csv
 from .grounding import GroundingError
 from .kernels import KernelError
 from .logic import FormulaError
-from .problem import Problem, ProblemError, build_training_problem, load_problem
+from .problem import ProblemError, build_training_problem, load_problem
 from .solver import Infeasible, SolverError, Tolerances, tolerances_with
-from .train import TrainError, solve_primal
+from .train import TrainError, TrainingProblem, solve_primal
 
-_TOL_FIELDS = ("qp", "lp", "nullspace", "activity", "stationarity", "nonneg", "entailment")
+_TOL_FIELDS = tuple(f.name for f in dataclasses.fields(Tolerances))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -45,13 +46,24 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--tol-{name}", type=float, default=None, dest=f"tol_{name}")
 
 
-def _tolerances(args, problem: Problem) -> Tolerances:
+def _setup(args) -> TrainingProblem:
+    """Load the problem file and build its training problem under the
+    file's tolerances and the ``--tol-*`` overrides."""
+    problem = load_problem(args.problem)
     overrides = {
         name: getattr(args, f"tol_{name}")
         for name in _TOL_FIELDS
         if getattr(args, f"tol_{name}") is not None
     }
-    return tolerances_with(problem.tolerances, **overrides)
+    return build_training_problem(problem, tolerances_with(problem.tolerances, **overrides))
+
+
+def _header(args, tp: TrainingProblem) -> dict:
+    """The version, tolerances and, when given, seed that open a report."""
+    header = {"version": __version__, "tolerances": dataclasses.asdict(tp.tolerances)}
+    if args.seed is not None:
+        header["seed"] = args.seed
+    return header
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -67,8 +79,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_compile(args) -> int:
-    problem = load_problem(args.problem)
-    tp = build_training_problem(problem, _tolerances(args, problem))
+    tp = _setup(args)
     out = _out_dir(args)
     (out / "M.csv").write_text(matrix_csv(tp.matrix, tp.index.labels()))
     manifest = {
@@ -95,20 +106,13 @@ def _float_map(labels, values) -> dict:
     return {label: float(v) for label, v in zip(labels, values)}
 
 
-def _tol_dict(tol: Tolerances) -> dict:
-    return {name: getattr(tol, name) for name in _TOL_FIELDS}
-
-
 def cmd_train(args) -> int:
-    problem = load_problem(args.problem)
-    tol = _tolerances(args, problem)
-    tp = build_training_problem(problem, tol)
+    tp = _setup(args)
     model = solve_primal(tp)
     out = _out_dir(args)
     model.save(out / "model.json")
     report = {
-        "version": __version__,
-        "tolerances": _tol_dict(tol),
+        **_header(args, tp),
         "loss": model.loss,
         "alpha": _float_map(tp.index.labels(), model.alpha),
         "p_star": _float_map(tp.index.labels(), model.p_star),
@@ -122,17 +126,13 @@ def cmd_train(args) -> int:
         "max_violation": model.max_violation(),
         "kernel_classification": tp.psd,
     }
-    if args.seed is not None:
-        report["seed"] = args.seed
     _write_json(out / "training_report.json", report)
     print(f"loss {model.loss!r}; wrote {out / 'model.json'} and {out / 'training_report.json'}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    problem = load_problem(args.problem)
-    tol = _tolerances(args, problem)
-    tp = build_training_problem(problem, tol)
+    tp = _setup(args)
     model = solve_primal(tp)
     report = removable_constraints(
         model,
@@ -141,10 +141,7 @@ def cmd_analyze(args) -> int:
         minimal_sets=args.minimal_sets,
         support_limit=args.support_limit,
     )
-    payload = {"version": __version__, "tolerances": _tol_dict(tol)}
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    payload.update(report.to_dict())
+    payload = {**_header(args, tp), **report.to_dict()}
     out = _out_dir(args)
     _write_json(out / "analysis.json", payload)
     for entry in report.blocks:
@@ -154,12 +151,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    problem = load_problem(args.problem)
-    tol = _tolerances(args, problem)
-    tp = build_training_problem(problem, tol)
+    tp = _setup(args)
     record = ablate_and_compare(tp, args.drop)
-    payload = {"version": __version__, "tolerances": _tol_dict(tol)}
-    payload.update(record.to_dict())
+    payload = {**_header(args, tp), **record.to_dict()}
     out = _out_dir(args)
     _write_json(out / "ablation.json", payload)
     print(
@@ -171,9 +165,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_predict_grid(args) -> int:
-    problem = load_problem(args.problem)
-    tol = _tolerances(args, problem)
-    tp = build_training_problem(problem, tol)
+    tp = _setup(args)
     if all(d.name != args.predicate for d in tp.decls):
         raise ProblemError("predicates", f"unknown predicate {args.predicate!r}")
     dim = len(tp.index.tuple_points(args.predicate)[0])
@@ -250,10 +242,7 @@ def main(argv=None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except SupportLimitExceeded as exc:
-        print(f"resource guard: {exc}", file=sys.stderr)
-        return 4
-    except SolverError as exc:
+    except (SupportLimitExceeded, SolverError) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 4
     except (

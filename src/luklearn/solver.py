@@ -4,9 +4,9 @@ tableau simplex, and nullspace / least-squares helpers.
 
 The simplex starts from the slack basis and adds artificials, and a
 phase 1, only for the ``<=`` rows with a negative right-hand side.  An
-``LpRegion`` keeps the feasible tableau of that phase 1, so LPs over the
-region less some rows or variable bounds each run phase 2 alone;
-``lp_solve`` is one region and one such LP.  Every optimum is checked
+``LpRegion`` is the one entry point for LPs: it keeps the feasible
+tableau of that phase 1, so LPs over the region less some rows or
+variable bounds each run phase 2 alone.  Every optimum is checked
 against the rows it was solved over.
 
 Everything here is deliberately small-scale and deterministic.  The
@@ -244,30 +244,6 @@ class LpRegion:
         return LpResult("optimal", x, float(c @ x), None)
 
 
-def lp_solve(
-    c: Sequence[float],
-    A_ub: np.ndarray | None = None,
-    b_ub: Sequence[float] | None = None,
-    nonneg: Sequence[bool] | None = None,
-    tol: float = DEFAULT_TOLERANCES.lp,
-) -> LpResult:
-    """min c.x subject to A_ub x <= b_ub: one ``LpRegion`` and one
-    ``minimize``.
-
-    Variables with ``nonneg[i]`` true are constrained to x_i >= 0; the
-    rest are free and internally split into positive and negative parts.
-    An LP without rows is unbounded when a free variable has a nonzero
-    cost or a nonnegative one a negative cost, and otherwise optimal at
-    x = 0.
-    """
-    c = np.asarray(c, dtype=float)
-    n = c.shape[0]
-    nonneg = np.zeros(n, dtype=bool) if nonneg is None else np.asarray(nonneg, dtype=bool)
-    if A_ub is None:
-        A_ub, b_ub = np.zeros((0, n)), np.zeros(0)
-    return LpRegion(A_ub, b_ub, nonneg, tol).minimize(c)
-
-
 # ---------------------------------------------------------------------------
 # Nullspace and least squares
 
@@ -288,8 +264,8 @@ class NullspaceBasis:
 def nullspace(M: np.ndarray, tol: float = DEFAULT_TOLERANCES.nullspace) -> NullspaceBasis:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     n = M.shape[1]
-    if n == 0 or M.size == 0:
-        return NullspaceBasis(np.zeros((n, n)), 0, tol)
+    if M.size == 0:  # no rows, or no columns: the kernel is the whole space
+        return NullspaceBasis(np.eye(n), 0, tol)
     _, s, vt = np.linalg.svd(M)
     smax = float(s[0]) if s.size else 0.0
     rank = int(np.sum(s > tol * smax)) if smax > 0.0 else 0

@@ -231,7 +231,8 @@ def solve_primal(tp: TrainingProblem) -> TrainedModel:
     coefficients, where K-hat M y can vanish while M y does not, so it is
     checked again in grounding space: M y = 0 to 1e-9 relative to q.y.
     A vector that fails there proves nothing, and SolverError is raised
-    instead, naming cond(K-hat).
+    instead.  Every SolverError of training, this one included, names
+    cond(K-hat).
     """
     S = tp.index.size
     khat = tp.khat()
@@ -254,6 +255,8 @@ def solve_primal(tp: TrainingProblem) -> TrainedModel:
                 f"cond(K-hat) = {np.linalg.cond(khat):.3e}"
             ) from exc
         raise
+    except SolverError as exc:
+        raise SolverError(f"training: {exc}; cond(K-hat) = {np.linalg.cond(khat):.3e}") from exc
 
     alpha = qp.x[:S]
     bias_vec = qp.x[S:] if n_bias else np.zeros(len(tp.decls))

@@ -16,7 +16,7 @@ from scipy.linalg import subspace_angles
 
 from luklearn.analyze import (
     ablate_and_compare,
-    deactivate,
+    deactivation_report,
     grounded_entailment,
     minimal_support_sets,
     removable_constraints,
@@ -165,7 +165,7 @@ def test_criterion_3_two_point_algebra():
 
     blocks = ["phi1", "phi1", "phi2", "phi2", "phi3", "phi3"]
     gs = solve_problem2(M2, target, column_blocks=blocks, particular=lam_star)
-    result = deactivate(gs, "phi3")
+    result = next(r for block, _, r in deactivation_report(gs, True) if block == "phi3")
     checks.append(result.t_unique)
     checks.append(result.t is not None and np.max(np.abs(result.t)) <= 1e-8)
     checks.append(

@@ -17,10 +17,8 @@ from luklearn.analyze import (
     SupportLimitExceeded,
     ablate_and_compare,
     ablated_problem,
-    deactivate,
     deactivation_report,
     grounded_entailment,
-    kkt_certificate,
     logical_coefficients,
     minimal_support_sets,
     removable_constraints,
@@ -175,13 +173,18 @@ def test_two_point_reference_solution():
 
 
 # ---------------------------------------------------------------------------
-# deactivate
+# deactivation
+
+
+def _deactivation(gs, block_id):
+    """The deactivation result of one block, from the report over every block."""
+    return next(result for block, _, result in deactivation_report(gs, True) if block == block_id)
 
 
 def test_deactivate_two_point_chain_conclusion():
     M, blocks, lam_star = _two_point_system()
     gs = solve_problem2(M, M @ lam_star, column_blocks=blocks, particular=lam_star)
-    result = deactivate(gs, "phi3")
+    result = _deactivation(gs, "phi3")
     assert result.certificate is not None
     assert np.allclose(result.certificate, lam_star, atol=1e-10)
     assert np.allclose(result.t, 0.0, atol=1e-10)
@@ -192,7 +195,7 @@ def test_deactivate_two_point_chain_conclusion():
 def test_deactivate_two_point_chain_premise():
     M, blocks, lam_star = _two_point_system()
     gs = solve_problem2(M, M @ lam_star, column_blocks=blocks, particular=lam_star)
-    result = deactivate(gs, "phi1")
+    result = _deactivation(gs, "phi1")
     assert result.certificate is None
     expected_relaxed = np.array([0.0, 0.0, -0.5549, 0.5706, 0.5549, 0.0])
     assert result.relaxed is not None
@@ -201,21 +204,11 @@ def test_deactivate_two_point_chain_premise():
     assert result.relaxed[2] < -1e-3
 
 
-def test_deactivate_accepts_column_lists():
-    M, blocks, lam_star = _two_point_system()
-    gs = solve_problem2(M, M @ lam_star, column_blocks=blocks, particular=lam_star)
-    by_name = deactivate(gs, "phi3")
-    by_cols = deactivate(gs, [4, 5])
-    assert np.allclose(by_cols.certificate, by_name.certificate, atol=1e-12)
-    with pytest.raises(AnalysisError, match="unknown block"):
-        deactivate(gs, "phi9")
-
-
 def test_deactivate_three_point_chain_conclusion():
     M, blocks, lam_star = _three_point_system()
     gs = solve_problem2(M, M @ lam_star, column_blocks=blocks, particular=lam_star)
     assert gs.nullspace_dim == 3
-    result = deactivate(gs, "phi3")
+    result = _deactivation(gs, "phi3")
     lam_bar = np.array([0.7722, 0.3453, 0.0, 1.5731, 0.0, 0.5631, 0.0, 0.0, 0.0])
     assert result.certificate is not None
     assert np.max(np.abs(result.certificate - lam_bar)) <= 1e-9
@@ -234,34 +227,52 @@ def test_deactivation_report_verdicts():
 
 
 def test_deactivate_zero_nullspace_cases():
+    """With a unique multiplier vector, a block is deactivated exactly when
+    that vector already vanishes on it, and t is the empty vector."""
     gs = solve_problem2(np.eye(2), [1.0, 0.0], column_blocks=["a", "b"])
-    assert deactivate(gs, "b").certificate is not None
-    blocked = deactivate(gs, "a")
-    assert blocked.certificate is None
+    assert gs.nullspace_dim == 0
+    free = _deactivation(gs, "b")
+    assert np.array_equal(free.certificate, [1.0, 0.0])
+    assert np.array_equal(free.relaxed, [1.0, 0.0])
+    assert free.t.shape == (0,)
+    assert free.t_unique and free.equality_residual == 0.0
+    blocked = _deactivation(gs, "a")
+    assert blocked.certificate is None and blocked.t is None
     assert blocked.relaxed is None
+    assert blocked.t_unique and blocked.equality_residual == 1.0
 
 
 # ---------------------------------------------------------------------------
 # gradient-system certificates
 
 
+def _gradient_certificates(model):
+    return {entry.block_id: entry.kkt for entry in removable_constraints(model).blocks}
+
+
 def test_kkt_certificate_chain_model():
     model = _chain_model()
     matrix = model.problem.matrix
     target = -2.0 * model.alpha
+    certs = _gradient_certificates(model)
 
-    full = kkt_certificate(matrix, model.alpha, model.activity)
-    assert full is not None
-    assert np.max(np.abs(matrix.matrix @ full - target)) <= 1e-7
+    # a block with no active piece avoids nothing: its certificate fits the whole pool
+    idle = [b for b in matrix.block_order if not model.activity[matrix.block_columns[b]].any()]
+    assert idle
+    for block_id in idle:
+        full = certs[block_id]
+        assert full is not None
+        assert np.min(full) >= 0.0 and np.all(full[~model.activity] == 0.0)
+        assert np.max(np.abs(matrix.matrix @ full - target)) <= 1e-7
 
-    avoiding = kkt_certificate(matrix, model.alpha, model.activity, "pt:p3:x1")
+    avoiding = certs["pt:p3:x1"]
     assert avoiding is not None
     for nu in matrix.columns_of("pt:p3:x1"):
         assert avoiding[nu] == 0.0
     assert np.min(avoiding) >= 0.0
     assert np.max(np.abs(matrix.matrix @ avoiding - target)) <= 1e-7
 
-    assert kkt_certificate(matrix, model.alpha, model.activity, "pt:p2:x1") is None
+    assert certs["pt:p2:x1"] is None
 
 
 def test_kkt_certificate_scales_with_large_alpha():
@@ -277,7 +288,7 @@ def test_kkt_certificate_scales_with_large_alpha():
     cols = matrix.block_columns["ub:p1:x00"]
     assert not np.any(model.activity[cols])
 
-    cert = kkt_certificate(matrix, model.alpha, model.activity, "ub:p1:x00")
+    cert = _gradient_certificates(model)["ub:p1:x00"]
     assert cert is not None
     assert np.min(cert) >= 0.0
     assert np.all(cert[~model.activity] == 0.0)

@@ -88,6 +88,32 @@ def test_train_refuses_a_false_farkas_vector_exit_4(tmp_path, capsys):
     assert not (tmp_path / "model.json").exists()
 
 
+def test_train_refusal_names_the_phase_and_the_conditioning_exit_4(tmp_path, capsys):
+    """A QP start that fails without a Farkas certificate is refused as a
+    training failure with cond(K-hat), like a false Farkas vector."""
+    assert _run("train", FIXTURES / "refused" / "chain_least_distance.json", "-o", tmp_path) == 4
+    err = capsys.readouterr().err
+    assert "resource guard: training: least-distance residual" in err
+    assert "cond(K-hat) = " in err
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, artifact",
+    [(["analyze"], "analysis.json"), (["ablate", "--drop", "pt:p3:x1"], "ablation.json")],
+    ids=["analyze", "ablate"],
+)
+def test_reports_open_with_version_tolerances_and_seed(tmp_path, command, artifact):
+    argv = [command[0], FIXTURES / "example4.json", *command[1:], "-o", tmp_path]
+    assert _run(*argv, "--seed", "11", "--tol-nonneg", "1e-8") == 0
+    report = json.loads((tmp_path / artifact).read_text())
+    assert list(report)[:3] == ["version", "tolerances", "seed"]
+    assert report["version"] == __version__ and report["seed"] == 11
+    assert report["tolerances"]["nonneg"] == 1e-8
+    assert _run(*argv) == 0
+    assert "seed" not in json.loads((tmp_path / artifact).read_text())
+
+
 def test_train_records_seed_and_tolerance_overrides(tmp_path):
     assert (
         _run(
@@ -103,6 +129,7 @@ def test_train_records_seed_and_tolerance_overrides(tmp_path):
         == 0
     )
     report = json.loads((tmp_path / "training_report.json").read_text())
+    assert list(report)[:3] == ["version", "tolerances", "seed"]
     assert report["seed"] == 7
     assert report["tolerances"]["activity"] == 1e-5
 

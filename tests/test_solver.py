@@ -12,9 +12,9 @@ from luklearn import solver
 from luklearn.solver import (
     DEFAULT_TOLERANCES,
     Infeasible,
+    LpRegion,
     QpProblem,
     SolverError,
-    lp_solve,
     min_norm_solution,
     nnls,
     nullspace,
@@ -32,47 +32,45 @@ def test_tolerances_overrides():
 
 
 def test_lp_simple_vertex():
-    r = lp_solve([-1.0, -1.0], A_ub=[[1.0, 1.0]], b_ub=[1.0], nonneg=[True, True])
+    r = LpRegion([[1.0, 1.0]], [1.0], [True, True]).minimize([-1.0, -1.0])
     assert r.status == "optimal"
     assert r.objective == pytest.approx(-1.0, abs=1e-9)
     assert r.x.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lp_free_variable():
-    r = lp_solve([1.0], A_ub=[[-1.0]], b_ub=[3.0])
+    r = LpRegion([[-1.0]], [3.0], [False]).minimize([1.0])
     assert r.status == "optimal"
     assert r.x[0] == pytest.approx(-3.0, abs=1e-9)
 
 
 def test_lp_infeasible_with_certificate():
-    r = lp_solve([0.0], A_ub=[[1.0]], b_ub=[-1.0], nonneg=[True])
+    r = LpRegion([[1.0]], [-1.0], [True]).minimize([0.0])
     assert r.status == "infeasible"
     assert r.certificate > 0.0
 
     # x1 + x2 <= 1 and x1 + x2 >= 1.5
-    r = lp_solve(
-        [0.0, 0.0],
-        A_ub=[[1.0, 1.0], [-2.0, -2.0]],
-        b_ub=[1.0, -3.0],
-        nonneg=[True, True],
-    )
+    r = LpRegion([[1.0, 1.0], [-2.0, -2.0]], [1.0, -3.0], [True, True]).minimize([0.0, 0.0])
     assert r.status == "infeasible"
 
 
 def test_lp_unbounded():
-    r = lp_solve([-1.0], A_ub=[[-1.0]], b_ub=[0.0], nonneg=[True])
+    r = LpRegion([[-1.0]], [0.0], [True]).minimize([-1.0])
     assert r.status == "unbounded"
 
 
 def test_lp_no_constraints():
     """Without rows, only the variable bounds hold the objective down."""
-    assert lp_solve([1.0, -2.0]).status == "unbounded"
-    assert lp_solve([1.0, 0.0], nonneg=[False, True]).status == "unbounded"
-    assert lp_solve([1.0, -2.0], nonneg=[True, True]).status == "unbounded"
-    r = lp_solve([1.0, 2.0], nonneg=[True, True])
+    def minimize(c, nonneg):
+        return LpRegion(np.zeros((0, 2)), [], nonneg).minimize(c)
+
+    assert minimize([1.0, -2.0], [False, False]).status == "unbounded"
+    assert minimize([1.0, 0.0], [False, True]).status == "unbounded"
+    assert minimize([1.0, -2.0], [True, True]).status == "unbounded"
+    r = minimize([1.0, 2.0], [True, True])
     assert r.status == "optimal" and r.objective == 0.0
     assert np.array_equal(r.x, np.zeros(2))
-    r = lp_solve([0.0, 3.0], np.zeros((0, 2)), [], nonneg=[False, True])
+    r = minimize([0.0, 3.0], [False, True])
     assert r.status == "optimal" and np.array_equal(r.x, np.zeros(2))
 
 
@@ -85,14 +83,14 @@ def test_lp_degenerate_cycling_guard():
         [0.0, 0.0, 1.0, 0.0],
     ]
     b = [0.0, 0.0, 1.0]
-    r = lp_solve(c, A_ub=A, b_ub=b, nonneg=[True] * 4)
+    r = LpRegion(A, b, [True] * 4).minimize(c)
     ref = linprog(c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
     assert r.status == "optimal"
     assert r.objective == pytest.approx(ref.fun, abs=1e-9)
 
 
 def _random_lp(rng, kind):
-    """A random LP for ``lp_solve`` and its HiGHS form.  "slack": every
+    """A random LP for ``LpRegion`` and its HiGHS form.  "slack": every
     row has a positive right-hand side, so no row needs an artificial.
     "mixed": mixed-sign right-hand sides and free variables.
     "artificial": nonnegative variables and costs, and negative
@@ -148,7 +146,7 @@ def test_lp_random_against_scipy():
             c, A_ub, b_ub, nonneg, bounds = _random_lp(rng, kind)
             needy = int(np.sum(b_ub < 0))
             artificial_rows.add("none" if needy == 0 else "all" if needy == len(b_ub) else "some")
-            r = lp_solve(c, A_ub, b_ub, nonneg=nonneg)
+            r = LpRegion(A_ub, b_ub, nonneg).minimize(c)
             expected, fun = _highs_status(c, A_ub, b_ub, bounds)
             assert r.status == expected
             seen.add((kind, r.status))
@@ -173,13 +171,13 @@ def test_lp_rejects_an_optimum_that_violates_its_rows(monkeypatch):
     # columns x, s: x = 2 breaks x <= 1
     monkeypatch.setattr(solver, "_phase1", _bogus_phase1([[1.0, 0.0, 2.0]], [0]))
     with pytest.raises(SolverError, match="violates"):
-        lp_solve([1.0], A_ub=[[1.0]], b_ub=[1.0], nonneg=[True])
+        LpRegion([[1.0]], [1.0], [True]).minimize([1.0])
     # a free x is split into x+ and x-: x = 0.5 - 0 breaks x >= 1
     monkeypatch.setattr(solver, "_phase1", _bogus_phase1([[1.0, -1.0, 0.0, 0.5]], [0]))
     with pytest.raises(SolverError, match="violates"):
-        lp_solve([1.0], A_ub=[[-1.0]], b_ub=[-1.0])
+        LpRegion([[-1.0]], [-1.0], [False]).minimize([1.0])
     # a dropped row is not checked, a kept one is
-    region = solver.LpRegion([[1.0], [1.0]], [1.0, 3.0], [True])
+    region = LpRegion([[1.0], [1.0]], [1.0, 3.0], [True])
     region._T, region._basis = np.array([[1.0, 0.0, 0.0, 2.0], [0.0, 0.0, 1.0, 1.0]]), np.array([0, 2])
     assert region.minimize([1.0], drop_rows=[0]).x[0] == 2.0
     with pytest.raises(SolverError, match="violates"):
@@ -217,7 +215,7 @@ def test_lp_region_against_scipy():
     for conflicting in (False, True):
         for _ in range(60):
             A, b, nonneg = _random_region(rng, conflicting)
-            region = solver.LpRegion(A, b, nonneg)
+            region = LpRegion(A, b, nonneg)
             bounds = [(0, None) if nn else (None, None) for nn in nonneg]
             assert region.feasible == (_highs_status(np.zeros(len(nonneg)), A, b, bounds)[0] == "optimal")
             for _ in range(5):
@@ -328,6 +326,11 @@ def test_nullspace_identity_and_zero():
 
     basis = nullspace(np.zeros((3, 0)))
     assert basis.dim == 0
+
+    # without rows every vector is in the kernel
+    basis = nullspace(np.zeros((0, 3)))
+    assert basis.dim == 3 and basis.rank == 0
+    assert np.array_equal(basis.vectors, np.eye(3))
 
 
 def test_nullspace_known_matrix():
