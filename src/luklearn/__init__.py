@@ -38,15 +38,12 @@ from .constraints import (
     to_constraint_block,
 )
 from .grounding import (
-    GroundFormula,
     GroundingError,
     GroundingIndex,
-    GroundLiteral,
     PredicateDecl,
     SampleSets,
     build_grounding_index,
     build_samples,
-    expand_quantifiers,
     ground_assignment,
     sample_universe,
 )

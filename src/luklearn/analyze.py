@@ -218,10 +218,6 @@ class _Fits:
             self._solved[cols] = nnls(self.M[:, list(cols)], self.target)
         return self._solved[cols]
 
-    @property
-    def pool_fits(self) -> bool:
-        return self._solve(self.pool)[1] <= np.sqrt(self.M.shape[0]) * self.limit
-
     @cached_property
     def _support(self) -> np.ndarray:
         """Mask over the columns of M of those the pool's fit uses."""
@@ -229,15 +225,29 @@ class _Fits:
         support[list(self.pool)] = self._solve(self.pool)[0] > 0.0
         return support
 
+    def _key(self, cols: Sequence[int]) -> tuple:
+        """The column set whose fit answers ``cols``, a subset of the pool."""
+        unused = self._support.copy()
+        unused[list(cols)] = False
+        return tuple(cols) if unused.any() else self.pool
+
+    def may_fit(self, cols: Sequence[int]) -> bool:
+        """False when no subset of ``cols`` carries multipliers: the fit
+        over ``cols`` has a 2-norm residual above sqrt(S) times the fit
+        tolerance, and no subset fits better."""
+        return self._solve(self._key(cols))[1] <= np.sqrt(self.M.shape[0]) * self.limit
+
+    @property
+    def pool_fits(self) -> bool:
+        return self.may_fit(self.pool)
+
     def multipliers(self, cols: Sequence[int]) -> np.ndarray | None:
         """Nonnegative multipliers on ``cols``, a subset of the pool,
         with every equation of M lam = target holding within the fit
         tolerance, or None."""
         if not self.pool_fits:
             return None
-        unused = self._support.copy()
-        unused[list(cols)] = False
-        key = tuple(cols) if unused.any() else self.pool
+        key = self._key(cols)
         lam_key, _ = self._solve(key)
         if float(np.max(np.abs(self.M[:, list(key)] @ lam_key - self.target), initial=0.0)) > self.limit:
             return None
@@ -401,11 +411,14 @@ def minimal_support_sets(
     """All smallest block subsets whose active pieces alone can carry a
     nonnegative solution of the target multiplier system.
 
-    Exhaustive search in increasing cardinality over blocks with at
-    least one active piece.  When one fit of the whole pool shows that no
-    subset can carry a solution, the answer is empty whatever the pool's
-    size; otherwise a pool larger than ``limit`` raises
-    SupportLimitExceeded.
+    Search in increasing cardinality over blocks with at least one
+    active piece.  When one fit of the whole pool shows that no subset
+    can carry a solution, the answer is empty whatever the pool's size;
+    otherwise a pool larger than ``limit`` raises SupportLimitExceeded.
+    A block is mandatory when the pool without it cannot fit
+    (``_Fits.may_fit``); every support set holds it, so only the other
+    blocks are enumerated.  The sets come in the order an exhaustive
+    search finds them, lexicographic in pool order.
     """
     active = np.asarray(activity, dtype=bool)
     pool = [
@@ -413,25 +426,25 @@ def minimal_support_sets(
         for block_id in matrix.block_order
         if any(active[nu] for nu in matrix.block_columns[block_id])
     ]
-    target = np.asarray(target, dtype=float)
-    pool_cols = [nu for block_id in pool for nu in matrix.block_columns[block_id] if active[nu]]
-    fits = _Fits(matrix.matrix, target, pool_cols, tol)
+    block_cols = {b: [nu for nu in matrix.block_columns[b] if active[nu]] for b in pool}
+
+    def columns(blocks) -> list[int]:
+        return [nu for b in blocks for nu in block_cols[b]]
+
+    fits = _Fits(matrix.matrix, np.asarray(target, dtype=float), columns(pool), tol)
     if not fits.pool_fits:
         return []
     if len(pool) > limit:
         raise SupportLimitExceeded(
             f"{len(pool)} active blocks exceed the search limit {limit}"
         )
-    for size in range(len(pool) + 1):
+    mandatory = {b for b in pool if not fits.may_fit(columns(o for o in pool if o != b))}
+    optional = [b for b in pool if b not in mandatory]
+    for size in range(len(optional) + 1):
         found = []
-        for subset in itertools.combinations(pool, size):
-            cols = [
-                nu
-                for block_id in subset
-                for nu in matrix.block_columns[block_id]
-                if active[nu]
-            ]
-            lam = fits.multipliers(cols)
+        for chosen in itertools.combinations(optional, size):
+            subset = tuple(b for b in pool if b in mandatory or b in chosen)
+            lam = fits.multipliers(columns(subset))
             if lam is not None:
                 found.append(SupportSet(subset, lam))
         if found:

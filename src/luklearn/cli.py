@@ -37,13 +37,25 @@ from .train import TrainError, TrainingProblem, solve_primal
 _TOL_FIELDS = tuple(f.name for f in dataclasses.fields(Tolerances))
 
 
+def _tolerance(name: str):
+    """Argument type of ``--tol-<name>``: a float that ``Tolerances`` accepts."""
+
+    def parse(text: str) -> float:
+        try:
+            return getattr(tolerances_with(**{name: float(text)}), name)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("problem", help="problem file (JSON)")
     parser.add_argument("-o", "--output-dir", default=".", help="directory for output files")
     parser.add_argument("--seed", type=int, default=None,
                         help="recorded in reports; commands themselves are deterministic")
     for name in _TOL_FIELDS:
-        parser.add_argument(f"--tol-{name}", type=float, default=None, dest=f"tol_{name}")
+        parser.add_argument(f"--tol-{name}", type=_tolerance(name), default=None, dest=f"tol_{name}")
 
 
 def _setup(args) -> TrainingProblem:
@@ -185,11 +197,17 @@ def cmd_predict_grid(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """Argument type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,36 +218,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
 
-    p = sub.add_parser("compile", help="export the constraint matrix and block manifest")
-    _add_common(p)
+    p = sub.add_parser("compile", help="export the constraint matrix and block manifest", parents=[common])
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("train", help="solve the constrained training problem")
-    _add_common(p)
+    p = sub.add_parser("train", help="solve the constrained training problem", parents=[common])
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("analyze", help="per-block removability verdicts and certificates")
-    _add_common(p)
+    p = sub.add_parser("analyze", help="per-block removability verdicts and certificates", parents=[common])
     p.add_argument("--mode", choices=("all", "logical"), default="all")
     p.add_argument("--entailment", action="store_true",
                    help="also run the logical-consequence check per block")
     p.add_argument("--minimal-sets", action="store_true",
                    help="search for the smallest supporting block subsets")
-    p.add_argument("--support-limit", type=int, default=20)
+    p.add_argument("--support-limit", type=_int_at_least(0), default=20)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("ablate", help="retrain without one block and compare")
-    _add_common(p)
+    p = sub.add_parser("ablate", help="retrain without one block and compare", parents=[common])
     p.add_argument("--drop", required=True, help="block id to remove")
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("predict-grid", help="CSV of one predicate over an input grid")
-    _add_common(p)
+    p = sub.add_parser("predict-grid", help="CSV of one predicate over an input grid", parents=[common])
     p.add_argument("--predicate", required=True)
     p.add_argument("--min", type=float, default=0.0)
     p.add_argument("--max", type=float, default=1.0)
-    p.add_argument("--steps", type=_positive_int, default=21, help="grid points per axis, at least 1")
+    p.add_argument("--steps", type=_int_at_least(1), default=21, help="grid points per axis, at least 1")
     p.set_defaults(func=cmd_predict_grid)
     return parser
 

@@ -1,11 +1,13 @@
-"""Compilation of grounded formulas into affine constraint blocks.
+"""Compilation of formulas into affine constraint blocks.
 
 A formula in the concave fragment has a truth function expressible as
 min_i (a_i . p + c_i) over the box [0,1]^S.  Requiring full truth
 (value 1) then turns into affine inequalities: for every piece,
-(-a_i) . p + (1 - c_i) <= 0.  This module produces those pieces for
-logical, pointwise and consistency constraints, and stacks them into
-one matrix whose columns later index the multiplier vector.
+(-a_i) . p + (1 - c_i) <= 0.  ``compile_min_affine`` produces the
+pieces of a quantified formula in one walk that grounds it as it goes;
+this module also builds pointwise and consistency constraints, and
+stacks every block into one matrix whose columns later index the
+multiplier vector.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grounding import GroundFormula, GroundingIndex, GroundLiteral
-from .logic import StrongDisj, WeakConj
+from .grounding import GroundingError, GroundingIndex, sample_universe
+from .logic import Atom, Forall, Neg, NnfFormula, StrongDisj, WeakConj, to_text
 
 
 class CompileError(Exception):
@@ -75,38 +77,66 @@ def _is_constant_true(piece: AffinePiece) -> bool:
     return not piece.terms and piece.constant >= 1.0
 
 
-def compile_min_affine(g: GroundFormula) -> AffineSet:
-    """Min-of-affines form of a grounded concave-fragment formula.
+def compile_min_affine(nnf: NnfFormula, index: GroundingIndex) -> AffineSet:
+    """Min-of-affines form of a closed concave-fragment formula in
+    negation normal form, over the coordinates of ``index``.
 
-    Literals map to single affine pieces.  Weak conjunction unions the
-    piece sets.  Strong disjunction contributes the constant-1 cap once
-    plus all pointwise sums of one piece per operand; constant-true
-    pieces of the operands are not summed, since any sum involving them
-    is dominated by the cap.
+    One walk grounds and compiles.  A literal maps to one affine piece.
+    Weak conjunction concatenates the piece lists of its operands, and
+    ``forall`` is the weak conjunction of its instances, one per sample
+    of the variable's domain in name order.  Strong disjunction
+    contributes the constant-1 cap once plus all pointwise sums of one
+    piece per operand, with each operand's duplicates removed first;
+    constant-true pieces of the operands are not summed, since any sum
+    involving them is dominated by the cap.  Duplicates are removed once
+    more at the root, keeping each piece's first occurrence, which gives
+    the same list as removing them at every node.
     """
+    universe = sample_universe(nnf, index)
 
-    def rec(node) -> list[AffinePiece]:
+    def coordinate(atom: Atom, env: dict[str, str]) -> int:
+        args = []
+        for arg in atom.args:
+            if arg in env:
+                args.append(env[arg])
+            elif arg in universe:
+                raise GroundingError(f"free variable {arg!r} in {to_text(nnf)}; quantify it")
+            else:
+                args.append(arg)
+        return index.coordinate_of(Atom(atom.name, tuple(args)))
+
+    def rec(node, env: dict[str, str]) -> list[AffinePiece]:
         kind = type(node)
-        if kind is GroundLiteral:
-            if node.negated:
-                return [_piece({node.coord: -1.0}, 1.0)]
-            return [_piece({node.coord: 1.0}, 0.0)]
+        if kind is Atom:
+            return [AffinePiece(((coordinate(node, env), 1.0),), 0.0)]
+        if kind is Neg and type(node.child) is Atom:
+            return [AffinePiece(((coordinate(node.child, env), -1.0),), 1.0)]
         if kind is WeakConj:
-            return _dedup(rec(node.left) + rec(node.right))
+            return rec(node.left, env) + rec(node.right, env)
+        if kind is Forall:
+            names = universe.get(node.var)
+            if names is None:
+                raise GroundingError(f"cannot infer a domain for quantified variable {node.var!r}")
+            if not names:
+                raise GroundingError(f"the domain of variable {node.var!r} has no samples")
+            pieces = []
+            for name in names:
+                pieces += rec(node.body, {**env, node.var: name})
+            return pieces
         if kind is StrongDisj:
-            left = [a for a in rec(node.left) if not _is_constant_true(a)]
-            right = [b for b in rec(node.right) if not _is_constant_true(b)]
-            sums = []
+            left = [a for a in _dedup(rec(node.left, env)) if not _is_constant_true(a)]
+            right = [b for b in _dedup(rec(node.right, env)) if not _is_constant_true(b)]
+            sums = [_CAP]
             for a in left:
                 for b in right:
                     coeffs: dict[int, float] = dict(a.terms)
                     for k, c in b.terms:
                         coeffs[k] = coeffs.get(k, 0.0) + c
                     sums.append(_piece(coeffs, a.constant + b.constant))
-            return _dedup([_CAP] + sums)
+            return sums
         raise CompileError(f"node {kind.__name__} is outside the concave fragment")
 
-    return AffineSet(tuple(_dedup(rec(g.root))))
+    return AffineSet(tuple(_dedup(rec(nnf, {}))))
 
 
 @dataclass(frozen=True)
@@ -150,8 +180,6 @@ def pointwise_block(
 ) -> ConstraintBlock:
     """Supervision constraint: label +1 forces p = 1 (1 - p <= 0), label
     -1 forces p = 0 (p <= 0), both up to the consistency box."""
-    from .logic import Atom
-
     k = index.coordinate_of(Atom(predicate, tuple(t)))
     block_id = f"pt:{predicate}:{','.join(t)}"
     source = f"{predicate}({','.join(t)}) = {'+1' if label == 1 else '-1'}"

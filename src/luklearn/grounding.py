@@ -1,11 +1,14 @@
-"""Sample sets, quantifier expansion, and the coordinate layout of the
-grounding vector.
+"""Sample sets, the samples each quantified variable ranges over, and
+the coordinate layout of the grounding vector.
 
 Every predicate is evaluated on a finite list of sample tuples.  The
 concatenation of those evaluations, predicate by predicate, is the
 grounding vector the rest of the package optimizes over.  This module
 fixes the coordinate order once and for all: predicates in declaration
-order, tuples in lexicographic order of sample names.
+order, tuples in lexicographic order of sample names.  A quantified
+formula is grounded where it is compiled, by
+``constraints.compile_min_affine``, over the samples
+``sample_universe`` assigns to each of its variables.
 """
 
 from __future__ import annotations
@@ -16,17 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .logic import (
-    Atom,
-    Forall,
-    Formula,
-    Neg,
-    NnfFormula,
-    StrongDisj,
-    WeakConj,
-    iter_atoms,
-    to_text,
-)
+from .logic import Atom, Formula, iter_atoms, to_text
 
 
 class GroundingError(Exception):
@@ -245,27 +238,6 @@ def build_grounding_index(
     return GroundingIndex(tuple(decls), samples, tuples, offsets, k, coord)
 
 
-@dataclass(frozen=True)
-class GroundLiteral:
-    """A leaf of a grounded formula: one coordinate, possibly negated."""
-
-    coord: int
-    negated: bool = False
-
-
-@dataclass(eq=False)
-class GroundFormula:
-    """A quantifier-free formula over grounding-vector coordinates.
-
-    ``root`` is a tree of WeakConj / StrongDisj nodes whose leaves are
-    GroundLiteral instances; ``source`` is the formula it came from.
-    """
-
-    root: object
-    index: GroundingIndex
-    source: Formula
-
-
 def _variable_domains(f: Formula, index: GroundingIndex) -> dict[str, str]:
     """Infer, per variable, the domain it ranges over from argument positions."""
     decls = {d.name: d for d in index.decls}
@@ -290,65 +262,6 @@ def sample_universe(f: Formula, index: GroundingIndex) -> dict[str, list[str]]:
     """Sample names each quantified variable of ``f`` ranges over."""
     domains = _variable_domains(f, index)
     return {var: sorted(index.samples.domains[dom]) for var, dom in domains.items()}
-
-
-def expand_quantifiers(f: NnfFormula, index: GroundingIndex) -> GroundFormula:
-    """Replace each ``forall`` by a weak conjunction over its domain samples.
-
-    ``f`` must be closed, in negation normal form, and inside the
-    concave fragment; leaves of the result are coordinates of ``index``
-    or their negations.
-    """
-    var_domains = _variable_domains(f, index)
-
-    def ground_atom(atom: Atom, env: dict[str, str]) -> int:
-        args = []
-        for arg in atom.args:
-            if arg in env:
-                args.append(env[arg])
-            elif arg in var_domains:
-                raise GroundingError(
-                    f"free variable {arg!r} in {to_text(f)}; quantify it"
-                )
-            else:
-                args.append(arg)
-        return index.coordinate_of(Atom(atom.name, tuple(args)))
-
-    def rec(node: Formula, env: dict[str, str]):
-        kind = type(node)
-        if kind is Atom:
-            return GroundLiteral(ground_atom(node, env), False)
-        if kind is Neg:
-            if type(node.child) is not Atom:
-                raise GroundingError("negation on a non-atom; normalize first")
-            return GroundLiteral(ground_atom(node.child, env), True)
-        if kind is WeakConj:
-            return WeakConj(rec(node.left, env), rec(node.right, env))
-        if kind is StrongDisj:
-            return StrongDisj(rec(node.left, env), rec(node.right, env))
-        if kind is Forall:
-            dom = var_domains.get(node.var)
-            if dom is None:
-                raise GroundingError(
-                    f"cannot infer a domain for quantified variable {node.var!r}"
-                )
-            names = sorted(index.samples.domains[dom])
-            if not names:
-                raise GroundingError(f"domain {dom!r} has no samples")
-            parts = []
-            for name in names:
-                inner = dict(env)
-                inner[node.var] = name
-                parts.append(rec(node.body, inner))
-            out = parts[0]
-            for part in parts[1:]:
-                out = WeakConj(out, part)
-            return out
-        raise GroundingError(
-            f"node {kind.__name__} is outside the concave fragment"
-        )
-
-    return GroundFormula(rec(f, {}), index, f)
 
 
 def ground_assignment(index: GroundingIndex, p: Sequence[float]) -> dict[Atom, float]:

@@ -131,6 +131,9 @@ def parse_problem(data: Mapping) -> Problem:
         tolerances = tolerances_with(**{k: float(v) for k, v in tol_overrides.items()})
     except (TypeError, ValueError) as exc:
         raise ProblemError("options", f"bad tolerance override: {exc}") from exc
+    for key in ("bias", "keep_zero_pieces"):
+        if not isinstance(options.get(key, False), bool):
+            raise ProblemError("options", f"{key!r} must be true or false, got {options[key]!r}")
 
     return Problem(
         tuple(decls),
@@ -138,8 +141,8 @@ def parse_problem(data: Mapping) -> Problem:
         formulas,
         texts,
         kernels,
-        bool(options.get("bias", False)),
-        bool(options.get("keep_zero_pieces", False)),
+        options.get("bias", False),
+        options.get("keep_zero_pieces", False),
         tolerances,
     )
 

@@ -17,7 +17,8 @@ same input produce identical numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +44,9 @@ class Infeasible(SolverError):
 
 @dataclass(frozen=True)
 class Tolerances:
+    """Every numeric threshold of the package; each must be finite and
+    nonnegative, and a ValueError names the first that is not."""
+
     qp: float = 1e-8           # multiplier nonnegativity / convergence in the QP
     lp: float = 1e-9           # simplex pivoting and feasibility threshold, QP start's squared NNLS residual
     nullspace: float = 1e-10   # singular value cutoff, relative to the largest
@@ -50,6 +54,12 @@ class Tolerances:
     stationarity: float = 1e-7 # multiplier-system residual acceptance
     nonneg: float = 1e-9       # multiplier sign slack
     entailment: float = 1e-9   # LP maximum below this counts as entailed
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"tolerance {f.name!r} must be finite and nonnegative, got {value!r}")
 
 
 DEFAULT_TOLERANCES = Tolerances()

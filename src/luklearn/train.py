@@ -25,13 +25,7 @@ from .constraints import (
     pointwise_block,
     to_constraint_block,
 )
-from .grounding import (
-    GroundingIndex,
-    PredicateDecl,
-    SampleSets,
-    build_grounding_index,
-    expand_quantifiers,
-)
+from .grounding import GroundingIndex, PredicateDecl, SampleSets, build_grounding_index
 from .kernels import GramMatrix, KernelSpec, cross_gram, gram, psd_check
 from .logic import Formula, check_concave_fragment, to_nnf, to_text
 from .solver import DEFAULT_TOLERANCES, Infeasible, QpProblem, QpSolution, SolverError, Tolerances, solve_qp
@@ -111,8 +105,7 @@ def assemble_problem(
                 f"formula {to_text(f)!r} leaves the concave fragment at a "
                 f"{report.offending_kind} node (path {list(report.offending_path)})"
             )
-        grounded = expand_quantifiers(nnf, index)
-        aset = compile_min_affine(grounded)
+        aset = compile_min_affine(nnf, index)
         blocks.append(to_constraint_block(aset, f"phi{num}", "logical", to_text(f)))
 
     for decl in decls:

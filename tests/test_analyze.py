@@ -24,6 +24,7 @@ from luklearn.analyze import (
     removable_constraints,
     solve_problem2,
 )
+from luklearn.constraints import AffinePiece, ConstraintBlock, assemble_matrix
 from luklearn.grounding import PredicateDecl, build_samples
 from luklearn.logic import parse_formula
 from luklearn.problem import build_training_problem, load_problem
@@ -529,6 +530,59 @@ def test_minimal_support_sets_against_brute_force():
             break
     sets = minimal_support_sets(matrix, target, active, limit=20)
     assert {s.blocks for s in sets} == set(reference)
+
+
+def test_minimal_support_sets_fix_mandatory_blocks(monkeypatch):
+    """Only block a reaches the first coordinate, so every support set
+    holds it and only the eight copies of b are enumerated: one fit of
+    the pool, two leave-one-out fits (a, and b1, the copy the pool's fit
+    uses), {a} and {a, b2} ... {a, b8}; {a, b1} takes the pool's fit.
+    Trying every subset would take 46 fits."""
+    blocks = [ConstraintBlock("a", "logical", (AffinePiece(((0, 1.0),), 0.0),))]
+    blocks += [
+        ConstraintBlock(f"b{i}", "logical", (AffinePiece(((1, 1.0),), 0.0),)) for i in range(1, 9)
+    ]
+    matrix = assemble_matrix(blocks, 2)
+    calls = _counting_nnls(monkeypatch)
+    sets = minimal_support_sets(matrix, np.array([1.0, 1.0]), np.ones(9, dtype=bool))
+    assert [s.blocks for s in sets] == [("a", f"b{i}") for i in range(1, 9)]
+    assert len(calls) == 11
+
+
+def test_minimal_support_sets_match_exhaustive_search_on_random_systems():
+    """Integer systems with one to two pieces per block, most targets in
+    the cone of a random column subset: the sets, in order, are those of
+    an exhaustive search decided by HiGHS."""
+    rng = np.random.default_rng(41)
+    with_sets = 0
+    for trial in range(48):
+        size = int(rng.integers(2, 5))
+        blocks = []
+        for b in range(int(rng.integers(3, 8))):
+            pieces = []
+            for _ in range(int(rng.integers(1, 3))):
+                coeffs = rng.integers(-2, 3, size).astype(float).tolist()
+                terms = tuple((k, c) for k, c in enumerate(coeffs) if c) or ((0, 1.0),)
+                if AffinePiece(terms, 0.0) not in pieces:
+                    pieces.append(AffinePiece(terms, 0.0))
+            blocks.append(ConstraintBlock(f"b{b}", "logical", tuple(pieces)))
+        matrix = assemble_matrix(blocks, size)
+        active = rng.random(matrix.n_columns) < 0.8
+        lam = rng.integers(0, 3, matrix.n_columns) * (rng.random(matrix.n_columns) < 0.4) * active
+        target = matrix.matrix @ lam if trial % 4 else rng.normal(size=size)
+        pool = [b for b in matrix.block_order if active[matrix.block_columns[b]].any()]
+        reference = []
+        for k in range(len(pool) + 1):
+            for subset in itertools.combinations(pool, k):
+                cols = [nu for b in subset for nu in matrix.block_columns[b] if active[nu]]
+                if linprog_supports(matrix.matrix, target, cols, 2e-7):
+                    reference.append(subset)
+            if reference:
+                break
+        sets = minimal_support_sets(matrix, target, active)
+        assert [s.blocks for s in sets] == reference, trial
+        with_sets += bool(reference)
+    assert with_sets >= 30
 
 
 # ---------------------------------------------------------------------------

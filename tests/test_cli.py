@@ -182,6 +182,19 @@ def test_analyze_support_limit_exit_4(tmp_path, capsys):
     assert "resource guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tol-entailment", "nan"), ("--tol-activity", "inf"), ("--tol-qp", "-1e-8"), ("--support-limit", "-1")],
+)
+def test_analyze_rejects_bad_numeric_flags(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as info:
+        _run("analyze", FIXTURES / "example4.json", "-o", tmp_path, "--entailment", "--minimal-sets",
+             f"{flag}={value}")
+    assert info.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "analysis.json").exists()
+
+
 def test_analyze_minimal_sets_of_an_unsolvable_pool(tmp_path):
     """The ill-conditioned chain's 52 active blocks exceed the support
     limit, but one fit of the pool shows no set exists."""

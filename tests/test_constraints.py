@@ -20,15 +20,13 @@ from luklearn.constraints import (
     to_constraint_block,
 )
 from luklearn.grounding import (
-    GroundFormula,
     PredicateDecl,
     build_grounding_index,
     build_samples,
-    expand_quantifiers,
     ground_assignment,
     sample_universe,
 )
-from luklearn.logic import StrongConj, eval_lukasiewicz, parse_formula, to_nnf
+from luklearn.logic import Atom, Neg, WeakConj, eval_lukasiewicz, parse_formula, to_nnf
 
 DOMS = {"points": {"x1": (0.2, 0.6), "x2": (0.7, 0.3)}}
 DECLS = [
@@ -43,24 +41,21 @@ def _index():
     return build_grounding_index(DECLS, build_samples(DOMS, DECLS))
 
 
-def _ground(text: str):
+def _compile(text: str):
     index = _index()
-    return expand_quantifiers(to_nnf(parse_formula(text)), index), index
+    return compile_min_affine(to_nnf(parse_formula(text)), index), index
 
 
 def test_literal_pieces():
-    g, _ = _ground("p1(x1)")
-    aset = compile_min_affine(g)
+    aset, _ = _compile("p1(x1)")
     assert aset.pieces == (AffinePiece(((0, 1.0),), 0.0),)
 
-    g, _ = _ground("~p1(x2)")
-    aset = compile_min_affine(g)
+    aset, _ = _compile("~p1(x2)")
     assert aset.pieces == (AffinePiece(((1, -1.0),), 1.0),)
 
 
 def test_weak_conjunction_unions_pieces():
-    g, _ = _ground("p1(x1) & ~p1(x2)")
-    aset = compile_min_affine(g)
+    aset, _ = _compile("p1(x1) & ~p1(x2)")
     assert aset.pieces == (
         AffinePiece(((0, 1.0),), 0.0),
         AffinePiece(((1, -1.0),), 1.0),
@@ -68,13 +63,12 @@ def test_weak_conjunction_unions_pieces():
 
 
 def test_duplicate_conjuncts_dedup():
-    g, _ = _ground("p1(x1) & p1(x1)")
-    assert len(compile_min_affine(g).pieces) == 1
+    aset, _ = _compile("p1(x1) & p1(x1)")
+    assert len(aset.pieces) == 1
 
 
 def test_strong_disjunction_cap_and_sum():
-    g, _ = _ground("~p1(x1) + p1(x2)")
-    aset = compile_min_affine(g)
+    aset, _ = _compile("~p1(x1) + p1(x2)")
     assert aset.pieces == (
         AffinePiece((), 1.0),
         AffinePiece(((0, -1.0), (1, 1.0)), 1.0),
@@ -82,23 +76,25 @@ def test_strong_disjunction_cap_and_sum():
 
 
 def test_tautology_collapses_to_cap():
-    g, _ = _ground("~p1(x1) + p1(x1)")
-    aset = compile_min_affine(g)
+    aset, _ = _compile("~p1(x1) + p1(x1)")
     assert aset.pieces == (AffinePiece((), 1.0),)
 
 
 def test_transitive_product_five_pieces():
-    g, _ = _ground(TRANSITIVE_PRODUCT)
-    aset = compile_min_affine(g)
-    assert len(aset.pieces) == 5
-    assert aset.pieces[0] == AffinePiece((), 1.0)
-    # second piece: both bound variables at the first sample
-    assert aset.pieces[1] == AffinePiece(((0, -2.0), (2, 1.0)), 2.0)
+    aset, _ = _compile(TRANSITIVE_PRODUCT)
+    # the cap, then one sum per instance (x, y) with x outermost
+    assert aset.pieces == (
+        AffinePiece((), 1.0),
+        AffinePiece(((0, -2.0), (2, 1.0)), 2.0),
+        AffinePiece(((0, -1.0), (1, -1.0), (3, 1.0)), 2.0),
+        AffinePiece(((0, -1.0), (1, -1.0), (4, 1.0)), 2.0),
+        AffinePiece(((1, -2.0), (5, 1.0)), 2.0),
+    )
 
 
 def test_transitive_product_block_form():
-    g, index = _ground(TRANSITIVE_PRODUCT)
-    block = to_constraint_block(compile_min_affine(g), "phi1")
+    aset, index = _compile(TRANSITIVE_PRODUCT)
+    block = to_constraint_block(aset, "phi1")
     dense = np.array([p.dense(index.size) for p in block.pieces])
     offsets = [p.constant for p in block.pieces]
     expected = np.array(
@@ -117,11 +113,16 @@ def test_transitive_product_block_form():
 
 def test_compile_rejects_non_fragment_nodes():
     index = _index()
-    from luklearn.grounding import GroundLiteral
-
-    bad = GroundFormula(StrongConj(GroundLiteral(0), GroundLiteral(1)), index, None)
-    with pytest.raises(CompileError, match="fragment"):
-        compile_min_affine(bad)
+    x1, x2 = Atom("p1", ("x1",)), Atom("p1", ("x2",))
+    bad = [
+        to_nnf(parse_formula("p1(x1) * p1(x2)")),
+        to_nnf(parse_formula("forall v: p1(x1) + (p1(v) | p1(x2))")),
+        parse_formula("p1(x1) -> p1(x2)"),
+        Neg(WeakConj(x1, x2)),
+    ]
+    for f in bad:
+        with pytest.raises(CompileError, match="outside the concave fragment"):
+            compile_min_affine(f, index)
 
 
 def test_compiled_value_matches_evaluation():
@@ -137,8 +138,7 @@ def test_compiled_value_matches_evaluation():
     rng = np.random.default_rng(47)
     for text in texts:
         f = to_nnf(parse_formula(text))
-        g, index = _ground(text)
-        aset = compile_min_affine(g)
+        aset, index = _compile(text)
         universe = sample_universe(f, index)
         for _ in range(200):
             p = rng.random(index.size)
@@ -147,8 +147,7 @@ def test_compiled_value_matches_evaluation():
 
 
 def test_block_satisfaction_iff_full_truth():
-    g, index = _ground(TRANSITIVE_PRODUCT)
-    aset = compile_min_affine(g)
+    aset, index = _compile(TRANSITIVE_PRODUCT)
     block = to_constraint_block(aset, "phi1")
     rng = np.random.default_rng(53)
     for _ in range(200):
@@ -184,8 +183,8 @@ def test_consistency_blocks_cover_box():
 
 
 def test_assemble_matrix_drops_constant_pieces_by_default():
-    g, index = _ground(TRANSITIVE_PRODUCT)
-    block = to_constraint_block(compile_min_affine(g), "phi1")
+    aset, index = _compile(TRANSITIVE_PRODUCT)
+    block = to_constraint_block(aset, "phi1")
     cm = assemble_matrix([block], index.size)
     assert cm.n_columns == 4
     assert cm.dropped == {"phi1": 1}
@@ -236,8 +235,8 @@ def test_restrict_columns_keeps_structure():
 
 
 def test_matrix_csv_round_trip():
-    g, index = _ground(TRANSITIVE_PRODUCT)
-    block = to_constraint_block(compile_min_affine(g), "phi1")
+    aset, index = _compile(TRANSITIVE_PRODUCT)
+    block = to_constraint_block(aset, "phi1")
     cm = assemble_matrix([block] + consistency_blocks(index), index.size)
     text = matrix_csv(cm, index.labels())
     rows = list(csv.reader(io.StringIO(text)))

@@ -1,28 +1,23 @@
-"""Tests for sample sets, the coordinate index, and quantifier expansion."""
+"""Tests for sample sets, the coordinate index, and quantifier expansion
+as the affine compiler performs it."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
 
+from luklearn.constraints import AffinePiece, compile_min_affine
 from luklearn.grounding import (
     GroundingError,
-    GroundLiteral,
     PredicateDecl,
     build_grounding_index,
     build_samples,
-    expand_quantifiers,
     ground_assignment,
     sample_universe,
 )
-from luklearn.logic import (
-    Atom,
-    StrongDisj,
-    WeakConj,
-    eval_lukasiewicz,
-    parse_formula,
-    to_nnf,
-)
+from luklearn.logic import Atom, Forall, eval_lukasiewicz, parse_formula, to_nnf
 
 DOMS = {"points": {"x2": (0.7, 0.3), "x1": (0.2, 0.6)}}
 DECLS = [
@@ -127,39 +122,47 @@ def test_empty_domain_rejected():
         build_grounding_index(DECLS, samples)
 
 
-def _conjuncts(node) -> list:
-    """Members of a chain of weak conjunctions."""
-    if type(node) is WeakConj:
-        return _conjuncts(node.left) + _conjuncts(node.right)
-    return [node]
+def _pieces(text: str, index=None) -> tuple[AffinePiece, ...]:
+    index = index or _index()
+    return compile_min_affine(to_nnf(parse_formula(text)), index).pieces
 
 
 def test_expand_transitive_formula_conjunct_count():
+    """Eight instances, u outermost, each the cap and one sum; the
+    pieces keep their first occurrences."""
     index = _index()
+    expected = []
+    for u, v, w in itertools.product(["x1", "x2"], repeat=3):
+        coeffs: dict[int, float] = {}
+        for pred, t, c in (("p2", (u, v), -1.0), ("p2", (v, w), -1.0), ("p2", (u, w), 1.0)):
+            k = index.to_global(pred, t)
+            coeffs[k] = coeffs.get(k, 0.0) + c
+        terms = tuple(sorted((k, c) for k, c in coeffs.items() if c != 0.0))
+        for piece in (AffinePiece((), 1.0), AffinePiece(terms, 2.0)):
+            if piece not in expected:
+                expected.append(piece)
     text = "forall u: forall v: forall w: ~p2(u,v) + ~p2(v,w) + p2(u,w)"
-    g = expand_quantifiers(to_nnf(parse_formula(text)), index)
-    parts = _conjuncts(g.root)
-    assert len(parts) == 8
-    for part in parts:
-        assert type(part) is StrongDisj
+    assert _pieces(text, index) == tuple(expected)
+    assert len(expected) == 5
 
 
 def test_expand_single_quantifier_structure():
-    index = _index()
-    g = expand_quantifiers(to_nnf(parse_formula("forall v: p1(v)")), index)
-    assert g.root == WeakConj(GroundLiteral(0, False), GroundLiteral(1, False))
+    assert _pieces("forall v: p1(v)") == (
+        AffinePiece(((0, 1.0),), 0.0),
+        AffinePiece(((1, 1.0),), 0.0),
+    )
 
 
 def test_expand_constant_arguments():
-    index = _index()
-    g = expand_quantifiers(to_nnf(parse_formula("forall v: p2(x1,v)")), index)
-    assert g.root == WeakConj(GroundLiteral(2, False), GroundLiteral(3, False))
+    assert _pieces("forall v: p2(x1,v)") == (
+        AffinePiece(((2, 1.0),), 0.0),
+        AffinePiece(((3, 1.0),), 0.0),
+    )
 
 
 def test_expand_rejects_free_variables():
-    index = _index()
     with pytest.raises(GroundingError, match="free variable"):
-        expand_quantifiers(to_nnf(parse_formula("p1(v)")), index)
+        _pieces("p1(v)")
 
 
 def test_variable_domain_conflict_detected():
@@ -167,7 +170,22 @@ def test_variable_domain_conflict_detected():
     decls = [PredicateDecl("p", ("a",)), PredicateDecl("q", ("b",))]
     index = build_grounding_index(decls, build_samples(domains, decls))
     with pytest.raises(GroundingError, match="used over domains"):
-        expand_quantifiers(to_nnf(parse_formula("forall v: p(v) & q(v)")), index)
+        _pieces("forall v: p(v) & q(v)", index)
+
+
+def test_expand_rejects_undeclared_and_unbound_names():
+    with pytest.raises(GroundingError, match="undeclared predicate"):
+        _pieces("forall v: q(v)")
+    with pytest.raises(GroundingError, match="cannot infer a domain"):
+        compile_min_affine(Forall("v", Atom("p1", ("x1",))), _index())
+    partial = build_grounding_index(DECLS, build_samples(DOMS, DECLS, groundings={"p2": [["x1", "x1"]]}))
+    with pytest.raises(GroundingError, match="no coordinate"):
+        _pieces("p2(x1,x2)", partial)
+    samples = build_samples(DOMS, DECLS)
+    index = build_grounding_index(DECLS, samples)
+    samples.domains["points"] = {}
+    with pytest.raises(GroundingError, match="has no samples"):
+        _pieces("forall v: p1(v)", index)
 
 
 def test_sample_universe_inference():
@@ -186,17 +204,9 @@ def test_ground_assignment_reads_off_vector():
         ground_assignment(index, p[:3])
 
 
-def _eval_ground(node, p):
-    if type(node) is GroundLiteral:
-        v = float(p[node.coord])
-        return 1.0 - v if node.negated else v
-    if type(node) is WeakConj:
-        return min(_eval_ground(node.left, p), _eval_ground(node.right, p))
-    return min(1.0, _eval_ground(node.left, p) + _eval_ground(node.right, p))
-
-
 def test_expansion_matches_direct_evaluation():
-    """Expanded formulas must agree with quantified evaluation pointwise."""
+    """The min of the expanded pieces must agree with quantified
+    evaluation pointwise."""
     index = _index()
     texts = [
         "forall v: p1(v)",
@@ -209,9 +219,9 @@ def test_expansion_matches_direct_evaluation():
     rng = np.random.default_rng(23)
     for text in texts:
         f = to_nnf(parse_formula(text))
-        g = expand_quantifiers(f, index)
+        aset = compile_min_affine(f, index)
         universe = sample_universe(f, index)
         for _ in range(200):
             p = rng.random(index.size)
             direct = eval_lukasiewicz(f, ground_assignment(index, p), universe)
-            assert abs(_eval_ground(g.root, p) - direct) <= 1e-12
+            assert abs(aset.value(p) - direct) <= 1e-12

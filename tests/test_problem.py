@@ -147,6 +147,27 @@ def test_options_section():
         parse_problem(data)
 
 
+@pytest.mark.parametrize("key", ["bias", "keep_zero_pieces"])
+@pytest.mark.parametrize("value", ["false", 0, 1, None, [True]])
+def test_boolean_options_accept_only_booleans(key, value):
+    data = _minimal()
+    data["options"] = {key: value}
+    with pytest.raises(ProblemError, match=rf"\[options\] '{key}' must be true or false"):
+        parse_problem(data)
+    data["options"] = {key: False}
+    assert getattr(parse_problem(data), key) is False
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9, "-inf"])
+def test_tolerance_overrides_must_be_finite_and_nonnegative(value):
+    data = _minimal()
+    data["options"] = {"tolerances": {"entailment": value}}
+    with pytest.raises(ProblemError, match="'entailment' must be finite and nonnegative"):
+        parse_problem(data)
+    data["options"] = {"tolerances": {"entailment": 0.0}}
+    assert parse_problem(data).tolerances.entailment == 0.0
+
+
 def test_load_problem_file_errors(tmp_path):
     with pytest.raises(ProblemError, match=r"\[file\]"):
         load_problem(tmp_path / "missing.json")
