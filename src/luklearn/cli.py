@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -93,10 +94,11 @@ def _out_dir(args) -> Path:
 def cmd_compile(args) -> int:
     tp = _setup(args)
     out = _out_dir(args)
-    (out / "M.csv").write_text(matrix_csv(tp.matrix, tp.index.labels()))
+    labels = tp.index.labels()
+    (out / "M.csv").write_text(matrix_csv(tp.matrix, labels))
     manifest = {
         "version": __version__,
-        "coordinates": tp.index.labels(),
+        "coordinates": labels,
         "blocks": [
             {
                 "id": block.block_id,
@@ -210,7 +212,10 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``luklearn`` parser, built once per process: parsing leaves
+    it unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="luklearn",
         description="Train kernel machines under hard fuzzy-logic constraints "
@@ -250,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except Infeasible as exc:

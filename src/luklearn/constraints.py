@@ -163,16 +163,17 @@ def to_constraint_block(
     aset: AffineSet, block_id: str, family: str = "logical", source: str = ""
 ) -> ConstraintBlock:
     """Turn a min-of-affines truth function into the block requiring
-    truth value 1: each piece (a, c) becomes (-a, 1 - c) <= 0.
+    truth value 1: each piece (a, c) becomes (-a, 1 - c) <= 0.  Negating
+    keeps the terms sorted and free of zeros.
 
     Constant pieces (the cap's image (0, 0)) are kept; they are part of
     the block's piece count even though they never bind.
     """
-    pieces = []
-    for piece in aset.pieces:
-        coeffs = {k: -c for k, c in piece.terms}
-        pieces.append(_piece(coeffs, 1.0 - piece.constant))
-    return ConstraintBlock(block_id, family, tuple(pieces), source)
+    pieces = tuple(
+        AffinePiece(tuple((k, -c) for k, c in piece.terms), 1.0 - piece.constant)
+        for piece in aset.pieces
+    )
+    return ConstraintBlock(block_id, family, pieces, source)
 
 
 def pointwise_block(
@@ -241,6 +242,9 @@ def assemble_matrix(
 ) -> ConstraintMatrix:
     """Stack block pieces into one matrix, in block order then piece order.
 
+    Each piece's terms are scattered into one zero matrix, so the Python
+    work grows with the nonzeros of M, not with its size x columns cells.
+
     By default, pieces with no coordinates and a nonpositive offset are
     dropped: they can never bind, and the reference matrices this code
     is checked against do not carry the corresponding zero columns.
@@ -249,7 +253,9 @@ def assemble_matrix(
     infeasible system.
     """
     ids = set()
-    columns = []
+    rows: list[int] = []
+    cols: list[int] = []
+    values: list[float] = []
     offsets = []
     labels = []
     column_block = []
@@ -271,18 +277,22 @@ def assemble_matrix(
             if not keep_zero_pieces and not piece.terms and piece.constant <= 0.0:
                 dropped[block.block_id] = dropped.get(block.block_id, 0) + 1
                 continue
-            for k, _ in piece.terms:
+            column = len(offsets)
+            for k, c in piece.terms:
                 if not 0 <= k < size:
                     raise CompileError(
                         f"block {block.block_id!r} uses coordinate {k} outside 0..{size - 1}"
                     )
+                rows.append(k)
+                cols.append(column)
+                values.append(c)
             kept += 1
-            block_columns[block.block_id].append(len(columns))
-            columns.append(piece.dense(size))
+            block_columns[block.block_id].append(column)
             offsets.append(piece.constant)
             labels.append(f"{block.block_id}:{kept}")
             column_block.append(block.block_id)
-    matrix = np.column_stack(columns) if columns else np.zeros((size, 0))
+    matrix = np.zeros((size, len(offsets)))
+    matrix[rows, cols] = values
     return ConstraintMatrix(
         matrix,
         np.array(offsets, dtype=float),
@@ -324,15 +334,32 @@ def matrix_csv(cm: ConstraintMatrix, coordinate_labels: Sequence[str]) -> str:
     """CSV export: header "coord,<column labels>", one row per grounding
     coordinate, and a trailing row for the offsets labeled "q".
 
-    Labels containing commas (tuple coordinates) are quoted per the CSV
-    standard.
+    Every cell is ``repr`` of its float.  Labels containing commas (tuple
+    coordinates) are quoted per the CSV standard; number cells never
+    need quoting.  A row starts as a copy of one shared list of "0.0"
+    cells, and only the entries whose bits are not +0.0 (so -0.0 prints
+    as -0.0) are overwritten, each distinct value formatted once: the
+    Python work grows with the nonzeros of M and q, and the per-cell
+    work is the list copy and one join per row.
     """
     if len(coordinate_labels) != cm.matrix.shape[0]:
         raise CompileError("coordinate label count does not match the matrix")
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["coord"] + list(cm.column_labels))
-    for row, label in enumerate(coordinate_labels):
-        writer.writerow([label] + [repr(float(v)) for v in cm.matrix[row]])
-    writer.writerow(["q"] + [repr(float(v)) for v in cm.offsets])
+    csv.writer(out, lineterminator="\n").writerow(["coord", *cm.column_labels])
+    # The label field and, when cells follow, the comma that separates them.
+    label_writer = csv.writer(out, lineterminator="")
+    label_tail = [""] if cm.n_columns else []
+    zeros = ["0.0"] * cm.n_columns
+    text: dict[float, str] = {}
+    for label, row in zip([*coordinate_labels, "q"], [*cm.matrix, cm.offsets]):
+        cells = zeros.copy()
+        nonzero = np.flatnonzero(row.view(np.int64))
+        for j, v in zip(nonzero.tolist(), row[nonzero].tolist()):
+            cell = text.get(v)
+            if cell is None:
+                cell = text[v] = repr(v)
+            cells[j] = cell
+        label_writer.writerow([label, *label_tail])
+        out.write(",".join(cells))
+        out.write("\n")
     return out.getvalue()

@@ -127,6 +127,13 @@ def parse_problem(data: Mapping) -> Problem:
     tol_overrides = options.get("tolerances", {})
     if not isinstance(tol_overrides, dict):
         raise ProblemError("options", "'tolerances' must be an object")
+    for key, value in tol_overrides.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ProblemError(
+                "options",
+                f"bad tolerance override: tolerance {key!r} must be finite and nonnegative "
+                f"and a JSON number, got {value!r}",
+            )
     try:
         tolerances = tolerances_with(**{k: float(v) for k, v in tol_overrides.items()})
     except (TypeError, ValueError) as exc:

@@ -314,6 +314,50 @@ def test_module_entry_point_version():
     assert __version__ in proc.stdout
 
 
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    """``main`` called many times in one process, with flags set in one
+    call and absent in the next, writes what a fresh interpreter writes
+    for each call; --version and a usage error still exit 0 and 2."""
+    example1, example4 = FIXTURES / "example1.json", FIXTURES / "example4.json"
+    calls = [
+        ["analyze", example4, "--entailment", "--seed", "3", "--tol-nonneg", "1e-8"],
+        ["analyze", example4],
+        ["compile", example1],
+        ["train", example4, "--tol-activity", "1e-5"],
+        ["ablate", example4, "--drop", "pt:p3:x1"],
+        ["predict-grid", example1, "--predicate", "p1", "--steps", "3"],
+        ["train", example4],
+    ]
+    for i, argv in enumerate(calls):
+        assert _run(*argv, "-o", tmp_path / "warm" / str(i)) == 0
+        with pytest.raises(SystemExit) as info:
+            main(["--version"])
+        assert info.value.code == 0 and __version__ in capsys.readouterr().out
+        with pytest.raises(SystemExit) as info:
+            main([argv[0], "--no-such-flag"])
+        assert info.value.code == 2 and "usage:" in capsys.readouterr().err
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for i, argv in enumerate(calls):
+        out = tmp_path / "cold" / str(i)
+        proc = subprocess.run(
+            [sys.executable, "-m", "luklearn.cli", *map(str, argv), "-o", str(out)],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        warm = tmp_path / "warm" / str(i)
+        names = sorted(f.name for f in out.iterdir())
+        assert names == sorted(f.name for f in warm.iterdir())
+        for name in names:
+            assert (warm / name).read_bytes() == (out / name).read_bytes(), (argv, name)
+
+    with_entailment = json.loads((tmp_path / "warm" / "0" / "analysis.json").read_text())
+    without = json.loads((tmp_path / "warm" / "1" / "analysis.json").read_text())
+    assert "seed" in with_entailment and "seed" not in without
+    assert with_entailment != without
+
+
 def test_commands_do_not_import_numpy_ma(tmp_path):
     """Every subcommand, run in one fresh interpreter, leaves numpy.ma
     unimported: numpy loads it lazily, for example from np.setdiff1d

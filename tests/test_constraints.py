@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ import pytest
 from luklearn.constraints import (
     AffinePiece,
     CompileError,
+    ConstraintBlock,
+    ConstraintMatrix,
     assemble_matrix,
     compile_min_affine,
     consistency_blocks,
@@ -27,6 +30,7 @@ from luklearn.grounding import (
     sample_universe,
 )
 from luklearn.logic import Atom, Neg, WeakConj, eval_lukasiewicz, parse_formula, to_nnf
+from luklearn.problem import build_training_problem, load_problem
 
 DOMS = {"points": {"x1": (0.2, 0.6), "x2": (0.7, 0.3)}}
 DECLS = [
@@ -35,6 +39,8 @@ DECLS = [
 ]
 
 TRANSITIVE_PRODUCT = "forall x: forall y: (p1(x) * p1(y)) -> p2(x,y)"
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _index():
@@ -250,3 +256,84 @@ def test_matrix_csv_round_trip():
 
     with pytest.raises(CompileError, match="label count"):
         matrix_csv(cm, ["just-one"])
+
+
+def _csv_oracle(cm, coordinate_labels) -> str:
+    """The per-cell writer that ``matrix_csv`` must reproduce byte for byte."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["coord"] + list(cm.column_labels))
+    for row, label in enumerate(coordinate_labels):
+        writer.writerow([label] + [repr(float(v)) for v in cm.matrix[row]])
+    writer.writerow(["q"] + [repr(float(v)) for v in cm.offsets])
+    return out.getvalue()
+
+
+def _stacked_oracle(blocks, size, keep_zero_pieces=False) -> np.ndarray:
+    """M as one dense column per kept piece, stacked."""
+    columns = [
+        piece.dense(size)
+        for block in blocks
+        for piece in block.pieces
+        if keep_zero_pieces or piece.terms or piece.constant > 0.0
+    ]
+    return np.column_stack(columns) if columns else np.zeros((size, 0))
+
+
+def _assert_same_bytes(blocks, size, labels, keep_zero_pieces=False):
+    cm = assemble_matrix(blocks, size, keep_zero_pieces)
+    expected = _stacked_oracle(blocks, size, keep_zero_pieces)
+    assert cm.matrix.shape == expected.shape
+    assert cm.matrix.tobytes() == expected.tobytes()
+    assert matrix_csv(cm, labels) == _csv_oracle(cm, labels)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(FIXTURES.glob("*.json")) + sorted(FIXTURES.glob("refused/*.json")),
+    ids=lambda p: p.stem,
+)
+def test_fixture_matrix_and_csv_match_the_per_cell_oracles(path):
+    problem = load_problem(path)
+    tp = build_training_problem(problem)
+    _assert_same_bytes(tp.blocks, tp.index.size, tp.index.labels(), problem.keep_zero_pieces)
+
+
+@pytest.mark.parametrize("keep_zero_pieces", [False, True])
+def test_relational_matrix_and_csv_match_the_per_cell_oracles(keep_zero_pieces):
+    index = _index()
+    blocks = [
+        to_constraint_block(_compile(TRANSITIVE_PRODUCT)[0], "phi1"),
+        to_constraint_block(_compile("forall x: forall y: p2(x,y) -> p2(y,x)")[0], "phi2"),
+        pointwise_block("p2", ("x1", "x2"), 1, index),
+        pointwise_block("p2", ("x2", "x1"), -1, index),
+    ] + consistency_blocks(index)
+    labels = index.labels()
+    assert any("," in label for label in labels)
+    _assert_same_bytes(blocks, index.size, labels, keep_zero_pieces)
+    text = matrix_csv(assemble_matrix(blocks, index.size, keep_zero_pieces), labels)
+    assert '\n"p2:x1,x2",' in text
+
+
+def test_matrix_csv_keeps_negative_zero_and_quotes_labels():
+    matrix = np.array([[-0.0, 0.0, 1.5, 0.1], [0.0, 0.0, 0.0, 0.0], [2.0, -0.0, 1.5, 1e-300]])
+    offsets = np.array([0.0, -0.0, -1.0, 1.0 / 3.0])
+    cm = ConstraintMatrix(
+        matrix, offsets, ["a:1", "b,c:1", 'q"d:1', "e:1"], [], [], {}, {}, {}, {}
+    )
+    labels = ["x1", 'say "hi"', "r(x00,x01)"]
+    text = matrix_csv(cm, labels)
+    assert text == _csv_oracle(cm, labels)
+    assert text.splitlines()[1] == "x1,-0.0,0.0,1.5,0.1"
+    assert text.splitlines()[-1] == "q,0.0,-0.0,-1.0,0.3333333333333333"
+
+
+def test_matrix_csv_with_no_columns():
+    cm = ConstraintMatrix(np.zeros((2, 0)), np.zeros(0), [], [], [], {}, {}, {}, {})
+    labels = ["x1", "r(x,y)"]
+    assert matrix_csv(cm, labels) == _csv_oracle(cm, labels) == 'coord\nx1\n"r(x,y)"\nq\n'
+
+    index = _index()
+    never = ConstraintBlock("never", "logical", (AffinePiece((), 0.0),))
+    _assert_same_bytes([never], index.size, index.labels())
+    assert assemble_matrix([never], index.size).n_columns == 0

@@ -168,6 +168,17 @@ def test_tolerance_overrides_must_be_finite_and_nonnegative(value):
     assert parse_problem(data).tolerances.entailment == 0.0
 
 
+@pytest.mark.parametrize("value", [True, False, "1e-3", None, [1e-3]])
+def test_tolerance_overrides_accept_json_numbers_only(value):
+    data = _minimal()
+    data["options"] = {"tolerances": {"activity": value}}
+    with pytest.raises(ProblemError, match=r"\[options\] .*'activity' .*a JSON number"):
+        parse_problem(data)
+    data["options"] = {"tolerances": {"activity": 0, "qp": 1e-3}}
+    problem = parse_problem(data)
+    assert problem.tolerances.activity == 0.0 and problem.tolerances.qp == 1e-3
+
+
 def test_load_problem_file_errors(tmp_path):
     with pytest.raises(ProblemError, match=r"\[file\]"):
         load_problem(tmp_path / "missing.json")
