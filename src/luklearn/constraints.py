@@ -77,6 +77,14 @@ def _is_constant_true(piece: AffinePiece) -> bool:
     return not piece.terms and piece.constant >= 1.0
 
 
+def _disjunct(pieces: list[AffinePiece]) -> list[AffinePiece]:
+    """The distinct pieces of a strong-disjunction operand that are not
+    constant true; a single piece is distinct already."""
+    if len(pieces) > 1:
+        pieces = _dedup(pieces)
+    return [a for a in pieces if not _is_constant_true(a)]
+
+
 def compile_min_affine(nnf: NnfFormula, index: GroundingIndex) -> AffineSet:
     """Min-of-affines form of a closed concave-fragment formula in
     negation normal form, over the coordinates of ``index``.
@@ -124,8 +132,8 @@ def compile_min_affine(nnf: NnfFormula, index: GroundingIndex) -> AffineSet:
                 pieces += rec(node.body, {**env, node.var: name})
             return pieces
         if kind is StrongDisj:
-            left = [a for a in _dedup(rec(node.left, env)) if not _is_constant_true(a)]
-            right = [b for b in _dedup(rec(node.right, env)) if not _is_constant_true(b)]
+            left = _disjunct(rec(node.left, env))
+            right = _disjunct(rec(node.right, env))
             sums = [_CAP]
             for a in left:
                 for b in right:

@@ -42,6 +42,11 @@ class Problem:
     tolerances: Tolerances = field(default_factory=lambda: DEFAULT_TOLERANCES)
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require(data: Mapping, key: str, kind, section: str):
     if key not in data:
         raise ProblemError(section, f"missing required section {key!r}")
@@ -59,6 +64,11 @@ def parse_problem(data: Mapping) -> Problem:
     for name, points in domains.items():
         if not isinstance(points, dict) or not points:
             raise ProblemError("domains", f"domain {name!r} must map sample names to points")
+        for sample, point in points.items():
+            if not isinstance(point, list) or not all(_is_number(v) for v in point):
+                raise ProblemError(
+                    "domains", f"point {sample!r} in domain {name!r} must be a list of numbers, got {point!r}"
+                )
 
     predicates = _require(data, "predicates", dict, "predicates")
     decls = []
@@ -66,6 +76,8 @@ def parse_problem(data: Mapping) -> Problem:
         if not isinstance(entry, dict) or "domains" not in entry:
             raise ProblemError("predicates", f"predicate {name!r} needs a 'domains' list")
         kernel = entry.get("kernel", "default")
+        if not isinstance(kernel, str):
+            raise ProblemError("predicates", f"predicate {name!r} must name its kernel by a string, got {kernel!r}")
         try:
             decls.append(PredicateDecl(name, tuple(entry["domains"]), kernel))
         except GroundingError as exc:
@@ -95,10 +107,18 @@ def parse_problem(data: Mapping) -> Problem:
             raise ProblemError(
                 "supervisions", f"entry {pos} needs 'predicate', 'sample' and 'label'"
             )
-        sample = entry["sample"]
+        predicate, sample, label = entry["predicate"], entry["sample"], entry["label"]
         if isinstance(sample, str):
             sample = [sample]
-        supervisions.append((entry["predicate"], tuple(sample), entry["label"]))
+        if not isinstance(predicate, str):
+            raise ProblemError("supervisions", f"entry {pos}: 'predicate' must be a string, got {predicate!r}")
+        if not isinstance(sample, list) or not all(isinstance(v, str) for v in sample):
+            raise ProblemError(
+                "supervisions", f"entry {pos}: 'sample' must be a sample name or a list of them, got {sample!r}"
+            )
+        if type(label) is not int or label not in (-1, 1):
+            raise ProblemError("supervisions", f"entry {pos}: 'label' must be the integer -1 or +1, got {label!r}")
+        supervisions.append((predicate, tuple(sample), label))
 
     groundings = data.get("groundings")
     try:
@@ -128,7 +148,7 @@ def parse_problem(data: Mapping) -> Problem:
     if not isinstance(tol_overrides, dict):
         raise ProblemError("options", "'tolerances' must be an object")
     for key, value in tol_overrides.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise ProblemError(
                 "options",
                 f"bad tolerance override: tolerance {key!r} must be finite and nonnegative "

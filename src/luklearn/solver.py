@@ -1,6 +1,6 @@
 """Dense numeric core: nonnegative least squares (NNLS), convex quadratic
-programming started from an NNLS solve, linear programming by a
-tableau simplex, and nullspace / least-squares helpers.
+programming by least-distance NNLS solves behind a KKT gate, linear
+programming by a tableau simplex, and nullspace / least-squares helpers.
 
 The simplex starts from the slack basis and adds artificials, and a
 phase 1, only for the ``<=`` rows with a negative right-hand side.  An
@@ -47,10 +47,10 @@ class Tolerances:
     """Every numeric threshold of the package; each must be finite and
     nonnegative, and a ValueError names the first that is not."""
 
-    qp: float = 1e-8           # multiplier nonnegativity / convergence in the QP
-    lp: float = 1e-9           # simplex pivoting and feasibility threshold, QP start's squared NNLS residual
+    qp: float = 1e-8           # KKT gate of a QP point, relative to the problem's scale
+    lp: float = 1e-9           # simplex pivoting and feasibility threshold, least-distance squared NNLS residual
     nullspace: float = 1e-10   # singular value cutoff, relative to the largest
-    activity: float = 1e-6     # |piece value| below this counts as active
+    activity: float = 1e-6     # |piece value| below this counts as active: the analysis pool, not a QP working set
     stationarity: float = 1e-7 # multiplier-system residual acceptance
     nonneg: float = 1e-9       # multiplier sign slack
     entailment: float = 1e-9   # LP maximum below this counts as entailed
@@ -361,25 +361,43 @@ class QpSolution:
     multipliers: np.ndarray      # one per inequality row, zero off the active set
     active_set: tuple[int, ...]  # rows with |A_i x + b_i| <= activity tolerance
     residuals: dict[str, float]
-    iterations: int
+    iterations: int  # proximal steps, 0 when Q has no zero column
 
 
-def _least_distance_start(
-    Q: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray, tol: Tolerances
+# Proximal steps on the zero columns of Q: omega, and the steps allowed.
+# omega = 10 takes at most 4 steps on seeded biased chains; 1 also
+# trains them all, 100 fails on 4.
+PROX_WEIGHT = 10.0
+PROX_MAX_STEPS = 20
+
+
+def _least_distance(
+    Q: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray,
+    free: np.ndarray, center: np.ndarray, tol: Tolerances,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Start point and multipliers for ``solve_qp``: the least-distance
-    program in z = diag(sqrt(w)) V'(x - x0), with Q = V diag(w) V' split
-    by ``eigh`` and weight 1 on Ker(Q), solved as its NNLS dual
-    min ||[G'; h'] u - e|| over u >= 0 (Lawson and Hanson, ch. 23).  Its
-    multipliers are mu = u / (1 - h.u), where 1 - h.u is the squared
-    residual.  A residual whose square is within ``tol.lp`` makes u a
-    Farkas vector, checked before ``Infeasible`` is raised.
+    """Point and multipliers of one least-distance program: min 0.5 ||z||^2
+    over A x + b <= 0 with x = R z + x0.  On the columns of Q that are not
+    ``free``, R = V diag(w)^-1/2 and x0 = -V diag(w)^-1 V'c, with that
+    part of Q = V diag(w) V' split by ``eigh`` and weight 1 on its
+    kernel, so 0.5 ||z||^2 is the QP's objective up to a constant.  On
+    the ``free`` ones, R = omega I and x0 = center - omega^2 c, which adds
+    the proximal term ||x_F - center||^2 / (2 omega^2).  It is solved as
+    its NNLS dual min ||[-(A R)'; h'] u - e|| over u >= 0, h = A x0 + b
+    (Lawson and Hanson, ch. 23).  Its multipliers are mu = u / (1 - h.u),
+    where 1 - h.u is the squared residual.  A residual whose square is
+    within ``tol.lp`` makes u a Farkas vector, checked before
+    ``Infeasible`` is raised.
     """
     n = Q.shape[0]
-    w, V = np.linalg.eigh(Q)
+    kept = np.flatnonzero(~free)
+    w, V = np.linalg.eigh(Q[np.ix_(kept, kept)])
     w = np.where(w > tol.nullspace * np.max(w, initial=0.0), w, 1.0)
-    root_inv = V / np.sqrt(w)
-    x0 = -V @ ((V.T @ c) / w)
+    root_inv = np.zeros((n, n))
+    root_inv[np.ix_(kept, kept)] = V / np.sqrt(w)
+    root_inv[free, free] = PROX_WEIGHT
+    x0 = np.empty(n)
+    x0[kept] = -V @ ((V.T @ c[kept]) / w)
+    x0[free] = center - PROX_WEIGHT**2 * c[free]
     h = A @ x0 + b
     E = np.vstack([-(A @ root_inv).T, h[None, :]])
     e = np.zeros(n + 1)
@@ -417,18 +435,16 @@ def _kkt_residuals(
 
 
 def solve_qp(problem: QpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> QpSolution:
-    """Global minimizer of a convex QP by a primal active-set method.
+    """Global minimizer of a convex QP by least-distance NNLS solves.
 
-    It starts from ``_least_distance_start`` and returns that start with
-    zero iterations when it is a KKT point within ``tol.qp``, which it
-    is, up to rounding, for a positive-definite Q.  Otherwise the
-    iterations move from it, with the rows active there (within
-    ``tol.activity``) as the first working set, along the free
-    directions of a singular Q, such as per-predicate biases, and
-    SolverError is raised when the point they reach is not a KKT point
-    within ``tol.qp``.  Equality-constrained subproblems are
-    solved through the KKT system with a minimum-norm least-squares
-    solve, which keeps dependent active rows harmless.  All tie-breaking
+    The exactly-zero columns of Q, such as per-predicate biases, are free
+    variables.  Without them, one ``_least_distance`` solve is the
+    answer.  With them, proximal steps (Rockafellar, SIAM J. Control
+    Optim. 14(5), 1976) solve it again from the free coordinates it
+    reached, up to ``PROX_MAX_STEPS`` times.  A point is returned only
+    when ``_kkt_residuals`` puts it within ``tol.qp`` of the problem's
+    scale; otherwise SolverError names its residuals.  The rows within
+    ``tol.activity`` of zero are reported as active.  All tie-breaking
     is lowest-index, so runs are reproducible.
     """
     Q = np.atleast_2d(np.asarray(problem.Q, dtype=float))
@@ -440,78 +456,19 @@ def solve_qp(problem: QpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> QpSolu
         raise SolverError("Q must be symmetric")
     Q = (Q + Q.T) / 2.0
 
-    x, mu = _least_distance_start(Q, c, A, b, tol)
-    residuals, optimal = _kkt_residuals(Q, c, A, b, x, mu, tol.qp)
-    iterations = 0
-    if not optimal:
-        work = np.flatnonzero(np.abs(A @ x + b) <= tol.activity).tolist()
-        x, mu, iterations = _active_set(Q, c, A, b, x, work, tol)
+    free = ~np.any(Q, axis=0)
+    proximal = bool(free.any())
+    x = np.zeros(n)
+    for step in range(1, PROX_MAX_STEPS + 1):
+        x, mu = _least_distance(Q, c, A, b, free, x[free], tol)
         residuals, optimal = _kkt_residuals(Q, c, A, b, x, mu, tol.qp)
-        if not optimal:
-            named = ", ".join(f"{k} {v:.3e}" for k, v in residuals.items())
-            raise SolverError(f"active-set point is not a KKT point within tolerance: {named}")
+        if optimal or not proximal:
+            break
+    if not optimal:
+        named = ", ".join(f"{k} {v:.3e}" for k, v in residuals.items())
+        after = f" after {step} proximal steps" if proximal else ""
+        raise SolverError(f"least-distance point is not a KKT point within tolerance{after}: {named}")
     violations = A @ x + b
     active = tuple(i for i in range(A.shape[0]) if abs(violations[i]) <= tol.activity)
     objective = float(0.5 * x @ Q @ x + c @ x)
-    return QpSolution(x, objective, mu, active, residuals, iterations)
-
-
-def _active_set(
-    Q: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray, x: np.ndarray,
-    work: list[int], tol: Tolerances,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Primal active-set iterations from the feasible ``x`` and working
-    set ``work``; returns the optimum, its multipliers and the number of
-    iterations."""
-    n = Q.shape[0]
-    m = A.shape[0]
-    max_iter = 100 + 30 * (n + m)
-
-    def eqp(w: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        Aw = A[w] if w else np.zeros((0, n))
-        bw = b[w] if w else np.zeros(0)
-        size = n + len(w)
-        K = np.zeros((size, size))
-        rhs = np.zeros(size)
-        K[:n, :n] = Q
-        K[:n, n:] = Aw.T
-        K[n:, :n] = Aw
-        rhs[:n] = -c
-        rhs[n:] = -bw
-        sol, _, _, _ = np.linalg.lstsq(K, rhs, rcond=None)
-        if np.max(np.abs(K @ sol - rhs), initial=0.0) > 1e-6 * (1.0 + float(np.max(np.abs(rhs), initial=0.0))):
-            raise SolverError("equality-constrained subproblem is unbounded or inconsistent")
-        return sol[:n], sol[n:]
-
-    mu_w = np.zeros(0)
-    for iterations in range(1, max_iter + 1):
-        x_new, mu_w = eqp(work)
-        if np.max(np.abs(x_new - x), initial=0.0) <= 1e-10 * (1.0 + float(np.max(np.abs(x), initial=0.0))):
-            x = x_new
-            if not mu_w.size or float(np.min(mu_w)) >= -tol.qp:
-                break
-            worst = int(np.argmin(mu_w))  # argmin returns the lowest index on ties
-            del work[worst]
-            continue
-        direction = x_new - x
-        alpha = 1.0
-        blocking = -1
-        for i in range(m):
-            if i in work:
-                continue
-            advance = float(A[i] @ direction)
-            if advance > 1e-12:
-                limit = -(float(A[i] @ x + b[i])) / advance
-                if limit < alpha - 1e-15:
-                    alpha = max(limit, 0.0)
-                    blocking = i
-        x = x_new if alpha >= 1.0 else x + alpha * direction
-        if blocking >= 0 and alpha < 1.0:
-            work.append(blocking)
-            work.sort()
-    else:
-        raise SolverError("active-set iteration limit exceeded")
-
-    mu = np.zeros(m)
-    mu[work] = np.maximum(mu_w, 0.0)
-    return x, mu, iterations
+    return QpSolution(x, objective, mu, active, residuals, step if proximal else 0)

@@ -243,7 +243,7 @@ def solve_primal(tp: TrainingProblem) -> TrainedModel:
         drift = float(np.max(np.abs(tp.matrix.matrix @ exc.farkas), initial=0.0))
         if drift > 1e-9 * exc.certificate:
             raise SolverError(
-                f"training: the QP start's Farkas vector y fails in grounding space "
+                f"training: the QP's Farkas vector y fails in grounding space "
                 f"(||M y||_inf = {drift:.3e}, q.y = {exc.certificate:.3e}); "
                 f"cond(K-hat) = {np.linalg.cond(khat):.3e}"
             ) from exc

@@ -14,8 +14,9 @@ from scipy.optimize import linprog
 
 
 def kkt_enumeration_qp(Q, c, A, b, tol=1e-9):
-    """Global minimum of min 0.5 x'Qx + c.x s.t. A x + b <= 0 for PD Q,
-    found by trying every subset of constraints as the active set.
+    """Global minimum of min 0.5 x'Qx + c.x s.t. A x + b <= 0 for PSD Q,
+    found by trying every subset of constraints as the active set; with a
+    singular Q, each KKT system is solved by minimum-norm least squares.
 
     Returns (x, objective) or None when no subset yields a point that is
     feasible with nonnegative multipliers.

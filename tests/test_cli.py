@@ -89,13 +89,27 @@ def test_train_refuses_a_false_farkas_vector_exit_4(tmp_path, capsys):
 
 
 def test_train_refusal_names_the_phase_and_the_conditioning_exit_4(tmp_path, capsys):
-    """A QP start that fails without a Farkas certificate is refused as a
-    training failure with cond(K-hat), like a false Farkas vector."""
+    """A least-distance solve that fails without a Farkas certificate is
+    refused as a training failure with cond(K-hat), like a false Farkas
+    vector."""
     assert _run("train", FIXTURES / "refused" / "chain_least_distance.json", "-o", tmp_path) == 4
     err = capsys.readouterr().err
     assert "resource guard: training: least-distance residual" in err
     assert "cond(K-hat) = " in err
     assert not (tmp_path / "model.json").exists()
+
+
+def test_ablate_gate_refusal_names_the_residuals_exit_4(tmp_path, capsys):
+    """Dropping ub:p3:x14 from the ill-conditioned chain leaves a
+    least-distance point that fails the KKT gate; it is refused at once,
+    naming its residuals and cond(K-hat)."""
+    argv = ["ablate", FIXTURES / "chain_ill_conditioned.json", "--drop", "ub:p3:x14", "-o", tmp_path]
+    assert _run(*argv) == 4
+    err = capsys.readouterr().err
+    assert "training: least-distance point is not a KKT point within tolerance: stationarity " in err
+    assert "feasibility " in err and "slackness " in err
+    assert "cond(K-hat) = " in err
+    assert not (tmp_path / "ablation.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -300,6 +314,15 @@ def test_invalid_json_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     assert _run("train", bad, "-o", tmp_path) == 2
+
+
+def test_non_integer_label_exit_2(tmp_path, capsys):
+    data = json.loads((FIXTURES / "example4.json").read_text())
+    data["supervisions"][0]["label"] = True
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert _run("train", bad, "-o", tmp_path) == 2
+    assert "'label' must be the integer -1 or +1" in capsys.readouterr().err
 
 
 def test_module_entry_point_version():

@@ -101,6 +101,42 @@ def test_supervision_entries():
         parse_problem(data)
 
 
+def _set_point(data, value):
+    data["domains"]["points"]["x1"] = value
+
+
+def _set_kernel(data, value):
+    data["predicates"]["p1"]["kernel"] = value
+
+
+def _set_supervision(key):
+    def setter(data, value):
+        data["supervisions"][0][key] = value
+    return setter
+
+
+@pytest.mark.parametrize(
+    "setter, value, message",
+    [
+        (_set_supervision("sample"), 5, r"\[supervisions\] entry 0: 'sample' must be a sample name"),
+        (_set_supervision("predicate"), ["p1"], r"\[supervisions\] entry 0: 'predicate' must be a string"),
+        (_set_kernel, ["lin"], r"\[predicates\] predicate 'p1' must name its kernel by a string"),
+        (_set_point, "ab", r"\[domains\] point 'x1' in domain 'points' must be a list of numbers"),
+        (_set_point, [0.4, True], r"\[domains\] point 'x1' .* must be a list of numbers"),
+        (_set_supervision("label"), True, r"\[supervisions\] entry 0: 'label' must be the integer -1 or \+1"),
+        (_set_supervision("label"), 1.0, r"\[supervisions\] entry 0: 'label' must be the integer -1 or \+1"),
+    ],
+    ids=["sample-int", "predicate-list", "kernel-list", "point-string", "point-bool", "label-true", "label-float"],
+)
+def test_problem_values_of_the_wrong_type_are_refused(setter, value, message):
+    """Each value once crashed the parser with a TypeError or ValueError,
+    or (the labels) was silently read as +1."""
+    data = json.loads((FIXTURES / "example4.json").read_text())
+    setter(data, value)
+    with pytest.raises(ProblemError, match=message):
+        parse_problem(data)
+
+
 def test_formula_errors_are_positioned():
     data = _minimal()
     data["formulas"] = ["p1(x1) +"]

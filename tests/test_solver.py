@@ -1,6 +1,8 @@
-"""Tests for the simplex LP, NNLS, nullspace helpers, and the active-set QP."""
+"""Tests for the simplex LP, NNLS, nullspace helpers, and the least-distance QP."""
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
@@ -432,6 +434,66 @@ def test_qp_random_against_enumeration():
         assert sol.residuals["slackness"] <= 1e-7
 
 
+def _free_column_qp(rng, zero_cost):
+    """A random convex QP whose Q has 1 to n exactly-zero columns, and a
+    point x feasible for it.  Rows drawn active at x get multipliers
+    mu > 0, and the cost is zero or c = -Q x - A'mu, which makes x a KKT
+    point, so the constraints bound the cost."""
+    n = int(rng.integers(2, 5))
+    m = int(rng.integers(2, 7))
+    free = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+    R = rng.standard_normal((n, n))
+    Q = R.T @ R + 0.5 * np.eye(n)
+    Q[free, :] = 0.0
+    Q[:, free] = 0.0
+    A = rng.standard_normal((m, n))
+    x = rng.standard_normal(n)
+    active = rng.random(m) < 0.5
+    b = -A @ x - np.where(active, 0.0, rng.random(m) + 0.1)
+    mu = np.where(active, rng.random(m) + 0.1, 0.0)
+    c = np.zeros(n) if zero_cost else -Q @ x - A.T @ mu
+    return Q, c, A, b, x
+
+
+@pytest.mark.parametrize("zero_cost", [True, False], ids=["zero-cost", "bounded-cost"])
+def test_qp_free_columns_against_enumeration(zero_cost):
+    """Every point returned is the enumeration's optimum.  Proximal steps
+    converge only linearly, at a rate set by how strongly the free
+    columns enter the binding rows, so an instance may instead be
+    refused at the step cap, never answered wrongly; 1 of these 40 is."""
+    rng = np.random.default_rng(89)
+    refused = 0
+    for _ in range(20):
+        Q, c, A, b, x = _free_column_qp(rng, zero_cost)
+        try:
+            sol = solve_qp(QpProblem(Q, c, A, b))
+        except SolverError as exc:
+            assert f"after {solver.PROX_MAX_STEPS} proximal steps" in str(exc)
+            refused += 1
+            continue
+        ref = kkt_enumeration_qp(Q, c, A, b)
+        assert ref is not None
+        assert 0 < sol.iterations <= solver.PROX_MAX_STEPS
+        assert sol.objective == pytest.approx(ref[1], abs=1e-6)
+        if not zero_cost:
+            assert sol.objective == pytest.approx(0.5 * x @ Q @ x + c @ x, abs=1e-6)
+        gradient = 1.0 + np.max(np.abs(Q @ sol.x)) + np.max(np.abs(c))
+        assert sol.residuals["stationarity"] <= 1e-8 * gradient
+        assert sol.residuals["feasibility"] <= 1e-9
+        assert np.min(sol.multipliers) >= 0.0
+    assert refused <= 1
+
+
+def test_qp_unbounded_free_direction_is_refused_at_the_step_cap():
+    """min x1^2 + x2 over x1 <= 1: no row bounds x2, so every proximal
+    step moves it by omega^2 and the cap ends the steps."""
+    problem = QpProblem(np.diag([2.0, 0.0]), np.array([0.0, 1.0]), np.array([[1.0, 0.0]]), np.array([-1.0]))
+    start = time.perf_counter()
+    with pytest.raises(SolverError, match=f"after {solver.PROX_MAX_STEPS} proximal steps: stationarity 1.000e"):
+        solve_qp(problem)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_qp_row_permutation_invariance():
     rng = np.random.default_rng(79)
     Q, c, A, b = random_feasible_qp(rng, n_max=3, m_max=5)
@@ -451,10 +513,11 @@ def test_qp_reruns_are_identical():
     assert first.iterations == second.iterations
 
 
-def test_qp_rejects_an_active_set_point_off_its_kkt_conditions(monkeypatch):
+def test_qp_rejects_a_least_distance_point_off_its_kkt_conditions(monkeypatch):
     """min x1^2 + x2 over x2 >= x1 and x2 >= -5, with Q zero along x2:
-    the start is not a KKT point, so the active-set iterations run, and a
-    point they return off the KKT conditions is an error, not an optimum."""
+    proximal steps on x2 find the optimum, and a least-distance point off
+    the KKT conditions is an error at the gate, not an optimum: at once
+    without a free column, at the step cap with one."""
     problem = QpProblem(
         np.diag([2.0, 0.0]), np.array([0.0, 1.0]), np.array([[0.0, -1.0], [1.0, -1.0]]), np.array([-5.0, 0.0])
     )
@@ -462,21 +525,23 @@ def test_qp_rejects_an_active_set_point_off_its_kkt_conditions(monkeypatch):
     assert sol.iterations > 0
     assert np.allclose(sol.x, [-0.5, -0.5], atol=1e-9)
 
-    active_set = solver._active_set
+    least_distance = solver._least_distance
 
     def perturbed(*args):
-        x, mu, iterations = active_set(*args)
-        return x + np.array([1e-3, 0.0]), mu, iterations
+        x, mu = least_distance(*args)
+        return x + np.array([1e-3, 0.0]), mu
 
-    monkeypatch.setattr(solver, "_active_set", perturbed)
-    with pytest.raises(SolverError, match="stationarity 2.000e-03"):
+    monkeypatch.setattr(solver, "_least_distance", perturbed)
+    with pytest.raises(SolverError, match=f"after {solver.PROX_MAX_STEPS} proximal steps: stationarity 2.000e-03"):
         solve_qp(problem)
+    with pytest.raises(SolverError, match="tolerance: stationarity 2.000e-03"):
+        solve_qp(QpProblem(np.diag([2.0, 2.0]), np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0])))
 
 
-def test_qp_singular_q_starts_from_the_rows_active_at_its_start():
-    """min x1^2 + x2 over x2 >= -1, with Q zero along x2: the start lands
-    on x2 = -1 with multiplier 0, and an active-set step over no rows
-    would be unbounded along x2.  The rows active at the start bound it."""
+def test_qp_singular_q_bounds_its_zero_column_by_the_rows():
+    """min x1^2 + x2 over x2 >= -1, with Q zero along x2: the first
+    proximal step stops at x2 = -1 with a multiplier below 1, and the
+    next one, centred there, is the optimum."""
     Q, c = np.diag([2.0, 0.0]), np.array([0.0, 1.0])
     A, b = np.array([[0.0, -1.0]]), np.array([-1.0])
     sol = solve_qp(QpProblem(Q, c, A, b))

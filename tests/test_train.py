@@ -10,6 +10,7 @@ import pytest
 from oracles import is_farkas_vector
 from scipy.optimize import linprog
 
+from luklearn import solver
 from luklearn.constraints import restrict_columns
 from luklearn.grounding import PredicateDecl, build_samples
 from luklearn.kernels import KernelError, KernelSpec
@@ -147,7 +148,7 @@ def test_near_singular_chain_is_refused_not_reported_infeasible():
     """The problem file is
     ``gen.chain_kb(np.random.default_rng([0, 5, 40, 50]), 40, 0.5).problem()``
     from ``perfbench/gen.py``: forty RBF points, sigma 0.5, cond(K-hat)
-    2.0e12.  HiGHS finds M'p + q <= 0 feasible, yet the QP start returns
+    2.0e12.  HiGHS finds M'p + q <= 0 feasible, yet the QP returns
     a vector y with K-hat M y near zero and q.y > 0, which is a Farkas
     vector in the coefficients only: ||M y||_inf is about 1.4 q.y."""
     tp = build_training_problem(load_problem(FIXTURES / "refused" / "chain_near_singular.json"))
@@ -184,9 +185,9 @@ def test_ill_conditioned_chain_trains_from_its_start():
     """The problem file is
     ``gen.chain_kb(np.random.default_rng([0, 5, 20, 50]), 20, 0.5).problem()``
     from ``perfbench/gen.py``: twenty RBF points, sigma 0.5, cond(K-hat)
-    3.8e7.  Active-set iterations from the least-distance start once
-    cycled on it until their iteration limit; the start is already a KKT
-    point, so no iteration runs."""
+    3.8e7.  A primal active-set loop once cycled on it until its
+    iteration limit; one least-distance solve is a KKT point, and with
+    no bias there is no proximal step."""
     tp = build_training_problem(load_problem(FIXTURES / "chain_ill_conditioned.json"))
     assert np.linalg.cond(tp.khat()) > 1e7
     model = solve_primal(tp)
@@ -201,8 +202,8 @@ def test_ill_conditioned_chain_trains_from_its_start():
 
 
 def test_bias_optimum_satisfies_kkt():
-    """With biases Q is singular, the start is not optimal, and the
-    active-set iterations find the optimum."""
+    """With biases Q has zero columns, and proximal steps on them find
+    the optimum."""
     decls = [PredicateDecl("p1", ("points",), kernel="rbf"), PredicateDecl("p2", ("points",), kernel="rbf")]
     doms = {"points": {"x1": (0.2, 0.6), "x2": (0.7, 0.3), "x3": (0.5, 0.5)}}
     samples = build_samples(doms, decls, [("p1", ("x1",), 1), ("p1", ("x2",), -1), ("p2", ("x3",), -1)])
@@ -215,6 +216,24 @@ def test_bias_optimum_satisfies_kkt():
     assert max(res.values()) <= 1e-9
     plain = solve_primal(assemble_problem(decls, samples, formulas, kernels=kernels))
     assert model.loss < plain.loss - 1.0
+
+
+def test_biased_chain_trains_by_proximal_steps():
+    """The problem file is
+    ``gen.chain_kb(np.random.default_rng([0, 9, 15, 50]), 15, 0.5).problem()``
+    from ``perfbench/gen.py`` with ``"bias": true``: fifteen RBF points,
+    sigma 0.5.  A primal active-set loop once ended at its iteration
+    limit on it; a few proximal steps on the biases reach the optimum."""
+    tp = build_training_problem(load_problem(FIXTURES / "chain_bias.json"))
+    assert tp.bias
+    model = solve_primal(tp)
+    assert 0 < model.qp.iterations < solver.PROX_MAX_STEPS
+    res = _kkt_residuals(model)
+    scale = 1.0 + float(np.max(model.multipliers))
+    assert res["stationarity"] <= 1e-9
+    assert res["bias_stationarity"] <= 1e-9
+    assert res["feasibility"] <= 1e-9
+    assert res["slackness"] <= 1e-9 * scale
 
 
 def test_supervision_forces_target_value():
