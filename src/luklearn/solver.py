@@ -364,40 +364,29 @@ class QpSolution:
     iterations: int  # proximal steps, 0 when Q has no zero column
 
 
-# Proximal steps on the zero columns of Q: omega, and the steps allowed.
-# omega = 10 takes at most 4 steps on seeded biased chains; 1 also
-# trains them all, 100 fails on 4.
+# Proximal steps on the zero columns of Q.  A free variable gets curvature
+# of about 1 / q through the others, q the scale of Q's diagonal, and a
+# step shrinks its error by about 1 / (1 + omega^2 / q); so omega is
+# PROX_WEIGHT * sqrt(max diag(Q) / 2), which is PROX_WEIGHT for training
+# with a unit-diagonal kernel (Q = 2 K-hat).  On seeded biased chains with
+# RBF, linear and polynomial kernels, points scaled up to 100, every
+# chain that trains takes at most 4 steps.
 PROX_WEIGHT = 10.0
 PROX_MAX_STEPS = 20
 
 
 def _least_distance(
-    Q: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray,
-    free: np.ndarray, center: np.ndarray, tol: Tolerances,
+    A: np.ndarray, b: np.ndarray, root_inv: np.ndarray, x0: np.ndarray, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Point and multipliers of one least-distance program: min 0.5 ||z||^2
-    over A x + b <= 0 with x = R z + x0.  On the columns of Q that are not
-    ``free``, R = V diag(w)^-1/2 and x0 = -V diag(w)^-1 V'c, with that
-    part of Q = V diag(w) V' split by ``eigh`` and weight 1 on its
-    kernel, so 0.5 ||z||^2 is the QP's objective up to a constant.  On
-    the ``free`` ones, R = omega I and x0 = center - omega^2 c, which adds
-    the proximal term ||x_F - center||^2 / (2 omega^2).  It is solved as
-    its NNLS dual min ||[-(A R)'; h'] u - e|| over u >= 0, h = A x0 + b
-    (Lawson and Hanson, ch. 23).  Its multipliers are mu = u / (1 - h.u),
-    where 1 - h.u is the squared residual.  A residual whose square is
-    within ``tol.lp`` makes u a Farkas vector, checked before
-    ``Infeasible`` is raised.
+    """Point and multipliers of the least-distance program min 0.5 ||z||^2
+    over A x + b <= 0 with x = ``root_inv`` z + ``x0``.  It is solved as
+    its NNLS dual min ||[-(A R)'; h'] u - e|| over u >= 0, h = A x0 + b,
+    R = ``root_inv`` (Lawson and Hanson, ch. 23).  Its multipliers are
+    mu = u / (1 - h.u), where 1 - h.u is the squared residual.  A
+    residual whose square is within ``tol.lp`` makes u a Farkas vector,
+    checked before ``Infeasible`` is raised.
     """
-    n = Q.shape[0]
-    kept = np.flatnonzero(~free)
-    w, V = np.linalg.eigh(Q[np.ix_(kept, kept)])
-    w = np.where(w > tol.nullspace * np.max(w, initial=0.0), w, 1.0)
-    root_inv = np.zeros((n, n))
-    root_inv[np.ix_(kept, kept)] = V / np.sqrt(w)
-    root_inv[free, free] = PROX_WEIGHT
-    x0 = np.empty(n)
-    x0[kept] = -V @ ((V.T @ c[kept]) / w)
-    x0[free] = center - PROX_WEIGHT**2 * c[free]
+    n = x0.size
     h = A @ x0 + b
     E = np.vstack([-(A @ root_inv).T, h[None, :]])
     e = np.zeros(n + 1)
@@ -437,15 +426,22 @@ def _kkt_residuals(
 def solve_qp(problem: QpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> QpSolution:
     """Global minimizer of a convex QP by least-distance NNLS solves.
 
-    The exactly-zero columns of Q, such as per-predicate biases, are free
-    variables.  Without them, one ``_least_distance`` solve is the
-    answer.  With them, proximal steps (Rockafellar, SIAM J. Control
-    Optim. 14(5), 1976) solve it again from the free coordinates it
-    reached, up to ``PROX_MAX_STEPS`` times.  A point is returned only
-    when ``_kkt_residuals`` puts it within ``tol.qp`` of the problem's
-    scale; otherwise SolverError names its residuals.  The rows within
-    ``tol.activity`` of zero are reported as active.  All tie-breaking
-    is lowest-index, so runs are reproducible.
+    The QP is a least-distance program in z, with x = R z + x0.  The
+    exactly-zero columns of Q, such as per-predicate biases, are free
+    variables; on the other columns R = V diag(w)^-1/2 and x0 = -V
+    diag(w)^-1 V'c, with that part of Q = V diag(w) V' split once by
+    ``eigh`` and weight 1 on its kernel, so 0.5 ||z||^2 is the QP's
+    objective up to a constant.  Without free variables, one
+    ``_least_distance`` solve is the answer.  With them, R = omega I, with
+    omega set by Q's diagonal (see ``PROX_WEIGHT``), and x0 = x_k -
+    omega^2 c on the free ones add the proximal term
+    ||x_F - x_k||^2 / (2 omega^2) (Rockafellar, SIAM J. Control Optim.
+    14(5), 1976), and each step solves again from the free coordinates
+    x_k the last one reached, up to ``PROX_MAX_STEPS`` times.  A point is
+    returned only when ``_kkt_residuals`` puts it within ``tol.qp`` of
+    the problem's scale; otherwise SolverError names its residuals.  The
+    rows within ``tol.activity`` of zero are reported as active.  All
+    tie-breaking is lowest-index, so runs are reproducible.
     """
     Q = np.atleast_2d(np.asarray(problem.Q, dtype=float))
     n = Q.shape[0]
@@ -457,10 +453,20 @@ def solve_qp(problem: QpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> QpSolu
     Q = (Q + Q.T) / 2.0
 
     free = ~np.any(Q, axis=0)
+    kept = np.flatnonzero(~free)
+    w, V = np.linalg.eigh(Q[np.ix_(kept, kept)])
+    w = np.where(w > tol.nullspace * np.max(w, initial=0.0), w, 1.0)
+    omega = PROX_WEIGHT * math.sqrt(float(Q.diagonal().max(initial=0.0)) / 2.0 or 1.0)
+    root_inv = np.zeros((n, n))
+    root_inv[np.ix_(kept, kept)] = V / np.sqrt(w)
+    root_inv[free, free] = omega
+    x0 = np.empty(n)
+    x0[kept] = -V @ ((V.T @ c[kept]) / w)
     proximal = bool(free.any())
     x = np.zeros(n)
     for step in range(1, PROX_MAX_STEPS + 1):
-        x, mu = _least_distance(Q, c, A, b, free, x[free], tol)
+        x0[free] = x[free] - omega**2 * c[free]
+        x, mu = _least_distance(A, b, root_inv, x0, tol)
         residuals, optimal = _kkt_residuals(Q, c, A, b, x, mu, tol.qp)
         if optimal or not proximal:
             break

@@ -236,6 +236,28 @@ def test_biased_chain_trains_by_proximal_steps():
     assert res["slackness"] <= 1e-9 * scale
 
 
+def test_linear_kernel_bias_trains_at_unnormalized_scale():
+    """The problem file has a linear kernel on three points of magnitude
+    80 to 300, so K-hat's diagonal reaches 1.3e5, and biases.  A bias
+    gets curvature of about 1 / k(x, x) through the coefficients, so
+    proximal steps of one fixed omega contracted by only about 1% per
+    step here and reached their cap; omega grows with the square root of
+    Q's diagonal instead.  The loss is the one a primal active-set solve
+    reached, with KKT residuals below 3e-12."""
+    tp = build_training_problem(load_problem(FIXTURES / "linear_bias.json"))
+    khat = tp.khat()
+    assert tp.bias and np.max(np.diag(khat)) > 1e5
+    model = solve_primal(tp)
+    assert 0 < model.qp.iterations < solver.PROX_MAX_STEPS
+    res = _kkt_residuals(model)
+    gradient = 1.0 + float(np.max(np.abs(2.0 * khat @ model.alpha)))
+    assert res["stationarity"] <= 1e-9
+    assert res["bias_stationarity"] <= 1e-8 * gradient  # the gate's bound, tol.qp
+    assert res["feasibility"] <= 1e-9
+    assert res["slackness"] <= 1e-9
+    assert model.loss == pytest.approx(7.744113573378258e-05, rel=1e-9)
+
+
 def test_supervision_forces_target_value():
     decls = [PredicateDecl("p1", ("points",))]
     point = {"points": {"x1": (0.5, 0.5)}}
