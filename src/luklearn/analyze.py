@@ -313,41 +313,37 @@ class _EntailmentRegion:
     """The feasible region of the entailment LPs over every block, with
     one phase 1, from which each block's LPs drop that block.
 
-    With the box, its lower sides are variable bounds, its upper sides
-    one row per coordinate, and the consistency blocks, which repeat the
-    box, add no rows.  A tested box side is left out of the region, so
-    that the test is not circular: a lower side frees its coordinate and
-    an upper side drops its row.  Without the box every block is rows
-    and every variable is free.
+    The unit box is presolved: its lower sides are the region's
+    x >= 0, its upper sides one row per coordinate, and the consistency
+    blocks, which repeat the box, add no rows.  A tested box side is
+    left out of the region, so that the test is not circular: a lower
+    side frees its coordinate and an upper side drops its row.
     """
 
-    def __init__(self, blocks: Sequence[ConstraintBlock], size: int, tol: Tolerances, include_box: bool):
+    def __init__(self, blocks: Sequence[ConstraintBlock], size: int, tol: Tolerances):
         self.size = size
-        self.include_box = include_box
         self.tol = tol
         self.rows: dict[str, list[int]] = {}
         rows = []
         rhs = []
         for block in blocks:
-            if include_box and block.family == "consistency":
+            if block.family == "consistency":
                 continue
             for piece in block.pieces:
                 self.rows.setdefault(block.block_id, []).append(len(rows))
                 rows.append(piece.dense(size))
                 rhs.append(-piece.constant)
         self.upper = len(rows)  # the row of coordinate k's upper side is upper + k
-        if include_box:
-            rows.extend(np.eye(size))
-            rhs.extend([1.0] * size)
-        A = np.asarray(rows, dtype=float).reshape(-1, size)
-        self.region = LpRegion(A, rhs, np.full(size, include_box), tol.lp)
+        rows.extend(np.eye(size))
+        rhs.extend([1.0] * size)
+        self.region = LpRegion(np.asarray(rows, dtype=float).reshape(-1, size), rhs, tol.lp)
 
     def test(self, target: ConstraintBlock) -> EntailmentResult:
         """Maximize each piece of ``target`` over the region without it;
         the block is entailed when no piece can become positive."""
         drop = self.rows.get(target.block_id, [])
         free = []
-        if self.include_box and target.family == "consistency" and len(target.pieces) == 1:
+        if target.family == "consistency" and len(target.pieces) == 1:
             terms = target.pieces[0].terms
             if len(terms) == 1:
                 coord, coef = terms[0]
@@ -376,15 +372,15 @@ def grounded_entailment(
     block_id: str,
     size: int,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    include_box: bool = True,
 ) -> EntailmentResult:
     """Does the rest of the constraint set force ``block_id``?
 
     For each piece of the block, maximize its value over all truth
     assignments in [0,1]^S satisfying every other block; the block is
-    entailed when no piece can become positive.  When the block under
-    test is itself one side of the unit box, that side is left out of
-    the feasible region so the test is not circular.  The LPs start from
+    entailed when no piece can become positive.  The unit box is always
+    imposed, whether or not ``blocks`` hold its consistency blocks; when
+    the block under test is itself one side of it, that side is left out
+    of the feasible region so the test is not circular.  The LPs start from
     one phase 1 over every block, this one included; when that region
     is empty, each LP runs its own phase 1 without the block, and an
     empty one makes the result vacuous.
@@ -392,7 +388,7 @@ def grounded_entailment(
     target = next((b for b in blocks if b.block_id == block_id), None)
     if target is None:
         raise AnalysisError(f"unknown block {block_id!r}")
-    return _EntailmentRegion(blocks, size, tol, include_box).test(target)
+    return _EntailmentRegion(blocks, size, tol).test(target)
 
 
 @dataclass(eq=False)
@@ -461,17 +457,6 @@ class AblationRecord:
     dropped_satisfied: bool     # dropped block still holds at the new optimum
     dropped_violation: float
     identical: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "block": self.block,
-            "loss": self.loss,
-            "ablated_loss": self.ablated_loss,
-            "p_distance": self.p_distance,
-            "dropped_satisfied": self.dropped_satisfied,
-            "dropped_violation": self.dropped_violation,
-            "identical": self.identical,
-        }
 
 
 def ablated_problem(tp: TrainingProblem, block_id: str) -> TrainingProblem:
@@ -638,7 +623,7 @@ def removable_constraints(
     deactivations = {b: result for b, _, result in deactivation_report(gs, tp.unique_optimum, tol)}
     gradient = _Fits(matrix.matrix, -2.0 * model.alpha, np.flatnonzero(model.activity), tol)
     # every block's entailment LPs start from one phase 1, which p* makes feasible
-    entailment = _EntailmentRegion(tp.blocks, tp.index.size, tol, True) if check_entailment else None
+    entailment = _EntailmentRegion(tp.blocks, tp.index.size, tol) if check_entailment else None
     by_id = {b.block_id: b for b in tp.blocks}
     reports = []
     for block_id in block_ids:

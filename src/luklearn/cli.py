@@ -167,7 +167,7 @@ def cmd_analyze(args) -> int:
 def cmd_ablate(args) -> int:
     tp = _setup(args)
     record = ablate_and_compare(tp, args.drop)
-    payload = {**_header(args, tp), **record.to_dict()}
+    payload = {**_header(args, tp), **dataclasses.asdict(record)}
     out = _out_dir(args)
     _write_json(out / "ablation.json", payload)
     print(

@@ -47,20 +47,33 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _require(data: Mapping, key: str, kind, section: str):
+_JSON_TYPES = {dict: "an object", list: "an array"}
+_REQUIRED = object()
+
+
+def _section(data: Mapping, key: str, kind, default=_REQUIRED):
+    """The section ``key`` of ``data``, of JSON type ``kind``; one that is
+    missing is an error unless it has a ``default``."""
     if key not in data:
-        raise ProblemError(section, f"missing required section {key!r}")
+        if default is _REQUIRED:
+            raise ProblemError(key, f"missing required section {key!r}")
+        return default
     value = data[key]
     if not isinstance(value, kind):
-        raise ProblemError(section, f"{key!r} must be a {kind.__name__}")
+        raise ProblemError(key, f"{key!r} must be {_JSON_TYPES[kind]}, got {value!r}")
     return value
+
+
+def _is_names(value) -> bool:
+    """A JSON array of strings."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def parse_problem(data: Mapping) -> Problem:
     if not isinstance(data, Mapping):
         raise ProblemError("root", "problem file must be a JSON object")
 
-    domains = _require(data, "domains", dict, "domains")
+    domains = _section(data, "domains", dict)
     for name, points in domains.items():
         if not isinstance(points, dict) or not points:
             raise ProblemError("domains", f"domain {name!r} must map sample names to points")
@@ -70,11 +83,11 @@ def parse_problem(data: Mapping) -> Problem:
                     "domains", f"point {sample!r} in domain {name!r} must be a list of numbers, got {point!r}"
                 )
 
-    predicates = _require(data, "predicates", dict, "predicates")
+    predicates = _section(data, "predicates", dict)
     decls = []
     for name, entry in predicates.items():
-        if not isinstance(entry, dict) or "domains" not in entry:
-            raise ProblemError("predicates", f"predicate {name!r} needs a 'domains' list")
+        if not isinstance(entry, dict) or not _is_names(entry.get("domains")):
+            raise ProblemError("predicates", f"predicate {name!r} needs a 'domains' list of domain names")
         kernel = entry.get("kernel", "default")
         if not isinstance(kernel, str):
             raise ProblemError("predicates", f"predicate {name!r} must name its kernel by a string, got {kernel!r}")
@@ -84,7 +97,7 @@ def parse_problem(data: Mapping) -> Problem:
             raise ProblemError("predicates", str(exc)) from exc
 
     kernels: dict[str, KernelSpec] = {}
-    for kid, entry in data.get("kernels", {}).items():
+    for kid, entry in _section(data, "kernels", dict, {}).items():
         if not isinstance(entry, dict):
             raise ProblemError("kernels", f"kernel {kid!r} must be an object")
         unknown = set(entry) - _KERNEL_KEYS
@@ -102,7 +115,7 @@ def parse_problem(data: Mapping) -> Problem:
             )
 
     supervisions = []
-    for pos, entry in enumerate(data.get("supervisions", [])):
+    for pos, entry in enumerate(_section(data, "supervisions", list, [])):
         if not isinstance(entry, dict) or not {"predicate", "sample", "label"} <= set(entry):
             raise ProblemError(
                 "supervisions", f"entry {pos} needs 'predicate', 'sample' and 'label'"
@@ -112,7 +125,7 @@ def parse_problem(data: Mapping) -> Problem:
             sample = [sample]
         if not isinstance(predicate, str):
             raise ProblemError("supervisions", f"entry {pos}: 'predicate' must be a string, got {predicate!r}")
-        if not isinstance(sample, list) or not all(isinstance(v, str) for v in sample):
+        if not _is_names(sample):
             raise ProblemError(
                 "supervisions", f"entry {pos}: 'sample' must be a sample name or a list of them, got {sample!r}"
             )
@@ -120,7 +133,14 @@ def parse_problem(data: Mapping) -> Problem:
             raise ProblemError("supervisions", f"entry {pos}: 'label' must be the integer -1 or +1, got {label!r}")
         supervisions.append((predicate, tuple(sample), label))
 
-    groundings = data.get("groundings")
+    groundings = _section(data, "groundings", dict, {})
+    for name, tuples in groundings.items():
+        if name not in predicates:
+            raise ProblemError("groundings", f"grounding of undeclared predicate {name!r}")
+        if not isinstance(tuples, list) or not all(_is_names(t) for t in tuples):
+            raise ProblemError(
+                "groundings", f"grounding of {name!r} must be a list of sample-name lists, got {tuples!r}"
+            )
     try:
         samples = build_samples(domains, decls, supervisions, groundings)
     except GroundingError as exc:
@@ -129,7 +149,7 @@ def parse_problem(data: Mapping) -> Problem:
     signature = {d.name: d.arity for d in decls}
     formulas = []
     texts = []
-    for pos, text in enumerate(data.get("formulas", [])):
+    for pos, text in enumerate(_section(data, "formulas", list, [])):
         if not isinstance(text, str):
             raise ProblemError("formulas", f"formula {pos + 1} must be a string")
         try:
@@ -138,9 +158,7 @@ def parse_problem(data: Mapping) -> Problem:
             raise ProblemError("formulas", f"formula {pos + 1}: {exc}") from exc
         texts.append(text)
 
-    options = data.get("options", {})
-    if not isinstance(options, dict):
-        raise ProblemError("options", "'options' must be an object")
+    options = _section(data, "options", dict, {})
     unknown = set(options) - _OPTION_KEYS
     if unknown:
         raise ProblemError("options", f"unknown option keys {sorted(unknown)}")

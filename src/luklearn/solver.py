@@ -2,12 +2,12 @@
 programming by least-distance NNLS solves behind a KKT gate, linear
 programming by a tableau simplex, and nullspace / least-squares helpers.
 
-The simplex starts from the slack basis and adds artificials, and a
-phase 1, only for the ``<=`` rows with a negative right-hand side.  An
-``LpRegion`` is the one entry point for LPs: it keeps the feasible
-tableau of that phase 1, so LPs over the region less some rows or
-variable bounds each run phase 2 alone.  Every optimum is checked
-against the rows it was solved over.
+An ``LpRegion`` is the one entry point for LPs: the region A x <= b,
+x >= 0.  Its simplex starts from the slack basis and adds artificials,
+and a phase 1, only for the rows with a negative right-hand side.  It
+keeps the feasible tableau of that phase 1, so LPs over the region with
+some rows dropped or some variables freed each run phase 2 alone.  Every
+optimum is checked against the rows it was solved over.
 
 Everything here is deliberately small-scale and deterministic.  The
 simplex uses Bland's rule, NNLS and the QP break ties by lowest index, and all
@@ -111,38 +111,30 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, tol: float,
 def _phase1(
     A: np.ndarray, b: np.ndarray, tol: float, max_iter: int
 ) -> tuple[np.ndarray | None, np.ndarray | None, float]:
-    """Feasible canonical tableau of A x = b, x >= 0.
+    """Feasible canonical tableau of A x + s = b, x >= 0, s >= 0.
 
-    Rows with b < 0 are negated; then each row starts basic in the last
-    unit column of A that has its 1 there, which for a ``<=`` row of
-    ``LpRegion`` is its slack (the all-slack crash basis; Bixby, ORSA J.
-    Computing 4(3), 1992).  Only rows without one get an artificial, and
-    the phase-1 simplex runs only when some row has one.  Artificials
-    still basic at its optimum are pivoted out, and rows where none can
-    be are redundant and dropped.  Returns (T, basis, value): T has the
-    columns of A and a trailing right-hand side, and value is the
-    phase-1 optimum.  For an infeasible system T and basis are None.
+    Each row with b >= 0 starts basic in its slack (the all-slack crash
+    basis; Bixby, ORSA J. Computing 4(3), 1992).  Each row with b < 0 is
+    negated and starts basic in an artificial of its own, and the
+    phase-1 simplex runs only when some row has one.  Artificials still
+    basic at its optimum are pivoted out, and rows where none can be are
+    redundant and dropped.  Returns (T, basis, value): T has the columns
+    of A, then the slacks, and a trailing right-hand side, and value is
+    the phase-1 optimum.  For an infeasible system T and basis are None.
     """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
     m, n = A.shape
     flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-
-    basis = np.full(m, -1)
-    units = np.flatnonzero((np.count_nonzero(A, axis=0) == 1) & (np.max(A, axis=0, initial=0.0) == 1.0))[::-1]
-    if units.size:
-        rows, last = np.unique(np.argmax(A[:, units], axis=0), return_index=True)
-        basis[rows] = units[last]
-    needy = np.flatnonzero(basis < 0)
+    sign = np.where(flip, -1.0, 1.0)[:, None]
+    needy = np.flatnonzero(flip)
+    width = n + m
     artificials = np.zeros((m, needy.size))
     artificials[needy, np.arange(needy.size)] = 1.0
-    basis[needy] = n + np.arange(needy.size)
-    T = np.hstack([A, artificials, b[:, None]])
+    basis = np.arange(n, width)
+    basis[needy] = width + np.arange(needy.size)
+    T = np.hstack([sign * A, sign * np.eye(m), artificials, sign * b[:, None]])
     value = 0.0
     if needy.size:
-        phase1_cost = np.concatenate([np.zeros(n), np.ones(needy.size)])
+        phase1_cost = np.concatenate([np.zeros(width), np.ones(needy.size)])
         status = _run_simplex(T, basis, phase1_cost, tol, max_iter)
         if status != "optimal":
             raise SolverError("phase 1 cannot be unbounded")
@@ -151,14 +143,14 @@ def _phase1(
             return None, None, value
 
     keep = np.ones(m, dtype=bool)
-    for i in np.flatnonzero(basis >= n):
-        candidates = np.flatnonzero(np.abs(T[i, :n]) > tol)
+    for i in np.flatnonzero(basis >= width):
+        candidates = np.flatnonzero(np.abs(T[i, :width]) > tol)
         if not candidates.size:
             keep[i] = False
             continue
         _pivot(T, i, int(candidates[0]))
         basis[i] = candidates[0]
-    return np.hstack([T[keep, :n], T[keep, -1:]]), basis[keep], value
+    return np.hstack([T[keep, :width], T[keep, -1:]]), basis[keep], value
 
 
 @dataclass(eq=False)
@@ -170,34 +162,21 @@ class LpResult:
 
 
 class LpRegion:
-    """The region A_ub x <= b_ub, with x_i >= 0 where ``nonneg[i]``,
+    """The region A_ub x <= b_ub, x >= 0, with A_ub an m x n array,
     ready to minimize any linear cost over it or over a relaxation.
 
-    Its standard form has the variables x, then the negative parts of
-    the free variables, then one slack per row.  Phase 1 runs once, in
-    the constructor, and every ``minimize`` runs phase 2 on a copy of
-    its tableau.  Dropping rows or freeing variables only enlarges the
-    region, so that tableau stays a feasible start for each relaxation
-    (Chvatal, Linear Programming, 1983, ch. 10).
+    Its standard form has the variables x, then one slack per row.
+    Phase 1 runs once, in the constructor, and every ``minimize`` runs
+    phase 2 on a copy of its tableau.  Dropping rows or freeing
+    variables only enlarges the region, so that tableau stays a feasible
+    start for each relaxation (Chvatal, Linear Programming, 1983, ch. 10).
     """
 
-    def __init__(
-        self,
-        A_ub: np.ndarray,
-        b_ub: Sequence[float],
-        nonneg: Sequence[bool],
-        tol: float = DEFAULT_TOLERANCES.lp,
-    ):
-        self.nonneg = np.asarray(nonneg, dtype=bool)
-        n = self.nonneg.size
-        self.A = np.asarray(A_ub, dtype=float).reshape(-1, n)
+    def __init__(self, A_ub: np.ndarray, b_ub: Sequence[float], tol: float = DEFAULT_TOLERANCES.lp):
+        self.A = np.asarray(A_ub, dtype=float)
         self.b = np.asarray(b_ub, dtype=float).reshape(-1)
         self.tol = tol
-        m = self.A.shape[0]
-        self._free = np.flatnonzero(~self.nonneg)
-        self._slack0 = n + self._free.size
-        A_std = np.hstack([self.A, -self.A[:, self._free], np.eye(m)])
-        self._T, self._basis, self.certificate = _phase1(A_std, self.b, tol, SIMPLEX_MAX_ITER)
+        self._T, self._basis, self.certificate = _phase1(self.A, self.b, tol, SIMPLEX_MAX_ITER)
 
     @property
     def feasible(self) -> bool:
@@ -214,38 +193,42 @@ class LpRegion:
         negated tableau column of the slack or the variable.  An optimal
         x is checked against the kept rows, within ``tol`` times
         1 + ||b_ub||_inf over them, and SolverError is raised when it
-        violates one.  Over an infeasible region, a relaxation runs its
-        own phase 1 over the kept rows.
+        violates one.  Over an empty region, a relaxation runs its own
+        phase 1 over the kept rows, with the negative parts of the freed
+        variables as extra columns.
         """
         c = np.asarray(c, dtype=float)
-        n = self.nonneg.size
-        keep = np.ones(self.b.size, dtype=bool)
+        m, n = self.A.shape
+        keep = np.ones(m, dtype=bool)
         keep[np.asarray(drop_rows, dtype=int)] = False
         freed = np.zeros(n, dtype=bool)
         freed[np.asarray(free_vars, dtype=int)] = True
-        freed &= self.nonneg
+        freed = np.flatnonzero(freed)
         if not self.feasible:
-            if keep.all() and not freed.any():
+            if keep.all() and not freed.size:
                 return LpResult("infeasible", None, None, self.certificate)
-            relaxed = LpRegion(self.A[keep], self.b[keep], self.nonneg & ~freed, self.tol)
-            return relaxed.minimize(c)
+            A = self.A[keep]
+            relaxed = LpRegion(np.hstack([A, -A[:, freed]]), self.b[keep], self.tol)
+            res = relaxed.minimize(np.concatenate([c, -c[freed]]))
+            if res.status != "optimal":
+                return res
+            x = res.x[:n]
+            x[freed] -= res.x[n:]
+            return LpResult("optimal", x, float(c @ x), None)
 
-        extra = np.flatnonzero(freed)
-        dropped = self._slack0 + np.flatnonzero(~keep)
+        dropped = n + np.flatnonzero(~keep)
         width = self._T.shape[1] - 1
-        T = np.hstack([self._T[:, :-1], -self._T[:, extra], -self._T[:, dropped], self._T[:, -1:]])
+        T = np.hstack([self._T[:, :-1], -self._T[:, freed], -self._T[:, dropped], self._T[:, -1:]])
         cost = np.zeros(T.shape[1] - 1)
         cost[:n] = c
-        cost[n : self._slack0] = -c[self._free]
-        cost[width : width + extra.size] = -c[extra]
+        cost[width : width + freed.size] = -c[freed]
         basis = self._basis.copy()
         if _run_simplex(T, basis, cost, self.tol, SIMPLEX_MAX_ITER) == "unbounded":
             return LpResult("unbounded", None, None, None)
         z = np.zeros(T.shape[1] - 1)
         z[basis] = T[:, -1]
         x = z[:n].copy()
-        x[self._free] -= z[n : self._slack0]
-        x[extra] -= z[width : width + extra.size]
+        x[freed] -= z[width : width + freed.size]
         if keep.any():
             b = self.b[keep]
             worst = float(np.max(self.A[keep] @ x - b))

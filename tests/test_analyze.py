@@ -363,10 +363,11 @@ def test_entailment_of_box_side_is_not_circular():
     assert result.entailed
 
 
-def _highs_entailment(tp, block_id, include_box):
+def _highs_entailment(tp, block_id, box_as_bounds):
     """(vacuous, piece maxima) of ``block_id`` by HiGHS over every other
-    block's rows, within the unit box as variable bounds (less the tested
-    side of a box block) when ``include_box`` is set."""
+    block's rows.  With ``box_as_bounds`` the unit box is also variable
+    bounds (less the tested side of a box block); without, the variables
+    are free and only the consistency blocks' rows hold the box."""
     size = tp.index.size
     rows, rhs = [], []
     for block in tp.blocks:
@@ -374,9 +375,9 @@ def _highs_entailment(tp, block_id, include_box):
             for piece in block.pieces:
                 rows.append(piece.dense(size))
                 rhs.append(-piece.constant)
-    bounds = [(0.0, 1.0) if include_box else (None, None)] * size
+    bounds = [(0.0, 1.0) if box_as_bounds else (None, None)] * size
     kind, _, label = block_id.partition(":")
-    if include_box and kind in ("lb", "ub"):
+    if box_as_bounds and kind in ("lb", "ub"):
         k = [tp.index.label(i) for i in range(size)].index(label)
         bounds[k] = (None, 1.0) if kind == "lb" else (0.0, None)
     region = dict(A_ub=np.array(rows) if rows else None, b_ub=np.array(rhs) if rows else None,
@@ -400,14 +401,15 @@ def _highs_entailment(tp, block_id, include_box):
 @pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
 def test_entailment_maxima_match_highs(path):
     """The presolved entailment LPs (box lower sides as variable bounds,
-    consistency blocks dropped) and the plain ones without the box give
-    HiGHS's maxima over the unpresolved region, for every block."""
+    consistency blocks dropped) give HiGHS's maxima over the unpresolved
+    region, with the box as variable bounds and as rows over free
+    variables, for every block."""
     tp = build_training_problem(load_problem(path))
     for block in tp.blocks:
-        for include_box in (True, False):
-            result = grounded_entailment(tp.blocks, block.block_id, tp.index.size, tp.tolerances, include_box)
-            vacuous, maxima = _highs_entailment(tp, block.block_id, include_box)
-            where = (block.block_id, include_box)
+        result = grounded_entailment(tp.blocks, block.block_id, tp.index.size, tp.tolerances)
+        for box_as_bounds in (True, False):
+            vacuous, maxima = _highs_entailment(tp, block.block_id, box_as_bounds)
+            where = (block.block_id, box_as_bounds)
             assert result.vacuous == vacuous, where
             assert len(result.piece_maxima) == len(maxima), where
             for got, want in zip(result.piece_maxima, maxima):

@@ -316,6 +316,15 @@ def test_invalid_json_exit_2(tmp_path):
     assert _run("train", bad, "-o", tmp_path) == 2
 
 
+def test_section_of_the_wrong_json_type_exit_2(tmp_path, capsys):
+    data = json.loads((FIXTURES / "example4.json").read_text())
+    data["kernels"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert _run("compile", bad, "-o", tmp_path) == 2
+    assert "[kernels] 'kernels' must be an object" in capsys.readouterr().err
+
+
 def test_non_integer_label_exit_2(tmp_path, capsys):
     data = json.loads((FIXTURES / "example4.json").read_text())
     data["supervisions"][0]["label"] = True

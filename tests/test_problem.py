@@ -105,8 +105,16 @@ def _set_point(data, value):
     data["domains"]["points"]["x1"] = value
 
 
-def _set_kernel(data, value):
-    data["predicates"]["p1"]["kernel"] = value
+def _set_predicate(key):
+    def setter(data, value):
+        data["predicates"]["p1"][key] = value
+    return setter
+
+
+def _set_section(key):
+    def setter(data, value):
+        data[key] = value
+    return setter
 
 
 def _set_supervision(key):
@@ -120,17 +128,32 @@ def _set_supervision(key):
     [
         (_set_supervision("sample"), 5, r"\[supervisions\] entry 0: 'sample' must be a sample name"),
         (_set_supervision("predicate"), ["p1"], r"\[supervisions\] entry 0: 'predicate' must be a string"),
-        (_set_kernel, ["lin"], r"\[predicates\] predicate 'p1' must name its kernel by a string"),
+        (_set_predicate("kernel"), ["lin"], r"\[predicates\] predicate 'p1' must name its kernel by a string"),
         (_set_point, "ab", r"\[domains\] point 'x1' in domain 'points' must be a list of numbers"),
         (_set_point, [0.4, True], r"\[domains\] point 'x1' .* must be a list of numbers"),
         (_set_supervision("label"), True, r"\[supervisions\] entry 0: 'label' must be the integer -1 or \+1"),
         (_set_supervision("label"), 1.0, r"\[supervisions\] entry 0: 'label' must be the integer -1 or \+1"),
+        (_set_section("kernels"), [], r"\[kernels\] 'kernels' must be an object"),
+        (_set_predicate("domains"), 5, r"\[predicates\] predicate 'p1' needs a 'domains' list of domain names"),
+        (_set_predicate("domains"), "points", r"\[predicates\] predicate 'p1' needs a 'domains' list of domain names"),
+        (_set_section("groundings"), {"p1": 5}, r"\[groundings\] grounding of 'p1' must be a list of sample-name"),
+        (_set_section("groundings"), {"p1": "x1"}, r"\[groundings\] grounding of 'p1' must be a list"),
+        (_set_section("groundings"), {"p1": ["x1"]}, r"\[groundings\] grounding of 'p1' must be a list"),
+        (_set_section("groundings"), [["x1"]], r"\[groundings\] 'groundings' must be an object"),
+        (_set_section("groundings"), {"p9": [["x1"]]}, r"\[groundings\] grounding of undeclared predicate 'p9'"),
+        (_set_section("formulas"), "p1(x)", r"\[formulas\] 'formulas' must be an array"),
+        (_set_section("supervisions"), {}, r"\[supervisions\] 'supervisions' must be an array"),
     ],
-    ids=["sample-int", "predicate-list", "kernel-list", "point-string", "point-bool", "label-true", "label-float"],
+    ids=[
+        "sample-int", "predicate-list", "kernel-list", "point-string", "point-bool", "label-true", "label-float",
+        "kernels-list", "domains-int", "domains-string", "groundings-int", "groundings-string", "groundings-flat",
+        "groundings-list", "groundings-undeclared", "formulas-string", "supervisions-object",
+    ],
 )
 def test_problem_values_of_the_wrong_type_are_refused(setter, value, message):
     """Each value once crashed the parser with a TypeError or ValueError,
-    or (the labels) was silently read as +1."""
+    was read one character at a time, was silently ignored, or (the
+    labels) was silently read as +1."""
     data = json.loads((FIXTURES / "example4.json").read_text())
     setter(data, value)
     with pytest.raises(ProblemError, match=message):

@@ -34,45 +34,45 @@ def test_tolerances_overrides():
 
 
 def test_lp_simple_vertex():
-    r = LpRegion([[1.0, 1.0]], [1.0], [True, True]).minimize([-1.0, -1.0])
+    r = LpRegion([[1.0, 1.0]], [1.0]).minimize([-1.0, -1.0])
     assert r.status == "optimal"
     assert r.objective == pytest.approx(-1.0, abs=1e-9)
     assert r.x.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lp_free_variable():
-    r = LpRegion([[-1.0]], [3.0], [False]).minimize([1.0])
+    r = LpRegion([[-1.0]], [3.0]).minimize([1.0], free_vars=[0])
     assert r.status == "optimal"
     assert r.x[0] == pytest.approx(-3.0, abs=1e-9)
 
 
 def test_lp_infeasible_with_certificate():
-    r = LpRegion([[1.0]], [-1.0], [True]).minimize([0.0])
+    r = LpRegion([[1.0]], [-1.0]).minimize([0.0])
     assert r.status == "infeasible"
     assert r.certificate > 0.0
 
     # x1 + x2 <= 1 and x1 + x2 >= 1.5
-    r = LpRegion([[1.0, 1.0], [-2.0, -2.0]], [1.0, -3.0], [True, True]).minimize([0.0, 0.0])
+    r = LpRegion([[1.0, 1.0], [-2.0, -2.0]], [1.0, -3.0]).minimize([0.0, 0.0])
     assert r.status == "infeasible"
 
 
 def test_lp_unbounded():
-    r = LpRegion([[-1.0]], [0.0], [True]).minimize([-1.0])
+    r = LpRegion([[-1.0]], [0.0]).minimize([-1.0])
     assert r.status == "unbounded"
 
 
 def test_lp_no_constraints():
     """Without rows, only the variable bounds hold the objective down."""
-    def minimize(c, nonneg):
-        return LpRegion(np.zeros((0, 2)), [], nonneg).minimize(c)
+    def minimize(c, free):
+        return LpRegion(np.zeros((0, 2)), []).minimize(c, free_vars=free)
 
-    assert minimize([1.0, -2.0], [False, False]).status == "unbounded"
-    assert minimize([1.0, 0.0], [False, True]).status == "unbounded"
-    assert minimize([1.0, -2.0], [True, True]).status == "unbounded"
-    r = minimize([1.0, 2.0], [True, True])
+    assert minimize([1.0, -2.0], [0, 1]).status == "unbounded"
+    assert minimize([1.0, 0.0], [0]).status == "unbounded"
+    assert minimize([1.0, -2.0], []).status == "unbounded"
+    r = minimize([1.0, 2.0], [])
     assert r.status == "optimal" and r.objective == 0.0
     assert np.array_equal(r.x, np.zeros(2))
-    r = minimize([0.0, 3.0], [False, True])
+    r = minimize([0.0, 3.0], [0])
     assert r.status == "optimal" and np.array_equal(r.x, np.zeros(2))
 
 
@@ -85,16 +85,23 @@ def test_lp_degenerate_cycling_guard():
         [0.0, 0.0, 1.0, 0.0],
     ]
     b = [0.0, 0.0, 1.0]
-    r = LpRegion(A, b, [True] * 4).minimize(c)
+    r = LpRegion(A, b).minimize(c)
     ref = linprog(c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
     assert r.status == "optimal"
     assert r.objective == pytest.approx(ref.fun, abs=1e-9)
 
 
+def _bounds(n, free):
+    """HiGHS bounds: x >= 0, less the variables ``free``."""
+    freed = np.zeros(n, dtype=bool)
+    freed[free] = True
+    return [(None, None) if f else (0, None) for f in freed]
+
+
 def _random_lp(rng, kind):
-    """A random LP for ``LpRegion`` and its HiGHS form.  "slack": every
-    row has a positive right-hand side, so no row needs an artificial.
-    "mixed": mixed-sign right-hand sides and free variables.
+    """A random LP for ``LpRegion`` and the variables it frees.  "slack":
+    every row has a positive right-hand side, so no row needs an
+    artificial.  "mixed": mixed-sign right-hand sides and free variables.
     "artificial": nonnegative variables and costs, and negative
     right-hand sides only, so every row needs an artificial and the LP
     is bounded below.  Free variables get finite bounds on both sides,
@@ -106,24 +113,22 @@ def _random_lp(rng, kind):
     m = int(rng.integers(1, 5))
     c = rng.standard_normal(n)
     A_ub = rng.standard_normal((m, n))
+    freed = np.zeros(n, dtype=bool)
     if kind == "slack":
-        nonneg = np.ones(n, dtype=bool)
         b_ub = rng.random(m) + 0.1
     elif kind == "mixed":
-        nonneg = rng.random(n) < 0.5
+        freed = rng.random(n) < 0.5
         b_ub = rng.standard_normal(m)
     else:
-        nonneg = np.ones(n, dtype=bool)
         b_ub = -rng.random(m) - 0.1
         c = np.abs(c)
     if kind != "artificial":
         # -10 <= x <= 10 on the free variables, and x <= 10 on the others
-        capped = ~nonneg | (kind == "slack") | (rng.random() < 0.5)
-        box = np.vstack([np.eye(n)[capped], -np.eye(n)[~nonneg]])
+        capped = freed | (kind == "slack") | (rng.random() < 0.5)
+        box = np.vstack([np.eye(n)[capped], -np.eye(n)[freed]])
         A_ub = np.vstack([A_ub, box])
         b_ub = np.concatenate([b_ub, np.full(box.shape[0], 10.0)])
-    bounds = [(0, None) if nn else (None, None) for nn in nonneg]
-    return c, A_ub, b_ub, nonneg, bounds
+    return c, A_ub, b_ub, np.flatnonzero(freed)
 
 
 def _highs_status(c, A, b, bounds):
@@ -145,10 +150,11 @@ def test_lp_random_against_scipy():
     seen = set()
     for kind in ("slack", "mixed", "artificial"):
         for _ in range(100):
-            c, A_ub, b_ub, nonneg, bounds = _random_lp(rng, kind)
+            c, A_ub, b_ub, free = _random_lp(rng, kind)
             needy = int(np.sum(b_ub < 0))
             artificial_rows.add("none" if needy == 0 else "all" if needy == len(b_ub) else "some")
-            r = LpRegion(A_ub, b_ub, nonneg).minimize(c)
+            r = LpRegion(A_ub, b_ub).minimize(c, free_vars=free)
+            bounds = _bounds(len(c), free)
             expected, fun = _highs_status(c, A_ub, b_ub, bounds)
             assert r.status == expected
             seen.add((kind, r.status))
@@ -156,7 +162,7 @@ def test_lp_random_against_scipy():
                 continue
             assert r.objective == pytest.approx(fun, abs=1e-7)
             assert np.all(A_ub @ r.x <= b_ub + 1e-8)
-            assert np.all(r.x[nonneg] >= -1e-12)
+            assert np.all(np.delete(r.x, free) >= -1e-12)
     assert artificial_rows == {"none", "some", "all"}
     assert {("mixed", "unbounded"), ("artificial", "optimal"), ("artificial", "infeasible")} <= seen
 
@@ -173,72 +179,98 @@ def test_lp_rejects_an_optimum_that_violates_its_rows(monkeypatch):
     # columns x, s: x = 2 breaks x <= 1
     monkeypatch.setattr(solver, "_phase1", _bogus_phase1([[1.0, 0.0, 2.0]], [0]))
     with pytest.raises(SolverError, match="violates"):
-        LpRegion([[1.0]], [1.0], [True]).minimize([1.0])
-    # a free x is split into x+ and x-: x = 0.5 - 0 breaks x >= 1
-    monkeypatch.setattr(solver, "_phase1", _bogus_phase1([[1.0, -1.0, 0.0, 0.5]], [0]))
+        LpRegion([[1.0]], [1.0]).minimize([1.0])
+    # a freed x gets a negative part: x = 0.5 - 0 breaks x >= 1
+    monkeypatch.setattr(solver, "_phase1", _bogus_phase1([[1.0, 0.0, 0.5]], [0]))
     with pytest.raises(SolverError, match="violates"):
-        LpRegion([[-1.0]], [-1.0], [False]).minimize([1.0])
+        LpRegion([[-1.0]], [-1.0]).minimize([1.0], free_vars=[0])
     # a dropped row is not checked, a kept one is
-    region = LpRegion([[1.0], [1.0]], [1.0, 3.0], [True])
+    region = LpRegion([[1.0], [1.0]], [1.0, 3.0])
     region._T, region._basis = np.array([[1.0, 0.0, 0.0, 2.0], [0.0, 0.0, 1.0, 1.0]]), np.array([0, 2])
     assert region.minimize([1.0], drop_rows=[0]).x[0] == 2.0
     with pytest.raises(SolverError, match="violates"):
         region.minimize([1.0], drop_rows=[1])
 
 
-def _random_region(rng, conflicting):
-    """A random region A x <= b, x >= 0 where ``nonneg``, for
-    ``LpRegion``, around a random point of it.  Every variable is capped
-    at 10 by a row, and a free one floored at -10 by another, but those
-    rows can be dropped like any other.  With ``conflicting``, a last row
-    contradicts one of the others, so the region is empty until one of
-    the two is dropped."""
+def test_lp_frees_a_variable_over_an_empty_region():
+    """x1 <= -1 empties the region x >= 0; freeing x1 relaxes it to a
+    region with a negative x1, solved with x1's negative part as an extra
+    column and matched against HiGHS."""
+    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    b = np.array([-1.0, 3.0, 2.0])
+    region = LpRegion(A, b)
+    assert not region.feasible
+    assert region.minimize([1.0, -1.0]).status == "infeasible"
+    r = region.minimize([1.0, -1.0], free_vars=[0])
+    expected, fun = _highs_status(np.array([1.0, -1.0]), A, b, _bounds(2, [0]))
+    assert (r.status, expected) == ("optimal", "optimal")
+    assert r.objective == pytest.approx(fun, abs=1e-9)
+    assert r.x == pytest.approx([-3.0, 2.0], abs=1e-9)
+
+
+def _random_region(rng, kind):
+    """A random region A x <= b, x >= 0 for ``LpRegion``, around a random
+    point of it, and a variable to free.  Every variable is capped at 10
+    by a row and floored at -10 by another, so that freeing it keeps it
+    bounded, but those rows can be dropped like any other.  "conflicting":
+    a last row contradicts one of the others, so the region is empty
+    until one of the two is dropped.  "signed": the point is negative in
+    the variable to free and a last row keeps that variable negative, so
+    the region is empty until the variable is freed or the row dropped."""
     n = int(rng.integers(2, 6))
     m = int(rng.integers(1, 5))
-    nonneg = rng.random(n) < 0.5
-    x0 = rng.standard_normal(n)
-    x0[nonneg] = np.abs(x0[nonneg])
-    A = np.vstack([rng.standard_normal((m, n)), np.eye(n), -np.eye(n)[~nonneg]])
+    k = int(rng.integers(0, n))
+    x0 = np.abs(rng.standard_normal(n))
+    if kind == "signed":
+        x0[k] = -x0[k] - 0.1
+    A = np.vstack([rng.standard_normal((m, n)), np.eye(n), -np.eye(n)])
     b = A @ x0 + np.where(rng.random(A.shape[0]) < 0.3, 0.0, rng.random(A.shape[0]))
     b[m:] = 10.0
-    if conflicting:
+    if kind == "conflicting":
         r = int(rng.integers(0, m))
         A = np.vstack([A, -A[r]])
         b = np.append(b, -b[r] - 1.0)
-    return A, b, nonneg
+    elif kind == "signed":
+        A = np.vstack([A, np.eye(n)[k]])
+        b = np.append(b, x0[k])
+    return A, b, k
 
 
 def test_lp_region_against_scipy():
     """Every ``minimize`` over a relaxation of one region matches HiGHS
     over the kept rows and bounds, from the region's feasible tableau or,
-    for an empty region, from a phase 1 of its own."""
+    for an empty region, from a phase 1 of its own.  Each signed region's
+    first LP frees its negative variable and drops nothing."""
     rng = np.random.default_rng(131)
     seen = set()
-    for conflicting in (False, True):
+    for kind in ("feasible", "conflicting", "signed"):
         for _ in range(60):
-            A, b, nonneg = _random_region(rng, conflicting)
-            region = LpRegion(A, b, nonneg)
-            bounds = [(0, None) if nn else (None, None) for nn in nonneg]
-            assert region.feasible == (_highs_status(np.zeros(len(nonneg)), A, b, bounds)[0] == "optimal")
-            for _ in range(5):
-                drop = np.flatnonzero(rng.random(len(b)) < 0.3)
-                free = np.flatnonzero(rng.random(len(nonneg)) < 0.4)
-                c = rng.standard_normal(len(nonneg))
+            A, b, k = _random_region(rng, kind)
+            n = A.shape[1]
+            region = LpRegion(A, b)
+            assert region.feasible == (_highs_status(np.zeros(n), A, b, _bounds(n, []))[0] == "optimal")
+            for trial in range(5):
+                if kind == "signed" and trial == 0:
+                    drop, free = np.array([], dtype=int), np.array([k])
+                else:
+                    drop = np.flatnonzero(rng.random(len(b)) < 0.3)
+                    free = np.flatnonzero(rng.random(n) < 0.4)
+                c = rng.standard_normal(n)
                 r = region.minimize(c, drop, free)
                 keep = np.ones(len(b), dtype=bool)
                 keep[drop] = False
-                freed = np.zeros(len(nonneg), dtype=bool)
-                freed[free] = True
-                bounds = [(0, None) if nn and not f else (None, None) for nn, f in zip(nonneg, freed)]
+                bounds = _bounds(n, free)
                 expected, fun = _highs_status(c, A[keep], b[keep], bounds)
                 assert r.status == expected
-                seen.add((region.feasible, r.status))
+                seen.add((kind, region.feasible, bool(drop.size), bool(free.size), r.status))
                 if r.status != "optimal":
                     continue
                 assert r.objective == pytest.approx(fun, abs=1e-7)
                 assert np.all(A[keep] @ r.x <= b[keep] + 1e-8)
-                assert np.all(r.x[nonneg & ~freed] >= -1e-12)
-    assert {(True, "optimal"), (True, "unbounded"), (False, "optimal"), (False, "infeasible")} <= seen
+                assert np.all(np.delete(r.x, free) >= -1e-12)
+    statuses = {(feasible, status) for _, feasible, _, _, status in seen}
+    assert {(True, "optimal"), (True, "unbounded"), (False, "optimal"), (False, "infeasible")} <= statuses
+    assert ("signed", False, False, True, "optimal") in seen
 
 
 def test_pivot_matches_row_loop():
