@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import functools
 import itertools
-import json
 import sys
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from .kernels import KernelError
 from .logic import FormulaError
 from .problem import ProblemError, build_training_problem, load_problem
 from .solver import Infeasible, SolverError, Tolerances, tolerances_with
-from .train import TrainError, TrainingProblem, solve_primal
+from .train import TrainError, TrainingProblem, solve_primal, write_json
 
 _TOL_FIELDS = tuple(f.name for f in dataclasses.fields(Tolerances))
 
@@ -79,12 +78,6 @@ def _header(args, tp: TrainingProblem) -> dict:
     return header
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 def _out_dir(args) -> Path:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -111,7 +104,7 @@ def cmd_compile(args) -> int:
             for block in tp.blocks
         ],
     }
-    _write_json(out / "manifest.json", manifest)
+    write_json(out / "manifest.json", manifest)
     print(f"wrote {out / 'M.csv'} and {out / 'manifest.json'}")
     return 0
 
@@ -140,7 +133,7 @@ def cmd_train(args) -> int:
         "max_violation": model.max_violation(),
         "kernel_classification": tp.psd,
     }
-    _write_json(out / "training_report.json", report)
+    write_json(out / "training_report.json", report)
     print(f"loss {model.loss!r}; wrote {out / 'model.json'} and {out / 'training_report.json'}")
     return 0
 
@@ -157,7 +150,7 @@ def cmd_analyze(args) -> int:
     )
     payload = {**_header(args, tp), **report.to_dict()}
     out = _out_dir(args)
-    _write_json(out / "analysis.json", payload)
+    write_json(out / "analysis.json", payload)
     for entry in report.blocks:
         print(f"{entry.block_id}: {entry.verdict}")
     print(f"wrote {out / 'analysis.json'}")
@@ -169,7 +162,7 @@ def cmd_ablate(args) -> int:
     record = ablate_and_compare(tp, args.drop)
     payload = {**_header(args, tp), **dataclasses.asdict(record)}
     out = _out_dir(args)
-    _write_json(out / "ablation.json", payload)
+    write_json(out / "ablation.json", payload)
     print(
         f"{args.drop}: loss {record.loss!r} -> {record.ablated_loss!r}, "
         f"optimum distance {record.p_distance!r}"

@@ -15,7 +15,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import starmap
+from typing import Sequence
 
 import numpy as np
 
@@ -50,9 +51,6 @@ def _piece(coeffs: dict[int, float], constant: float) -> AffinePiece:
     return AffinePiece(terms, float(constant))
 
 
-_CAP = AffinePiece((), 1.0)
-
-
 @dataclass(frozen=True)
 class AffineSet:
     """A concave piecewise-linear function, the min of ``pieces``."""
@@ -63,88 +61,99 @@ class AffineSet:
         return min(piece.value(p) for piece in self.pieces)
 
 
-def _dedup(pieces: Iterable[AffinePiece]) -> list[AffinePiece]:
-    seen = set()
-    out = []
-    for piece in pieces:
-        if piece not in seen:
-            seen.add(piece)
-            out.append(piece)
-    return out
+# A piece during compilation: the (terms, constant) of an AffinePiece.
+_Piece = tuple[tuple[tuple[int, float], ...], float]
+
+_CAP: _Piece = ((), 1.0)
 
 
-def _is_constant_true(piece: AffinePiece) -> bool:
-    return not piece.terms and piece.constant >= 1.0
+def _disjunct(pieces: list[_Piece]) -> list[_Piece]:
+    """The distinct pieces of a strong-disjunction operand, first
+    occurrences kept, that are not constant true; a single piece is
+    distinct already."""
+    if len(pieces) == 1:
+        terms, constant = pieces[0]
+        return pieces if terms or constant < 1.0 else []
+    return [a for a in dict.fromkeys(pieces) if a[0] or a[1] < 1.0]
 
 
-def _disjunct(pieces: list[AffinePiece]) -> list[AffinePiece]:
-    """The distinct pieces of a strong-disjunction operand that are not
-    constant true; a single piece is distinct already."""
-    if len(pieces) > 1:
-        pieces = _dedup(pieces)
-    return [a for a in pieces if not _is_constant_true(a)]
+def _sums(left: list[_Piece], right: list[_Piece]) -> list[_Piece]:
+    """The cap, then the pointwise sum of every piece of ``left`` with
+    every piece of ``right``, left-major.  Coefficients are merged
+    through a dict only where the two pieces share a coordinate;
+    otherwise their terms are concatenated and sorted."""
+    sums = [_CAP]
+    for ta, ca in left:
+        for tb, cb in right:
+            terms = ta + tb
+            if len(dict(terms)) == len(terms):
+                sums.append((tuple(sorted(terms)), ca + cb))
+                continue
+            coeffs = dict(ta)
+            for k, c in tb:
+                coeffs[k] = coeffs.get(k, 0.0) + c
+            sums.append((tuple(sorted((k, c) for k, c in coeffs.items() if c != 0.0)), ca + cb))
+    return sums
 
 
 def compile_min_affine(nnf: NnfFormula, index: GroundingIndex) -> AffineSet:
     """Min-of-affines form of a closed concave-fragment formula in
     negation normal form, over the coordinates of ``index``.
 
-    One walk grounds and compiles.  A literal maps to one affine piece.
-    Weak conjunction concatenates the piece lists of its operands, and
-    ``forall`` is the weak conjunction of its instances, one per sample
-    of the variable's domain in name order.  Strong disjunction
+    One walk grounds and compiles, on plain ``(terms, constant)``
+    tuples.  A literal maps to one affine piece.  Weak conjunction
+    concatenates the piece lists of its operands, and ``forall`` is the
+    weak conjunction of its instances, one per sample of the variable's
+    domain in name order; it binds the variable in one environment that
+    is updated in place and restored on exit.  Strong disjunction
     contributes the constant-1 cap once plus all pointwise sums of one
     piece per operand, with each operand's duplicates removed first;
     constant-true pieces of the operands are not summed, since any sum
     involving them is dominated by the cap.  Duplicates are removed once
-    more at the root, keeping each piece's first occurrence, which gives
-    the same list as removing them at every node.
+    more at the root.  Every removal keeps each piece's first
+    occurrence, which gives the same list as removing them at every
+    node, and an AffinePiece is built only for each distinct piece of
+    the result.
     """
     universe = sample_universe(nnf, index)
+    coordinates = index.coordinates
+    # Every variable of the formula, bound to its current sample or to
+    # None while it is free; a name that is not a key is a sample constant.
+    env: dict[str, str | None] = dict.fromkeys(universe)
 
-    def coordinate(atom: Atom, env: dict[str, str]) -> int:
-        args = []
-        for arg in atom.args:
-            if arg in env:
-                args.append(env[arg])
-            elif arg in universe:
-                raise GroundingError(f"free variable {arg!r} in {to_text(nnf)}; quantify it")
-            else:
-                args.append(arg)
-        return index.coordinate_of(Atom(atom.name, tuple(args)))
-
-    def rec(node, env: dict[str, str]) -> list[AffinePiece]:
+    def rec(node) -> list[_Piece]:
         kind = type(node)
-        if kind is Atom:
-            return [AffinePiece(((coordinate(node, env), 1.0),), 0.0)]
-        if kind is Neg and type(node.child) is Atom:
-            return [AffinePiece(((coordinate(node.child, env), -1.0),), 1.0)]
-        if kind is WeakConj:
-            return rec(node.left, env) + rec(node.right, env)
+        if kind is Atom or (kind is Neg and type(node.child) is Atom):
+            atom = node if kind is Atom else node.child
+            args = tuple(map(env.get, atom.args, atom.args))
+            k = coordinates.get((atom.name, args))
+            if k is None:
+                if None in args:
+                    free = atom.args[args.index(None)]
+                    raise GroundingError(f"free variable {free!r} in {to_text(nnf)}; quantify it")
+                index.coordinate_of(Atom(atom.name, args))  # raises, naming the atom
+            return [(((k, 1.0),), 0.0)] if kind is Atom else [(((k, -1.0),), 1.0)]
+        if kind is StrongDisj:
+            return _sums(_disjunct(rec(node.left)), _disjunct(rec(node.right)))
         if kind is Forall:
-            names = universe.get(node.var)
+            var = node.var
+            names = universe.get(var)
             if names is None:
-                raise GroundingError(f"cannot infer a domain for quantified variable {node.var!r}")
+                raise GroundingError(f"cannot infer a domain for quantified variable {var!r}")
             if not names:
-                raise GroundingError(f"the domain of variable {node.var!r} has no samples")
+                raise GroundingError(f"the domain of variable {var!r} has no samples")
+            outer = env[var]
             pieces = []
             for name in names:
-                pieces += rec(node.body, {**env, node.var: name})
+                env[var] = name
+                pieces += rec(node.body)
+            env[var] = outer
             return pieces
-        if kind is StrongDisj:
-            left = _disjunct(rec(node.left, env))
-            right = _disjunct(rec(node.right, env))
-            sums = [_CAP]
-            for a in left:
-                for b in right:
-                    coeffs: dict[int, float] = dict(a.terms)
-                    for k, c in b.terms:
-                        coeffs[k] = coeffs.get(k, 0.0) + c
-                    sums.append(_piece(coeffs, a.constant + b.constant))
-            return sums
+        if kind is WeakConj:
+            return rec(node.left) + rec(node.right)
         raise CompileError(f"node {kind.__name__} is outside the concave fragment")
 
-    return AffineSet(tuple(_dedup(rec(nnf, {}))))
+    return AffineSet(tuple(starmap(AffinePiece, dict.fromkeys(rec(nnf)))))
 
 
 @dataclass(frozen=True)

@@ -158,7 +158,9 @@ class GroundingIndex:
     """Bijection between (predicate, sample tuple) pairs and coordinates.
 
     Coordinates are 0-based internally; exported labels use the
-    "predicate:sample1,sample2" convention.
+    "predicate:sample1,sample2" convention.  ``coordinates`` maps the
+    plain tuple (predicate, sample tuple) of every ground atom to its
+    coordinate, so a lookup builds no Atom.
     """
 
     decls: tuple[PredicateDecl, ...]
@@ -166,7 +168,7 @@ class GroundingIndex:
     tuples: dict[str, tuple[tuple[str, ...], ...]]
     offsets: dict[str, int]
     size: int
-    _coord: dict[Atom, int]
+    coordinates: dict[tuple[str, tuple[str, ...]], int]
 
     def __len__(self) -> int:
         return self.size
@@ -189,7 +191,7 @@ class GroundingIndex:
 
     def coordinate_of(self, atom: Atom) -> int:
         try:
-            return self._coord[atom]
+            return self.coordinates[atom.name, atom.args]
         except KeyError:
             raise GroundingError(
                 f"ground atom {to_text(atom)} has no coordinate in the index"
@@ -217,7 +219,7 @@ class GroundingIndex:
 def build_grounding_index(
     decls: Sequence[PredicateDecl], samples: SampleSets
 ) -> GroundingIndex:
-    coord: dict[Atom, int] = {}
+    coord: dict[tuple[str, tuple[str, ...]], int] = {}
     offsets: dict[str, int] = {}
     tuples: dict[str, tuple[tuple[str, ...], ...]] = {}
     k = 0
@@ -233,7 +235,7 @@ def build_grounding_index(
         offsets[decl.name] = k
         tuples[decl.name] = ts
         for t in ts:
-            coord[Atom(decl.name, t)] = k
+            coord[decl.name, t] = k
             k += 1
     return GroundingIndex(tuple(decls), samples, tuples, offsets, k, coord)
 

@@ -103,6 +103,11 @@ def parse_problem(data: Mapping) -> Problem:
         unknown = set(entry) - _KERNEL_KEYS
         if unknown:
             raise ProblemError("kernels", f"kernel {kid!r} has unknown keys {sorted(unknown)}")
+        for key in ("offset", "sigma"):
+            if key in entry and not _is_number(entry[key]):
+                raise ProblemError("kernels", f"kernel {kid!r}: {key!r} must be a JSON number, got {entry[key]!r}")
+        if "degree" in entry and type(entry["degree"]) is not int:
+            raise ProblemError("kernels", f"kernel {kid!r}: 'degree' must be a JSON integer, got {entry['degree']!r}")
         try:
             kernels[kid] = KernelSpec(**entry)
         except (KernelError, TypeError) as exc:

@@ -211,9 +211,14 @@ class TrainedModel:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=False)
-            fh.write("\n")
+        write_json(path, self.to_dict())
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as JSON indented by 2, then a newline, in one
+    write: ``json.dump`` would make one write per encoded chunk."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def solve_primal(tp: TrainingProblem) -> TrainedModel:

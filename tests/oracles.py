@@ -1,8 +1,11 @@
-"""Independent reference implementations used to cross-check the solvers.
+"""Independent reference implementations used to cross-check the solvers
+and the formula compiler.
 
-These deliberately take the brute-force route: enumerate candidate
-active sets and solve the stationarity conditions directly, so they
-share no code path with the iterative solvers under test.
+The solver oracles deliberately take the brute-force route: enumerate
+candidate active sets and solve the stationarity conditions directly, so
+they share no code path with the iterative solvers under test.  The
+compiler oracle is the straightforward walk over AffinePiece dataclasses
+that the plain-tuple walk replaced.
 """
 
 from __future__ import annotations
@@ -11,6 +14,10 @@ import itertools
 
 import numpy as np
 from scipy.optimize import linprog
+
+from luklearn.constraints import AffinePiece, AffineSet, CompileError
+from luklearn.grounding import GroundingError, sample_universe
+from luklearn.logic import Atom, Forall, Neg, StrongDisj, WeakConj, to_text
 
 
 def kkt_enumeration_qp(Q, c, A, b, tol=1e-9):
@@ -96,3 +103,78 @@ def linprog_supports(M, target, cols, tol=1e-7):
     c[k] = 1.0
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
     return res.status == 0 and res.x[k] <= tol
+
+
+def _dedup(pieces):
+    seen = set()
+    out = []
+    for piece in pieces:
+        if piece not in seen:
+            seen.add(piece)
+            out.append(piece)
+    return out
+
+
+def _is_constant_true(piece):
+    return not piece.terms and piece.constant >= 1.0
+
+
+def _disjunct(pieces):
+    if len(pieces) > 1:
+        pieces = _dedup(pieces)
+    return [a for a in pieces if not _is_constant_true(a)]
+
+
+def reference_compile_min_affine(nnf, index):
+    """``constraints.compile_min_affine`` as a walk over AffinePiece
+    dataclasses: every node builds its pieces, strong-disjunction
+    operands are deduplicated by hashing them, and each ``forall``
+    instance copies the environment.  Piece lists and their order are
+    the contract the plain-tuple walk must reproduce exactly."""
+    cap = AffinePiece((), 1.0)
+    universe = sample_universe(nnf, index)
+
+    def coordinate(atom, env):
+        args = []
+        for arg in atom.args:
+            if arg in env:
+                args.append(env[arg])
+            elif arg in universe:
+                raise GroundingError(f"free variable {arg!r} in {to_text(nnf)}; quantify it")
+            else:
+                args.append(arg)
+        return index.coordinate_of(Atom(atom.name, tuple(args)))
+
+    def rec(node, env):
+        kind = type(node)
+        if kind is Atom:
+            return [AffinePiece(((coordinate(node, env), 1.0),), 0.0)]
+        if kind is Neg and type(node.child) is Atom:
+            return [AffinePiece(((coordinate(node.child, env), -1.0),), 1.0)]
+        if kind is WeakConj:
+            return rec(node.left, env) + rec(node.right, env)
+        if kind is Forall:
+            names = universe.get(node.var)
+            if names is None:
+                raise GroundingError(f"cannot infer a domain for quantified variable {node.var!r}")
+            if not names:
+                raise GroundingError(f"the domain of variable {node.var!r} has no samples")
+            pieces = []
+            for name in names:
+                pieces += rec(node.body, {**env, node.var: name})
+            return pieces
+        if kind is StrongDisj:
+            left = _disjunct(rec(node.left, env))
+            right = _disjunct(rec(node.right, env))
+            sums = [cap]
+            for a in left:
+                for b in right:
+                    coeffs = dict(a.terms)
+                    for k, c in b.terms:
+                        coeffs[k] = coeffs.get(k, 0.0) + c
+                    terms = tuple(sorted((k, c) for k, c in coeffs.items() if c != 0.0))
+                    sums.append(AffinePiece(terms, float(a.constant + b.constant)))
+            return sums
+        raise CompileError(f"node {kind.__name__} is outside the concave fragment")
+
+    return AffineSet(tuple(_dedup(rec(nnf, {}))))

@@ -334,6 +334,16 @@ def test_non_integer_label_exit_2(tmp_path, capsys):
     assert "'label' must be the integer -1 or +1" in capsys.readouterr().err
 
 
+def test_kernel_parameter_of_the_wrong_type_exit_2(tmp_path, capsys):
+    data = json.loads((FIXTURES / "example4.json").read_text())
+    data["kernels"]["default"]["offset"] = "a"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert _run("train", bad, "-o", tmp_path) == 2
+    assert "[kernels] kernel 'default': 'offset' must be a JSON number, got 'a'" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_module_entry_point_version():
     # the child imports luklearn from wherever this process found it
     proc = subprocess.run(

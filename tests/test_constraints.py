@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import reference_compile_min_affine
 
 from luklearn.constraints import (
     AffinePiece,
@@ -23,13 +24,25 @@ from luklearn.constraints import (
     to_constraint_block,
 )
 from luklearn.grounding import (
+    GroundingError,
     PredicateDecl,
     build_grounding_index,
     build_samples,
     ground_assignment,
     sample_universe,
 )
-from luklearn.logic import Atom, Neg, WeakConj, eval_lukasiewicz, parse_formula, to_nnf
+from luklearn.logic import (
+    Atom,
+    Forall,
+    Neg,
+    StrongDisj,
+    WeakConj,
+    eval_lukasiewicz,
+    iter_atoms,
+    parse_formula,
+    to_nnf,
+    to_text,
+)
 from luklearn.problem import build_training_problem, load_problem
 
 DOMS = {"points": {"x1": (0.2, 0.6), "x2": (0.7, 0.3)}}
@@ -337,3 +350,135 @@ def test_matrix_csv_with_no_columns():
     never = ConstraintBlock("never", "logical", (AffinePiece((), 0.0),))
     _assert_same_bytes([never], index.size, index.labels())
     assert assemble_matrix([never], index.size).n_columns == 0
+
+
+# The randomized comparison with the reference walk.  Two domains, four
+# predicates; r is grounded on every pair except (a, a) in the partial
+# index, so a formula that reaches r(a,a) fails there.
+WALK_DOMS = {"points": {"a": (0.1,), "b": (0.5,), "c": (0.9,)}, "tags": {"t": (0.0,), "u": (1.0,)}}
+WALK_DECLS = [
+    PredicateDecl("p", ("points",)),
+    PredicateDecl("r", ("points", "points")),
+    PredicateDecl("s", ("tags",)),
+    PredicateDecl("q", ("points", "tags")),
+]
+WALK_PARTIAL = {"r": [(x, y) for x in "abc" for y in "abc" if (x, y) != ("a", "a")]}
+
+
+def _walk_indexes():
+    full = build_grounding_index(WALK_DECLS, build_samples(WALK_DOMS, WALK_DECLS))
+    partial = build_grounding_index(
+        WALK_DECLS, build_samples(WALK_DOMS, WALK_DECLS, groundings=WALK_PARTIAL)
+    )
+    return full, partial
+
+
+def _random_literal(rng, bound: dict[str, str]):
+    decl = WALK_DECLS[rng.integers(len(WALK_DECLS))]
+    args = []
+    for dom in decl.domains:
+        variables = [v for v, d in bound.items() if d == dom]
+        if variables and rng.random() < 0.7:
+            args.append(variables[rng.integers(len(variables))])  # may repeat: r(x,x)
+        else:
+            names = sorted(WALK_DOMS[dom])
+            args.append(names[rng.integers(len(names))])  # a sample constant
+    atom = Atom(decl.name, tuple(args))
+    return Neg(atom) if rng.random() < 0.5 else atom
+
+
+def _random_concave(rng, depth: int, bound: dict[str, str]):
+    """A random concave-fragment formula in negation normal form over the
+    variables ``bound``; every quantifier's variable occurs in its body."""
+    roll = rng.random() if depth else 0.0
+    if roll < 0.3:
+        literal = _random_literal(rng, bound)
+        if rng.random() < 0.2:  # a literal and its complement: p(x) + ~p(x)
+            other = literal.child if type(literal) is Neg else Neg(literal)
+            return StrongDisj(literal, other)
+        return literal
+    if roll < 0.5:
+        return WeakConj(_random_concave(rng, depth - 1, bound), _random_concave(rng, depth - 1, bound))
+    if roll < 0.75:
+        return StrongDisj(_random_concave(rng, depth - 1, bound), _random_concave(rng, depth - 1, bound))
+    var = f"v{len(bound)}"
+    dom = "points" if rng.random() < 0.7 else "tags"
+    inner = {**bound, var: dom}
+    body = _random_concave(rng, depth - 1, inner)
+    if var not in {a for atom in iter_atoms(body) for a in atom.args}:
+        pred = "p" if dom == "points" else "s"
+        body = StrongDisj(body, Atom(pred, (var,)))
+    return Forall(var, body)
+
+
+def _outcome(compile_fn, nnf, index):
+    """The exact pieces, in order, or the error raised."""
+    try:
+        aset = compile_fn(nnf, index)
+    except (GroundingError, CompileError) as exc:
+        return type(exc).__name__, str(exc)
+    return repr([(piece.terms, piece.constant) for piece in aset.pieces])
+
+
+WALK_TEXTS = [
+    "(p(a) & ~p(b)) + (p(c) & r(a,b))",  # + over &
+    "(p(a) & p(b)) + (~p(a) & p(c)) + (r(b,c) & ~r(c,b))",
+    "p(a) + (forall x: p(x) & ~r(x,b))",  # forall under +
+    "~s(t) + (forall x: forall y: ~r(x,y) + r(y,x))",
+    "forall x: ~r(x,x) + p(x)",  # a repeated variable
+    "forall x: p(x) + ~p(x)",  # cancels to the cap
+    "forall x: (p(x) + ~p(x)) + ~q(x,t)",
+    "forall x: forall y: (~r(x,y) + ~r(y,x)) + (p(x) & r(x,x) & p(x))",
+    "forall x: forall z: q(x,z) + ~q(x,u) + s(z)",
+    "forall x: (p(x) & p(x)) + (~p(b) & ~p(b))",
+]
+
+
+def test_walk_matches_the_reference_on_hand_written_formulas():
+    full, partial = _walk_indexes()
+    # an inner quantifier rebinding x: r(x,x) must see the outer x again
+    shadowed = Forall("x", WeakConj(Forall("x", Atom("p", ("x",))), Atom("r", ("x", "x"))))
+    for nnf in [to_nnf(parse_formula(text)) for text in WALK_TEXTS] + [shadowed]:
+        for index in (full, partial):
+            assert _outcome(compile_min_affine, nnf, index) == _outcome(
+                reference_compile_min_affine, nnf, index
+            ), to_text(nnf)
+
+
+def test_walk_matches_the_reference_on_random_formulas():
+    full, partial = _walk_indexes()
+    rng = np.random.default_rng(2718)
+    counts = {"pieces": 0, "errors": 0, "tautologies": 0}
+    for _ in range(400):
+        nnf = _random_concave(rng, int(rng.integers(1, 5)), {})
+        for index in (full, partial):
+            outcome = _outcome(compile_min_affine, nnf, index)
+            assert outcome == _outcome(reference_compile_min_affine, nnf, index), to_text(nnf)
+            if isinstance(outcome, tuple):
+                counts["errors"] += 1
+            else:
+                counts["pieces"] += 1
+                counts["tautologies"] += outcome == repr([((), 1.0)])
+    # the draws reach both outcomes, and formulas whose literals all cancel
+    assert counts["pieces"] >= 400 and counts["errors"] >= 40 and counts["tautologies"] >= 50
+
+
+@pytest.mark.parametrize(
+    "nnf, message",
+    [
+        (to_nnf(parse_formula("p(x)")), r"free variable 'x' in p\(x\); quantify it"),
+        (to_nnf(parse_formula("forall x: r(x,y) + p(x)")), r"free variable 'y' in forall x: r\(x,y\) \+ p\(x\)"),
+        (to_nnf(parse_formula("(forall x: p(x)) & p(x)")), r"free variable 'x' in \(forall x: p\(x\)\) & p\(x\)"),
+        (to_nnf(parse_formula("forall x: r(x,x)")), r"^ground atom r\(a,a\) has no coordinate in the index$"),
+        # w occurs nowhere in its body, so no domain can be inferred for it
+        (Forall("w", Atom("p", ("a",))), r"cannot infer a domain for quantified variable 'w'"),
+    ],
+    ids=["free", "free-inner", "free-after-scope", "missing-coordinate", "no-domain"],
+)
+def test_walk_errors_match_the_reference(nnf, message):
+    _, partial = _walk_indexes()
+    with pytest.raises(GroundingError, match=message):
+        compile_min_affine(nnf, partial)
+    assert _outcome(compile_min_affine, nnf, partial) == _outcome(
+        reference_compile_min_affine, nnf, partial
+    )

@@ -117,6 +117,12 @@ def _set_section(key):
     return setter
 
 
+def _set_kernel(key):
+    def setter(data, value):
+        data["kernels"]["default"][key] = value
+    return setter
+
+
 def _set_supervision(key):
     def setter(data, value):
         data["supervisions"][0][key] = value
@@ -143,17 +149,26 @@ def _set_supervision(key):
         (_set_section("groundings"), {"p9": [["x1"]]}, r"\[groundings\] grounding of undeclared predicate 'p9'"),
         (_set_section("formulas"), "p1(x)", r"\[formulas\] 'formulas' must be an array"),
         (_set_section("supervisions"), {}, r"\[supervisions\] 'supervisions' must be an array"),
+        (_set_kernel("offset"), "a", r"\[kernels\] kernel 'default': 'offset' must be a JSON number, got 'a'"),
+        (_set_kernel("offset"), True, r"\[kernels\] kernel 'default': 'offset' must be a JSON number, got True"),
+        (_set_kernel("sigma"), "1", r"\[kernels\] kernel 'default': 'sigma' must be a JSON number, got '1'"),
+        (_set_kernel("sigma"), False, r"\[kernels\] kernel 'default': 'sigma' must be a JSON number"),
+        (_set_kernel("degree"), True, r"\[kernels\] kernel 'default': 'degree' must be a JSON integer, got True"),
+        (_set_kernel("degree"), 2.0, r"\[kernels\] kernel 'default': 'degree' must be a JSON integer, got 2.0"),
+        (_set_kernel("degree"), "2", r"\[kernels\] kernel 'default': 'degree' must be a JSON integer"),
     ],
     ids=[
         "sample-int", "predicate-list", "kernel-list", "point-string", "point-bool", "label-true", "label-float",
         "kernels-list", "domains-int", "domains-string", "groundings-int", "groundings-string", "groundings-flat",
         "groundings-list", "groundings-undeclared", "formulas-string", "supervisions-object",
+        "offset-string", "offset-bool", "sigma-string", "sigma-bool", "degree-bool", "degree-float",
+        "degree-string",
     ],
 )
 def test_problem_values_of_the_wrong_type_are_refused(setter, value, message):
     """Each value once crashed the parser with a TypeError or ValueError,
     was read one character at a time, was silently ignored, or (the
-    labels) was silently read as +1."""
+    labels and the kernel parameters) was silently read as a number."""
     data = json.loads((FIXTURES / "example4.json").read_text())
     setter(data, value)
     with pytest.raises(ProblemError, match=message):
