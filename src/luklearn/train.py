@@ -215,10 +215,12 @@ class TrainedModel:
 
 
 def write_json(path, payload: dict) -> None:
-    """Write ``payload`` as JSON indented by 2, then a newline, in one
-    write: ``json.dump`` would make one write per encoded chunk."""
+    """Write ``payload`` as JSON indented by 2, then a newline.  The
+    encoder's chunks go to the file as they come: joining them first
+    for one write held every chunk in memory and saved no time."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def solve_primal(tp: TrainingProblem) -> TrainedModel:
