@@ -4,8 +4,9 @@ and the formula compiler.
 The solver oracles deliberately take the brute-force route: enumerate
 candidate active sets and solve the stationarity conditions directly, so
 they share no code path with the iterative solvers under test.  The
-compiler oracle is the straightforward walk over AffinePiece dataclasses
-that the plain-tuple walk replaced.
+compiler oracle is a direct walk over AffinePiece dataclasses;
+``constraints.compile_min_affine`` must return exactly its pieces, in
+its order.
 """
 
 from __future__ import annotations
@@ -126,11 +127,10 @@ def _disjunct(pieces):
 
 
 def reference_compile_min_affine(nnf, index):
-    """``constraints.compile_min_affine`` as a walk over AffinePiece
+    """The min-of-affines form of ``nnf`` by a walk over AffinePiece
     dataclasses: every node builds its pieces, strong-disjunction
-    operands are deduplicated by hashing them, and each ``forall``
-    instance copies the environment.  Piece lists and their order are
-    the contract the plain-tuple walk must reproduce exactly."""
+    operands and the root are deduplicated through a set of seen
+    pieces, and each ``forall`` instance copies the environment."""
     cap = AffinePiece((), 1.0)
     universe = sample_universe(nnf, index)
 
