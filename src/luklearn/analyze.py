@@ -12,13 +12,13 @@ reported:
   A deactivation certificate is a verified nonnegative least-squares
   solution over the active columns outside the block; where the set
   has more than one such point it may differ from the vertex an LP
-  would return.
+  would return.  These results are reported, but decide no verdict.
 * The gradient system  M nu = -2 a_target, nu >= 0 on active pieces.
   At an optimum of the training QP this says the loss gradient is an
   (entering-sign-correct) conic combination of active constraint
   gradients.  When the Gram matrices are positive definite, a solution
   avoiding a block exists exactly when dropping that block keeps the
-  same optimal grounding vector, so the final verdicts rely on it.
+  same optimal grounding vector, so the verdicts rely on it alone.
 
 Each question has one entry point: ``deactivation_report`` for the
 deactivation of every block of a target system, ``removable_constraints``
@@ -66,8 +66,8 @@ class AnalysisError(Exception):
 
 
 class InconsistentSystem(AnalysisError):
-    """The multiplier system has no solution at the requested tolerance,
-    which signals a stale target vector or a wrong activity set."""
+    """The multiplier system has no solution at the requested tolerance:
+    a stale target, a wrong activity set or a semidefinite Gram matrix."""
 
 
 class SupportLimitExceeded(AnalysisError):
@@ -128,15 +128,14 @@ def solve_problem2(
     activity: Sequence[bool] | None = None,
     column_blocks: Sequence[str] | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    particular: Sequence[float] | None = None,
 ) -> GeneralSolution:
-    """Particular solution plus nullspace basis of the multiplier system
-    restricted to active columns.
+    """Minimum-norm particular solution plus nullspace basis of the
+    multiplier system restricted to active columns.
 
-    ``activity`` defaults to every column active.  A known solution can
-    be supplied as ``particular`` to anchor the parameterization; by
-    default the minimum-norm solution is used.  Raises
-    InconsistentSystem when no multiplier vector reproduces ``target``.
+    ``activity`` defaults to every column active.  Raises
+    InconsistentSystem when no multiplier vector reproduces ``target``,
+    as at an optimum whose alpha leaves the span of the active columns
+    through the kernel of a positive semidefinite Gram matrix.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     S, N = M.shape
@@ -148,14 +147,7 @@ def solve_problem2(
         column_blocks = [f"c{i + 1}" for i in range(N)]
     act_idx = np.flatnonzero(active)
     sub = M[:, act_idx]
-    if particular is not None:
-        lam_full = np.asarray(particular, dtype=float)
-        if np.max(np.abs(lam_full[~active]), initial=0.0) > tol.nonneg:
-            raise InconsistentSystem("supplied solution is nonzero on inactive pieces")
-        lam_act = lam_full[act_idx]
-        residual = float(np.linalg.norm(sub @ lam_act - target))
-    else:
-        lam_act, residual = min_norm_solution(sub, target)
+    lam_act, residual = min_norm_solution(sub, target)
     if residual > tol.stationarity * (1.0 + float(np.linalg.norm(target))):
         raise InconsistentSystem(
             f"multiplier system residual {residual:.3e} exceeds tolerance"
@@ -179,7 +171,6 @@ class DeactivationResult:
 
     block: str
     certificate: np.ndarray | None
-    t: np.ndarray | None
     relaxed: np.ndarray | None
     t_unique: bool
     equality_residual: float
@@ -264,9 +255,8 @@ def _deactivate(gs: GeneralSolution, block_id: str, tol: Tolerances, fits: _Fits
     column: the nonnegative least-squares solution of M lam = target over
     the active columns outside the block, reported when every equation
     holds within the stationarity tolerance times 1 + ||target||_inf.
-    Its parameter is t = basis'(lam - particular).  Where ``t_unique`` is
-    false, several multiplier vectors avoid the block, and this one may
-    differ from the vertex an LP would return.
+    Where ``t_unique`` is false, several multiplier vectors avoid the
+    block, and this one may differ from the vertex an LP would return.
     """
     cols = gs.columns_of(block_id)
     act_cols = [c for c in cols if gs.active[c]]
@@ -277,29 +267,17 @@ def _deactivate(gs: GeneralSolution, block_id: str, tol: Tolerances, fits: _Fits
 
     blocked = set(cols)
     certificate = fits.multipliers([c for c in np.flatnonzero(gs.active) if c not in blocked])
-    t = None if certificate is None else gs.basis.T @ (certificate - gs.particular)
-    return DeactivationResult(block_id, certificate, t, relaxed, t_unique, residual)
+    return DeactivationResult(block_id, certificate, relaxed, t_unique, residual)
 
 
-def deactivation_report(
-    gs: GeneralSolution, unique_optimum: bool, tol: Tolerances = DEFAULT_TOLERANCES
-) -> list[tuple[str, str, DeactivationResult]]:
-    """Per-block verdicts based purely on the target multiplier system:
-    a block with a deactivation certificate is "removable" under a
-    unique optimum (else "candidate"), otherwise "necessary".  The
-    certificates come from one ``_Fits`` over the active columns, so a
-    block whose columns the pool's fit does not use takes that fit, and
-    none is fitted when the whole active pool cannot carry the target."""
+def deactivation_report(gs: GeneralSolution, tol: Tolerances = DEFAULT_TOLERANCES) -> dict[str, DeactivationResult]:
+    """Every block's deactivation result in the target multiplier system,
+    by block id in column order.  The certificates come from one
+    ``_Fits`` over the active columns, so a block whose columns the
+    pool's fit does not use takes that fit, and none is fitted when the
+    whole active pool cannot carry the target."""
     fits = _Fits(gs.matrix, gs.target, np.flatnonzero(gs.active), tol)
-    out = []
-    for block_id in gs.block_ids():
-        result = _deactivate(gs, block_id, tol, fits)
-        if result.certificate is not None:
-            verdict = "removable" if unique_optimum else "candidate"
-        else:
-            verdict = "necessary"
-        out.append((block_id, verdict, result))
-    return out
+    return {block_id: _deactivate(gs, block_id, tol, fits) for block_id in gs.block_ids()}
 
 
 @dataclass(eq=False)
@@ -516,12 +494,6 @@ class AnalysisReport:
     minimal_sets: list[SupportSet] | None
     column_labels: list[str]
 
-    def verdict_of(self, block_id: str) -> str:
-        for entry in self.blocks:
-            if entry.block_id == block_id:
-                return entry.verdict
-        raise AnalysisError(f"unknown block {block_id!r}")
-
     def to_dict(self) -> dict:
         def vec(v, labels=None):
             if v is None:
@@ -596,7 +568,9 @@ def removable_constraints(
     "candidate" (by optimum uniqueness) when a gradient-system
     certificate avoiding the block exists; otherwise "necessary".
     The target-system artifacts (particular solution, nullspace,
-    deactivation results) are computed and reported alongside.
+    deactivation results) are computed and reported alongside.  Where the
+    target system has no solution neither has the gradient system, and
+    InconsistentSystem names the positive semidefinite Gram matrices.
     """
     tp = model.problem
     tol = tp.tolerances
@@ -614,13 +588,17 @@ def removable_constraints(
         chosen = list(range(matrix.n_columns))
         working = matrix
     sub_active = model.activity[chosen]
-    gs = solve_problem2(working.matrix, target, sub_active, working.column_block, tol)
+    try:
+        gs = solve_problem2(working.matrix, target, sub_active, working.column_block, tol)
+    except InconsistentSystem as exc:
+        named = ", ".join(name for name, kind in tp.psd.items() if kind == "positive_semidefinite") or "none"
+        raise InconsistentSystem(f"analysis refused: {exc}; positive semidefinite Gram matrices: {named}") from exc
 
     block_ids = [
         b for b in matrix.block_order
         if mode == "all" or matrix.families[b] == "logical"
     ]
-    deactivations = {b: result for b, _, result in deactivation_report(gs, tp.unique_optimum, tol)}
+    deactivations = deactivation_report(gs, tol)
     gradient = _Fits(matrix.matrix, -2.0 * model.alpha, np.flatnonzero(model.activity), tol)
     # every block's entailment LPs start from one phase 1, which p* makes feasible
     entailment = _EntailmentRegion(tp.blocks, tp.index.size, tol) if check_entailment else None

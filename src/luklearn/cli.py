@@ -5,7 +5,7 @@ outputs are deterministic: rerunning a command on the same input file
 produces byte-identical artifacts.
 
 Exit codes: 0 success, 2 input error, 3 infeasible problem, 4 resource
-guard tripped.
+guard tripped or a numerical result refused.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .analyze import (
     AnalysisError,
+    InconsistentSystem,
     SupportLimitExceeded,
     ablate_and_compare,
     removable_constraints,
@@ -254,7 +255,7 @@ def main(argv=None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (SupportLimitExceeded, SolverError) as exc:
+    except (SupportLimitExceeded, SolverError, InconsistentSystem) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 4
     except (

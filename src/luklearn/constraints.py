@@ -247,9 +247,6 @@ class ConstraintMatrix:
     def n_columns(self) -> int:
         return self.matrix.shape[1]
 
-    def columns_of(self, block_id: str) -> list[int]:
-        return self.block_columns[block_id]
-
     def violations(self, p: np.ndarray) -> np.ndarray:
         return self.matrix.T @ p + self.offsets
 

@@ -61,13 +61,6 @@ class SampleSets:
         default_factory=dict
     )
 
-    def unsupervised(self, predicate: str) -> tuple[tuple[str, ...], ...]:
-        labeled = {t for t, _ in self.supervised.get(predicate, ())}
-        return tuple(t for t in self.groundings[predicate] if t not in labeled)
-
-    def point(self, domain: str, name: str) -> tuple[float, ...]:
-        return self.domains[domain][name]
-
 
 def build_samples(
     domains: Mapping[str, Mapping[str, Sequence[float]]],
@@ -170,15 +163,9 @@ class GroundingIndex:
     size: int
     coordinates: dict[tuple[str, tuple[str, ...]], int]
 
-    def __len__(self) -> int:
-        return self.size
-
     def slice_of(self, predicate: str) -> slice:
         start = self.offsets[predicate]
         return slice(start, start + len(self.tuples[predicate]))
-
-    def to_global(self, predicate: str, t: tuple[str, ...]) -> int:
-        return self.coordinate_of(Atom(predicate, tuple(t)))
 
     def from_global(self, k: int) -> tuple[str, tuple[str, ...]]:
         if not 0 <= k < self.size:
@@ -211,7 +198,7 @@ class GroundingIndex:
         for t in self.tuples[predicate]:
             flat: tuple[float, ...] = ()
             for pos, sample_name in enumerate(t):
-                flat = flat + self.samples.point(decl.domains[pos], sample_name)
+                flat = flat + self.samples.domains[decl.domains[pos]][sample_name]
             points.append(flat)
         return points
 

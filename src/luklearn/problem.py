@@ -35,7 +35,6 @@ class Problem:
     decls: tuple[PredicateDecl, ...]
     samples: SampleSets
     formulas: list[Formula]
-    formula_texts: list[str]
     kernels: dict[str, KernelSpec]
     bias: bool = False
     keep_zero_pieces: bool = False
@@ -153,7 +152,6 @@ def parse_problem(data: Mapping) -> Problem:
 
     signature = {d.name: d.arity for d in decls}
     formulas = []
-    texts = []
     for pos, text in enumerate(_section(data, "formulas", list, [])):
         if not isinstance(text, str):
             raise ProblemError("formulas", f"formula {pos + 1} must be a string")
@@ -161,7 +159,6 @@ def parse_problem(data: Mapping) -> Problem:
             formulas.append(parse_formula(text, signature))
         except FormulaError as exc:
             raise ProblemError("formulas", f"formula {pos + 1}: {exc}") from exc
-        texts.append(text)
 
     options = _section(data, "options", dict, {})
     unknown = set(options) - _OPTION_KEYS
@@ -189,7 +186,6 @@ def parse_problem(data: Mapping) -> Problem:
         tuple(decls),
         samples,
         formulas,
-        texts,
         kernels,
         options.get("bias", False),
         options.get("keep_zero_pieces", False),

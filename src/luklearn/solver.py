@@ -44,15 +44,15 @@ class Infeasible(SolverError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Every numeric threshold of the package; each must be finite and
+    """Every numeric threshold of the package, each one read on the way to
+    an artifact, a verdict or an exit code; each must be finite and
     nonnegative, and a ValueError names the first that is not."""
 
     qp: float = 1e-8           # KKT gate of a QP point, relative to the problem's scale
     lp: float = 1e-9           # simplex pivoting and feasibility threshold, least-distance squared NNLS residual
     nullspace: float = 1e-10   # singular value cutoff, relative to the largest
-    activity: float = 1e-6     # |piece value| below this counts as active: the analysis pool, not a QP working set
+    activity: float = 1e-6     # |piece value| at most this counts as active, decided once in grounding space
     stationarity: float = 1e-7 # multiplier-system residual acceptance
-    nonneg: float = 1e-9       # multiplier sign slack
     entailment: float = 1e-9   # LP maximum below this counts as entailed
 
     def __post_init__(self):
@@ -247,7 +247,6 @@ class NullspaceBasis:
 
     vectors: np.ndarray  # n x dim
     rank: int
-    tol: float
 
     @property
     def dim(self) -> int:
@@ -258,11 +257,11 @@ def nullspace(M: np.ndarray, tol: float = DEFAULT_TOLERANCES.nullspace) -> Nulls
     M = np.atleast_2d(np.asarray(M, dtype=float))
     n = M.shape[1]
     if M.size == 0:  # no rows, or no columns: the kernel is the whole space
-        return NullspaceBasis(np.eye(n), 0, tol)
+        return NullspaceBasis(np.eye(n), 0)
     _, s, vt = np.linalg.svd(M)
     smax = float(s[0]) if s.size else 0.0
     rank = int(np.sum(s > tol * smax)) if smax > 0.0 else 0
-    return NullspaceBasis(vt[rank:].T.copy(), rank, tol)
+    return NullspaceBasis(vt[rank:].T.copy(), rank)
 
 
 def min_norm_solution(M: np.ndarray, rhs: Sequence[float]) -> tuple[np.ndarray, float]:
@@ -341,8 +340,7 @@ class QpProblem:
 class QpSolution:
     x: np.ndarray
     objective: float
-    multipliers: np.ndarray      # one per inequality row, zero off the active set
-    active_set: tuple[int, ...]  # rows with |A_i x + b_i| <= activity tolerance
+    multipliers: np.ndarray      # one per inequality row
     residuals: dict[str, float]
     iterations: int  # proximal steps, 0 when Q has no zero column
 
@@ -422,9 +420,9 @@ def solve_qp(problem: QpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> QpSolu
     14(5), 1976), and each step solves again from the free coordinates
     x_k the last one reached, up to ``PROX_MAX_STEPS`` times.  A point is
     returned only when ``_kkt_residuals`` puts it within ``tol.qp`` of
-    the problem's scale; otherwise SolverError names its residuals.  The
-    rows within ``tol.activity`` of zero are reported as active.  All
-    tie-breaking is lowest-index, so runs are reproducible.
+    the problem's scale; otherwise SolverError names its residuals.  Which
+    rows are active is left to the caller.  All tie-breaking is
+    lowest-index, so runs are reproducible.
     """
     Q = np.atleast_2d(np.asarray(problem.Q, dtype=float))
     n = Q.shape[0]
@@ -457,7 +455,5 @@ def solve_qp(problem: QpProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> QpSolu
         named = ", ".join(f"{k} {v:.3e}" for k, v in residuals.items())
         after = f" after {step} proximal steps" if proximal else ""
         raise SolverError(f"least-distance point is not a KKT point within tolerance{after}: {named}")
-    violations = A @ x + b
-    active = tuple(i for i in range(A.shape[0]) if abs(violations[i]) <= tol.activity)
     objective = float(0.5 * x @ Q @ x + c @ x)
-    return QpSolution(x, objective, mu, active, residuals, step if proximal else 0)
+    return QpSolution(x, objective, mu, residuals, step if proximal else 0)

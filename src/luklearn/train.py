@@ -48,10 +48,6 @@ class TrainingProblem:
     tolerances: Tolerances
     keep_zero_pieces: bool = False
 
-    @property
-    def size(self) -> int:
-        return self.index.size
-
     def khat(self) -> np.ndarray:
         """Block-diagonal Gram matrix in predicate declaration order."""
         S = self.index.size
@@ -158,12 +154,6 @@ class TrainedModel:
     activity: np.ndarray               # bool per retained constraint column
     multipliers: np.ndarray            # QP multipliers per retained column
     qp: QpSolution = field(repr=False)
-
-    def alphas(self) -> dict[str, np.ndarray]:
-        return {
-            decl.name: self.alpha[self.problem.index.slice_of(decl.name)].copy()
-            for decl in self.problem.decls
-        }
 
     def predict(self, predicate: str, X: Sequence[Sequence[float]]) -> np.ndarray:
         """Kernel-expansion values of ``predicate``, one per input row of ``X``."""

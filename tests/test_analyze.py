@@ -36,12 +36,20 @@ FIXTURE_PATHS = sorted(FIXTURES.glob("*.json"))
 
 
 def _fixture_model(path):
-    """The trained model of a fixture, or None for the infeasible one."""
+    """The trained model of a fixture, or None for the infeasible one and
+    for the one whose target system has no solution, which no analysis
+    accepts."""
     try:
-        return solve_primal(build_training_problem(load_problem(path)))
+        model = solve_primal(build_training_problem(load_problem(path)))
     except Infeasible:
         assert path.stem == "conflict"
         return None
+    if path.stem == "linear_singular":
+        for mode in ("all", "logical"):
+            with pytest.raises(InconsistentSystem, match="positive semidefinite Gram matrices: p1, p2, p3"):
+                removable_constraints(model, mode=mode)
+        return None
+    return model
 
 
 def _fit_tol(model, target):
@@ -126,19 +134,10 @@ def test_solve_problem2_inconsistent_target():
         solve_problem2(M, [0.0, 1.0])
 
 
-def test_solve_problem2_rejects_bad_particular():
-    M, blocks, lam_star = _two_point_system()
-    target = M @ lam_star
-    active = np.ones(6, dtype=bool)
-    active[0] = False
-    with pytest.raises(InconsistentSystem, match="inactive"):
-        solve_problem2(M, target, active, blocks, particular=lam_star)
-
-
 def test_solve_problem2_parameterization_property():
     M, blocks, lam_star = _two_point_system()
     target = M @ lam_star
-    gs = solve_problem2(M, target, column_blocks=blocks, particular=lam_star)
+    gs = solve_problem2(M, target, column_blocks=blocks)
     assert gs.nullspace_dim == 2
     rng = np.random.default_rng(97)
     for _ in range(50):
@@ -151,7 +150,7 @@ def test_solve_problem2_respects_activity():
     M, blocks, lam_star = _two_point_system()
     target = M @ lam_star
     active = np.array([True, False, False, True, False, False])
-    gs = solve_problem2(M, target, active, blocks, particular=lam_star)
+    gs = solve_problem2(M, target, active, blocks)
     # only the two active columns remain and they determine lambda uniquely
     assert gs.nullspace_dim == 0
     assert np.allclose(gs.particular, lam_star, atol=1e-12)
@@ -165,7 +164,7 @@ def test_two_point_reference_solution():
     M, blocks, lam_star = _two_point_system()
     expected_target = np.array([0.5549, 0.0, -0.5549, 0.5706, 0.0, -0.5706])
     assert np.max(np.abs(M @ lam_star - expected_target)) <= 1e-12
-    gs = solve_problem2(M, M @ lam_star, column_blocks=blocks, particular=lam_star)
+    gs = solve_problem2(M, M @ lam_star, column_blocks=blocks)
     assert gs.nullspace_dim == 2
     for v in ([-1, 0, -1, 0, 1, 0], [0, -1, 0, -1, 0, 1]):
         v = np.asarray(v, dtype=float)
@@ -179,23 +178,22 @@ def test_two_point_reference_solution():
 
 def _deactivation(gs, block_id):
     """The deactivation result of one block, from the report over every block."""
-    return next(result for block, _, result in deactivation_report(gs, True) if block == block_id)
+    return deactivation_report(gs)[block_id]
 
 
 def test_deactivate_two_point_chain_conclusion():
     M, blocks, lam_star = _two_point_system()
-    gs = solve_problem2(M, M @ lam_star, column_blocks=blocks, particular=lam_star)
+    gs = solve_problem2(M, M @ lam_star, column_blocks=blocks)
     result = _deactivation(gs, "phi3")
     assert result.certificate is not None
     assert np.allclose(result.certificate, lam_star, atol=1e-10)
-    assert np.allclose(result.t, 0.0, atol=1e-10)
     assert result.t_unique
     assert result.equality_residual <= 1e-12
 
 
 def test_deactivate_two_point_chain_premise():
     M, blocks, lam_star = _two_point_system()
-    gs = solve_problem2(M, M @ lam_star, column_blocks=blocks, particular=lam_star)
+    gs = solve_problem2(M, M @ lam_star, column_blocks=blocks)
     result = _deactivation(gs, "phi1")
     assert result.certificate is None
     expected_relaxed = np.array([0.0, 0.0, -0.5549, 0.5706, 0.5549, 0.0])
@@ -207,7 +205,7 @@ def test_deactivate_two_point_chain_premise():
 
 def test_deactivate_three_point_chain_conclusion():
     M, blocks, lam_star = _three_point_system()
-    gs = solve_problem2(M, M @ lam_star, column_blocks=blocks, particular=lam_star)
+    gs = solve_problem2(M, M @ lam_star, column_blocks=blocks)
     assert gs.nullspace_dim == 3
     result = _deactivation(gs, "phi3")
     lam_bar = np.array([0.7722, 0.3453, 0.0, 1.5731, 0.0, 0.5631, 0.0, 0.0, 0.0])
@@ -217,28 +215,27 @@ def test_deactivate_three_point_chain_conclusion():
 
 
 def test_deactivation_report_verdicts():
+    """The report holds every block in column order; a block's verdict in
+    the target system is whether it has a certificate."""
     M, blocks, lam_star = _two_point_system()
-    gs = solve_problem2(M, M @ lam_star, column_blocks=blocks, particular=lam_star)
-    report = deactivation_report(gs, unique_optimum=True)
-    verdicts = {block: verdict for block, verdict, _ in report}
-    assert verdicts == {"phi1": "necessary", "phi2": "necessary", "phi3": "removable"}
-
-    hedged = deactivation_report(gs, unique_optimum=False)
-    assert {v for _, v, _ in hedged} == {"necessary", "candidate"}
+    gs = solve_problem2(M, M @ lam_star, column_blocks=blocks)
+    report = deactivation_report(gs)
+    assert [(block, result.block) for block, result in report.items()] == [(b, b) for b in ("phi1", "phi2", "phi3")]
+    verdicts = {block: result.certificate is not None for block, result in report.items()}
+    assert verdicts == {"phi1": False, "phi2": False, "phi3": True}
 
 
 def test_deactivate_zero_nullspace_cases():
     """With a unique multiplier vector, a block is deactivated exactly when
-    that vector already vanishes on it, and t is the empty vector."""
+    that vector already vanishes on it."""
     gs = solve_problem2(np.eye(2), [1.0, 0.0], column_blocks=["a", "b"])
     assert gs.nullspace_dim == 0
     free = _deactivation(gs, "b")
     assert np.array_equal(free.certificate, [1.0, 0.0])
     assert np.array_equal(free.relaxed, [1.0, 0.0])
-    assert free.t.shape == (0,)
     assert free.t_unique and free.equality_residual == 0.0
     blocked = _deactivation(gs, "a")
-    assert blocked.certificate is None and blocked.t is None
+    assert blocked.certificate is None
     assert blocked.relaxed is None
     assert blocked.t_unique and blocked.equality_residual == 1.0
 
@@ -268,7 +265,7 @@ def test_kkt_certificate_chain_model():
 
     avoiding = certs["pt:p3:x1"]
     assert avoiding is not None
-    for nu in matrix.columns_of("pt:p3:x1"):
+    for nu in matrix.block_columns["pt:p3:x1"]:
         assert avoiding[nu] == 0.0
     assert np.min(avoiding) >= 0.0
     assert np.max(np.abs(matrix.matrix @ avoiding - target)) <= 1e-7
@@ -623,9 +620,10 @@ def test_ablated_problem_structure():
 def test_removable_constraints_verdicts_match_ablation():
     model = _chain_model()
     report = removable_constraints(model)
-    assert report.verdict_of("pt:p2:x1") == "necessary"
+    verdicts = {entry.block_id: entry.verdict for entry in report.blocks}
+    assert verdicts["pt:p2:x1"] == "necessary"
     for block_id in ("phi1", "phi2", "phi3", "pt:p1:x1", "pt:p3:x1", "ub:p2:x1", "ub:p3:x1"):
-        assert report.verdict_of(block_id) == "removable"
+        assert verdicts[block_id] == "removable"
 
     # every verdict must agree with actually retraining without the block
     for entry in report.blocks:
@@ -639,8 +637,8 @@ def test_removable_constraints_verdicts_match_ablation():
 def test_removable_constraints_entailment_mode():
     model = _chain_model()
     report = removable_constraints(model, check_entailment=True)
-    assert report.verdict_of("phi3") == "entailed"
     entry = next(b for b in report.blocks if b.block_id == "phi3")
+    assert entry.verdict == "entailed"
     assert entry.entailment is not None and entry.entailment.entailed
 
 
@@ -662,8 +660,8 @@ def test_removable_constraints_logical_mode():
 def test_deactivation_certificates_solve_the_target_system(path):
     """Every reported deactivation certificate is a nonnegative solution of
     M lam = target that vanishes on its block and on inactive columns,
-    whichever point of the solution set NNLS returned, and its parameter
-    t reproduces it."""
+    whichever point of the solution set NNLS returned, and that lies in
+    the solution set's parameterization."""
     model = _fixture_model(path)
     if model is None:
         return
@@ -678,7 +676,8 @@ def test_deactivation_certificates_solve_the_target_system(path):
         assert np.all(cert[gs.columns_of(entry.block_id)] == 0.0)
         assert np.all(cert[~gs.active] == 0.0)
         assert np.max(np.abs(gs.matrix @ cert - gs.target)) <= 1e-9 * scale
-        assert np.max(np.abs(gs.lambda_of(entry.deactivation.t) - cert)) <= 1e-9 * scale
+        t = gs.basis.T @ (cert - gs.particular)
+        assert np.max(np.abs(gs.lambda_of(t) - cert)) <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)

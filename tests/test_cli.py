@@ -119,13 +119,39 @@ def test_ablate_gate_refusal_names_the_residuals_exit_4(tmp_path, capsys):
 )
 def test_reports_open_with_version_tolerances_and_seed(tmp_path, command, artifact):
     argv = [command[0], FIXTURES / "example4.json", *command[1:], "-o", tmp_path]
-    assert _run(*argv, "--seed", "11", "--tol-nonneg", "1e-8") == 0
+    assert _run(*argv, "--seed", "11", "--tol-activity", "1e-5") == 0
     report = json.loads((tmp_path / artifact).read_text())
     assert list(report)[:3] == ["version", "tolerances", "seed"]
     assert report["version"] == __version__ and report["seed"] == 11
-    assert report["tolerances"]["nonneg"] == 1e-8
+    assert report["tolerances"]["activity"] == 1e-5
     assert _run(*argv) == 0
     assert "seed" not in json.loads((tmp_path / artifact).read_text())
+
+
+def test_tolerances_header_names_every_tolerance(tmp_path):
+    assert _run("train", FIXTURES / "example4.json", "-o", tmp_path) == 0
+    report = json.loads((tmp_path / "training_report.json").read_text())
+    assert list(report["tolerances"]) == ["qp", "lp", "nullspace", "activity", "stationarity", "entailment"]
+
+
+def test_nonneg_tolerance_flag_exit_2(tmp_path, capsys):
+    """``nonneg`` is not a tolerance: no computation read it."""
+    with pytest.raises(SystemExit) as info:
+        _run("analyze", FIXTURES / "example4.json", "-o", tmp_path, "--tol-nonneg", "1e-8")
+    assert info.value.code == 2
+    assert "--tol-nonneg" in capsys.readouterr().err
+    assert not (tmp_path / "analysis.json").exists()
+
+
+def test_nonneg_tolerance_override_exit_2(tmp_path, capsys):
+    data = json.loads((FIXTURES / "example4.json").read_text())
+    data["options"] = {"tolerances": {"nonneg": 1e-9}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert _run("analyze", bad, "-o", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "[options] bad tolerance override" in err and "'nonneg'" in err
+    assert not (tmp_path / "analysis.json").exists()
 
 
 def test_train_records_seed_and_tolerance_overrides(tmp_path):
@@ -206,6 +232,21 @@ def test_analyze_rejects_bad_numeric_flags(tmp_path, capsys, flag, value):
              f"{flag}={value}")
     assert info.value.code == 2
     assert flag in capsys.readouterr().err
+    assert not (tmp_path / "analysis.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["all", "logical"])
+def test_analyze_refuses_a_target_system_without_solution_exit_4(tmp_path, capsys, mode):
+    """With linear kernels on four points in the plane the Gram matrices
+    are singular, and the trained alpha leaves the span of the active
+    columns: no multiplier vector reproduces it, so no verdict is given."""
+    fixture = FIXTURES / "linear_singular.json"
+    assert _run("train", fixture, "-o", tmp_path) == 0
+    assert _run("analyze", fixture, "-o", tmp_path, "--mode", mode) == 4
+    err = capsys.readouterr().err
+    residual = {"all": "6.715e-01", "logical": "9.540e-01"}[mode]
+    assert f"multiplier system residual {residual} exceeds tolerance" in err
+    assert "positive semidefinite Gram matrices: p1, p2, p3" in err
     assert not (tmp_path / "analysis.json").exists()
 
 
@@ -362,7 +403,7 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
     for each call; --version and a usage error still exit 0 and 2."""
     example1, example4 = FIXTURES / "example1.json", FIXTURES / "example4.json"
     calls = [
-        ["analyze", example4, "--entailment", "--seed", "3", "--tol-nonneg", "1e-8"],
+        ["analyze", example4, "--entailment", "--seed", "3", "--tol-entailment", "1e-8"],
         ["analyze", example4],
         ["compile", example1],
         ["train", example4, "--tol-activity", "1e-5"],

@@ -224,7 +224,7 @@ def test_assemble_matrix_metadata_and_violations():
     cm = assemble_matrix(blocks, index.size)
     assert cm.block_order[0] == "pt:p1:x1"
     assert cm.families["pt:p1:x1"] == "pointwise"
-    assert cm.columns_of("lb:p1:x2") == [3]
+    assert cm.block_columns["lb:p1:x2"] == [3]
     p = np.linspace(0.0, 1.0, index.size)
     v = cm.violations(p)
     for nu in range(cm.n_columns):
@@ -249,7 +249,7 @@ def test_restrict_columns_keeps_structure():
     assert sub.n_columns == 3
     assert sub.column_labels == ["pt:p1:x1:1", "lb:p1:x2:1", "ub:p1:x2:1"]
     assert sub.block_order == ["pt:p1:x1", "lb:p1:x2", "ub:p1:x2"]
-    assert sub.columns_of("lb:p1:x2") == [1]
+    assert sub.block_columns["lb:p1:x2"] == [1]
     assert np.array_equal(sub.matrix, cm.matrix[:, [0, 3, 4]])
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from luklearn.logic import parse_formula
 from luklearn.problem import (
     ProblemError,
     build_training_problem,
@@ -40,7 +41,7 @@ def test_fixture_files_load():
     ex1 = load_problem(FIXTURES / "example1.json")
     assert ex1.keep_zero_pieces
     assert [d.name for d in ex1.decls] == ["p1", "p2"]
-    assert ex1.formula_texts == ["forall x: forall y: (p1(x) * p1(y)) -> p2(x,y)"]
+    assert ex1.formulas == [parse_formula("forall x: forall y: (p1(x) * p1(y)) -> p2(x,y)")]
 
 
 def test_missing_sections_name_the_section():

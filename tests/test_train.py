@@ -45,7 +45,7 @@ def _chain_problem(**kwargs):
 
 def test_chain_problem_layout():
     tp = _chain_problem()
-    assert tp.size == 3
+    assert tp.index.size == 3
     assert tp.matrix.matrix.shape == (3, 12)
     assert tp.matrix.block_order == [
         "phi1",
@@ -62,7 +62,7 @@ def test_chain_problem_layout():
         "ub:p3:x1",
     ]
     # each logical block keeps one piece; the constant cap is dropped
-    assert all(len(tp.matrix.columns_of(f"phi{i}")) == 1 for i in (1, 2, 3))
+    assert all(len(tp.matrix.block_columns[f"phi{i}"]) == 1 for i in (1, 2, 3))
     assert tp.matrix.dropped == {"phi1": 1, "phi2": 1, "phi3": 1}
     assert np.allclose(tp.khat(), 1.25 * np.eye(3), atol=1e-12)
     assert tp.psd == {p: "positive_definite" for p in ("p1", "p2", "p3")}
@@ -84,8 +84,10 @@ def test_chain_problem_training_values():
 
 def test_alphas_split_by_predicate():
     model = solve_primal(_chain_problem())
-    parts = model.alphas()
+    index = model.problem.index
+    parts = {decl.name: model.alpha[index.slice_of(decl.name)] for decl in model.problem.decls}
     assert set(parts) == {"p1", "p2", "p3"}
+    assert np.array_equal(np.concatenate(list(parts.values())), model.alpha)
     assert parts["p2"][0] == pytest.approx(0.8, abs=1e-6)
 
 
