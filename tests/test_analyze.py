@@ -176,15 +176,10 @@ def test_two_point_reference_solution():
 # deactivation
 
 
-def _deactivation(gs, block_id):
-    """The deactivation result of one block, from the report over every block."""
-    return deactivation_report(gs)[block_id]
-
-
 def test_deactivate_two_point_chain_conclusion():
     M, blocks, lam_star = _two_point_system()
     gs = solve_problem2(M, M @ lam_star, column_blocks=blocks)
-    result = _deactivation(gs, "phi3")
+    result = deactivation_report(gs)["phi3"]
     assert result.certificate is not None
     assert np.allclose(result.certificate, lam_star, atol=1e-10)
     assert result.t_unique
@@ -194,7 +189,7 @@ def test_deactivate_two_point_chain_conclusion():
 def test_deactivate_two_point_chain_premise():
     M, blocks, lam_star = _two_point_system()
     gs = solve_problem2(M, M @ lam_star, column_blocks=blocks)
-    result = _deactivation(gs, "phi1")
+    result = deactivation_report(gs)["phi1"]
     assert result.certificate is None
     expected_relaxed = np.array([0.0, 0.0, -0.5549, 0.5706, 0.5549, 0.0])
     assert result.relaxed is not None
@@ -207,7 +202,7 @@ def test_deactivate_three_point_chain_conclusion():
     M, blocks, lam_star = _three_point_system()
     gs = solve_problem2(M, M @ lam_star, column_blocks=blocks)
     assert gs.nullspace_dim == 3
-    result = _deactivation(gs, "phi3")
+    result = deactivation_report(gs)["phi3"]
     lam_bar = np.array([0.7722, 0.3453, 0.0, 1.5731, 0.0, 0.5631, 0.0, 0.0, 0.0])
     assert result.certificate is not None
     assert np.max(np.abs(result.certificate - lam_bar)) <= 1e-9
@@ -220,7 +215,8 @@ def test_deactivation_report_verdicts():
     M, blocks, lam_star = _two_point_system()
     gs = solve_problem2(M, M @ lam_star, column_blocks=blocks)
     report = deactivation_report(gs)
-    assert [(block, result.block) for block, result in report.items()] == [(b, b) for b in ("phi1", "phi2", "phi3")]
+    assert list(report) == ["phi1", "phi2", "phi3"]
+    assert all(result.block == block for block, result in report.items())
     verdicts = {block: result.certificate is not None for block, result in report.items()}
     assert verdicts == {"phi1": False, "phi2": False, "phi3": True}
 
@@ -230,11 +226,11 @@ def test_deactivate_zero_nullspace_cases():
     that vector already vanishes on it."""
     gs = solve_problem2(np.eye(2), [1.0, 0.0], column_blocks=["a", "b"])
     assert gs.nullspace_dim == 0
-    free = _deactivation(gs, "b")
+    free = deactivation_report(gs)["b"]
     assert np.array_equal(free.certificate, [1.0, 0.0])
     assert np.array_equal(free.relaxed, [1.0, 0.0])
     assert free.t_unique and free.equality_residual == 0.0
-    blocked = _deactivation(gs, "a")
+    blocked = deactivation_report(gs)["a"]
     assert blocked.certificate is None
     assert blocked.relaxed is None
     assert blocked.t_unique and blocked.equality_residual == 1.0
