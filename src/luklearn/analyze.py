@@ -275,9 +275,21 @@ def deactivation_report(gs: GeneralSolution, tol: Tolerances = DEFAULT_TOLERANCE
     by block id in column order.  The certificates come from one
     ``_Fits`` over the active columns, so a block whose columns the
     pool's fit does not use takes that fit, and none is fitted when the
-    whole active pool cannot carry the target."""
+    whole active pool cannot carry the target.
+
+    A block with no active column constrains nothing in lam(t), so every
+    such block takes one shared answer: the pool's certificate, lam(0),
+    a unique t exactly when the nullspace is trivial, and residual 0.
+    """
     fits = _Fits(gs.matrix, gs.target, np.flatnonzero(gs.active), tol)
-    return {block_id: _deactivate(gs, block_id, tol, fits) for block_id in gs.block_ids()}
+    pool_cert = fits.multipliers(fits.pool)
+    origin = gs.lambda_of(np.zeros(gs.nullspace_dim))
+    return {
+        block_id: _deactivate(gs, block_id, tol, fits)
+        if gs.active[gs.columns_of(block_id)].any()
+        else DeactivationResult(block_id, pool_cert, origin, gs.nullspace_dim == 0, 0.0)
+        for block_id in gs.block_ids()
+    }
 
 
 @dataclass(eq=False)
@@ -498,10 +510,8 @@ class AnalysisReport:
         def vec(v, labels=None):
             if v is None:
                 return None
-            values = [float(x) for x in v]
-            if labels is None:
-                return values
-            return {lab: val for lab, val in zip(labels, values)}
+            values = np.asarray(v, dtype=float).tolist()
+            return values if labels is None else dict(zip(labels, values))
 
         labels = self.column_labels
         blocks = []
@@ -602,15 +612,19 @@ def removable_constraints(
     gradient = _Fits(matrix.matrix, -2.0 * model.alpha, np.flatnonzero(model.activity), tol)
     # every block's entailment LPs start from one phase 1, which p* makes feasible
     entailment = _EntailmentRegion(tp.blocks, tp.index.size, tol) if check_entailment else None
+    # a block with no active piece leaves the pool whole, so it takes the pool's certificate
+    pool_cert = gradient.multipliers(gradient.pool)
     by_id = {b.block_id: b for b in tp.blocks}
     reports = []
     for block_id in block_ids:
         cols = matrix.block_columns[block_id]
         active_labels = [matrix.column_labels[nu] for nu in cols if model.activity[nu]]
         ent = None if entailment is None else entailment.test(by_id[block_id])
-        outside = model.activity.copy()
-        outside[cols] = False
-        cert = gradient.multipliers(np.flatnonzero(outside))
+        cert = pool_cert
+        if active_labels:
+            outside = model.activity.copy()
+            outside[cols] = False
+            cert = gradient.multipliers(np.flatnonzero(outside))
         if ent is not None and ent.entailed:
             verdict = "entailed"
         elif cert is not None:

@@ -110,8 +110,8 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def _float_map(labels, values) -> dict:
-    return {label: float(v) for label, v in zip(labels, values)}
+def _float_map(labels, values: np.ndarray) -> dict:
+    return dict(zip(labels, values.tolist()))
 
 
 def cmd_train(args) -> int:

@@ -8,6 +8,7 @@ matters; it fixes the coordinate layout), "kernels", "formulas",
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -42,8 +43,11 @@ class Problem:
 
 
 def _is_number(value) -> bool:
-    """A JSON number: an int or a float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number: an int or a finite float, but not a bool.  ``json``
+    also reads NaN, Infinity and -Infinity, which JSON has no number for."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 _JSON_TYPES = {dict: "an object", list: "an array"}

@@ -10,7 +10,9 @@ M . p + q <= 0 becomes a linear inequality in a.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -186,7 +188,7 @@ class TrainedModel:
                     },
                     "tuples": [list(t) for t in problem.index.tuples[decl.name]],
                     "points": [list(pt) for pt in problem.index.tuple_points(decl.name)],
-                    "alpha": [float(v) for v in self.alpha[sl]],
+                    "alpha": self.alpha[sl].tolist(),
                     "bias": self.biases[decl.name],
                 }
             )
@@ -194,22 +196,89 @@ class TrainedModel:
             "format": "luklearn-model/1",
             "predicates": preds,
             "loss": self.loss,
-            "p_star": {
-                label: float(v)
-                for label, v in zip(problem.index.labels(), self.p_star)
-            },
+            "p_star": dict(zip(problem.index.labels(), self.p_star.tolist())),
         }
 
     def save(self, path) -> None:
         write_json(path, self.to_dict())
 
 
+_INDENT = "  "
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """``encode`` of the stdlib's C encoder, separating items as
+    ``indent=2`` does at ``depth``, for containers that hold no
+    container; ``indent`` itself selects the pure-Python encoder."""
+    return json.JSONEncoder(separators=(",\n" + _INDENT * depth, ": ")).encode
+
+
+def _scalar(value) -> str:
+    """JSON text of ``value``, which is no container: the common kinds
+    inline, the rest (non-finite floats, errors) by the C encoder."""
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return _flat_encoder(0)(value)
+
+
+def _key(key) -> str:
+    """JSON text of the dict key ``key``."""
+    if isinstance(key, str):
+        return json.encoder.encode_basestring_ascii(key)
+    # other keys take the C encoder's own rules, errors included
+    return _flat_encoder(0)({key: 0})[1:-4]
+
+
+def _write_container(write, value, depth: int) -> None:
+    """Stream the dict, list or tuple ``value`` at ``depth`` as
+    ``json.dumps(value, indent=2)`` writes it there.  A container that
+    holds no container is encoded in C, whole; only containers of
+    containers are walked here."""
+    is_dict = isinstance(value, dict)
+    opening, closing = "{}" if is_dict else "[]"
+    if not value:
+        write(opening + closing)
+        return
+    inner = "\n" + _INDENT * (depth + 1)
+    closing = "\n" + _INDENT * depth + closing
+    kinds = set(map(type, value.values() if is_dict else value))
+    if not any(issubclass(kind, _CONTAINERS) for kind in kinds):
+        write(opening + inner + _flat_encoder(depth + 1)(value)[1:-1] + closing)
+        return
+    write(opening)
+    sep = inner
+    for key, item in value.items() if is_dict else enumerate(value):
+        head = sep + _key(key) + ": " if is_dict else sep
+        if isinstance(item, _CONTAINERS):
+            write(head)
+            _write_container(write, item, depth + 1)
+        else:
+            write(head + _scalar(item))
+        sep = "," + inner
+    write(closing)
+
+
 def write_json(path, payload: dict) -> None:
-    """Write ``payload`` as JSON indented by 2, then a newline.  The
-    encoder's chunks go to the file as they come: joining them first
-    for one write held every chunk in memory and saved no time."""
+    """Write ``payload`` as ``json.dumps(payload, indent=2)`` does, then a
+    newline, streamed to the file container by container: joining the
+    whole document first held it all in memory and saved no time."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        if isinstance(payload, _CONTAINERS):
+            _write_container(fh.write, payload, 0)
+        else:
+            fh.write(_scalar(payload))
         fh.write("\n")
 
 

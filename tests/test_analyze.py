@@ -743,6 +743,55 @@ def test_deactivation_fits_each_distinct_question_once(monkeypatch):
     assert len(calls) == 2 + len(holding)
 
 
+def _same_vector(a, b) -> bool:
+    """Both None, or arrays equal bit for bit."""
+    return (a is None and b is None) or (a is not None and b is not None and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
+def test_blocks_with_no_active_piece_share_the_whole_systems_answers(path, monkeypatch):
+    """A block with no active piece takes the deactivation result and the
+    gradient certificate of the whole active system, bit for bit what its
+    own ``_deactivate`` and ``_Fits.multipliers`` would give; so the
+    analysis solves one least-squares system for the whole system and one
+    per block with an active piece, and none for the others."""
+    model = _fixture_model(path)
+    if model is None:
+        return
+    tol = model.problem.tolerances
+    matrix = model.problem.matrix
+    lstsq_calls = []
+    min_norm_solution = analyze.min_norm_solution
+
+    def counting(M, rhs):
+        lstsq_calls.append(np.shape(M))
+        return min_norm_solution(M, rhs)
+
+    monkeypatch.setattr(analyze, "min_norm_solution", counting)
+    for mode in ("all", "logical"):
+        lstsq_calls.clear()
+        report = removable_constraints(model, mode=mode)
+        gs = report.general
+        busy = [b for b in gs.block_ids() if gs.active[gs.columns_of(b)].any()]
+        assert len(lstsq_calls) == 1 + len(busy), mode
+
+        fits = analyze._Fits(gs.matrix, gs.target, np.flatnonzero(gs.active), tol)
+        gradient = analyze._Fits(matrix.matrix, -2.0 * model.alpha, np.flatnonzero(model.activity), tol)
+        for entry in report.blocks:
+            if entry.active_columns:
+                continue
+            fresh = analyze._deactivate(gs, entry.block_id, tol, fits)
+            shared = entry.deactivation
+            assert shared.block == entry.block_id
+            assert _same_vector(shared.certificate, fresh.certificate), (mode, entry.block_id)
+            assert _same_vector(shared.relaxed, fresh.relaxed), (mode, entry.block_id)
+            assert shared.t_unique is fresh.t_unique
+            assert np.float64(shared.equality_residual).tobytes() == np.float64(fresh.equality_residual).tobytes()
+            outside = model.activity.copy()
+            outside[matrix.block_columns[entry.block_id]] = False
+            assert _same_vector(entry.kkt, gradient.multipliers(np.flatnonzero(outside))), (mode, entry.block_id)
+
+
 @pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
 def test_gradient_certificates_exist_where_linprog_finds_one(path):
     """A block has a gradient certificate exactly when HiGHS fits -2 alpha

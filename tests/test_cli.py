@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from luklearn import __version__, cli
+from luklearn import __version__, cli, train
 from luklearn.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -383,6 +383,63 @@ def test_kernel_parameter_of_the_wrong_type_exit_2(tmp_path, capsys):
     assert _run("train", bad, "-o", tmp_path) == 2
     assert "[kernels] kernel 'default': 'offset' must be a JSON number, got 'a'" in capsys.readouterr().err
     assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize(
+    "kernel, path, message",
+    [
+        ({"kind": "linear", "offset": 1.0}, ("domains", "points", "x1", 1),
+         "[domains] point 'x1' in domain 'points' must be a list of numbers"),
+        ({"kind": "linear", "offset": float("inf")}, (), "[kernels] kernel 'default': 'offset' must be a JSON number"),
+        ({"kind": "rbf", "sigma": float("inf")}, (), "[kernels] kernel 'default': 'sigma' must be a JSON number"),
+    ],
+    ids=["point-nan", "offset-infinity", "sigma-infinity"],
+)
+def test_non_finite_number_exit_2(tmp_path, capsys, kernel, path, message):
+    """``json`` reads NaN and Infinity.  A NaN point or an infinite offset
+    once exited 2 as an asymmetric Gram matrix, and an infinite RBF width
+    trained a constant kernel; each now names its section."""
+    data = json.loads((FIXTURES / "example4.json").read_text())
+    data["kernels"]["default"] = kernel
+    if path:
+        *parents, last = path
+        node = data
+        for key in parents:
+            node = node[key]
+        node[last] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert _run("train", bad, "-o", tmp_path) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize(
+    "path", sorted(FIXTURES.rglob("*.json")), ids=lambda p: p.relative_to(FIXTURES).as_posix()[:-5]
+)
+def test_every_json_artifact_is_the_json_dumps_text(tmp_path, monkeypatch, path):
+    """Each JSON artifact a command writes holds ``json.dumps(payload,
+    indent=2)`` and a newline, for the payload it was given."""
+    written = []
+    write_json = train.write_json
+
+    def recording(out, payload):
+        write_json(out, payload)
+        written.append((out, json.dumps(payload, indent=2) + "\n"))
+
+    monkeypatch.setattr(train, "write_json", recording)
+    monkeypatch.setattr(cli, "write_json", recording)
+    assert _run("compile", path, "-o", tmp_path / "compile") == 0
+    if _run("train", path, "-o", tmp_path / "train") == 0:  # the others train first, and fail where it does
+        commands = [
+            ["analyze", "--entailment", "--minimal-sets"],
+            ["analyze", "--mode", "logical", "--entailment"],
+            ["ablate", "--drop", "phi1"],
+        ]
+        for i, (command, *options) in enumerate(commands):
+            _run(command, path, "-o", tmp_path / str(i), *options)
+    for out, expected in written:
+        assert out.read_text() == expected, out.name
 
 
 def test_module_entry_point_version():

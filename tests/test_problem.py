@@ -157,19 +157,29 @@ def _set_supervision(key):
         (_set_kernel("degree"), True, r"\[kernels\] kernel 'default': 'degree' must be a JSON integer, got True"),
         (_set_kernel("degree"), 2.0, r"\[kernels\] kernel 'default': 'degree' must be a JSON integer, got 2.0"),
         (_set_kernel("degree"), "2", r"\[kernels\] kernel 'default': 'degree' must be a JSON integer"),
+        (_set_point, [0.4, float("nan")], r"\[domains\] point 'x1' .* must be a list of numbers"),
+        (_set_point, [float("inf"), 0.3], r"\[domains\] point 'x1' .* must be a list of numbers"),
+        (_set_point, [0.4, float("-inf")], r"\[domains\] point 'x1' .* must be a list of numbers"),
+        (_set_kernel("offset"), float("nan"), r"\[kernels\] kernel 'default': 'offset' must be a JSON number, got nan"),
+        (_set_kernel("offset"), float("-inf"), r"\[kernels\] kernel 'default': 'offset' must be a JSON number"),
+        (_set_kernel("sigma"), float("inf"), r"\[kernels\] kernel 'default': 'sigma' must be a JSON number, got inf"),
+        (_set_section("options"), {"tolerances": {"qp": float("nan")}}, r"\[options\] bad tolerance override"),
     ],
     ids=[
         "sample-int", "predicate-list", "kernel-list", "point-string", "point-bool", "label-true", "label-float",
         "kernels-list", "domains-int", "domains-string", "groundings-int", "groundings-string", "groundings-flat",
         "groundings-list", "groundings-undeclared", "formulas-string", "supervisions-object",
         "offset-string", "offset-bool", "sigma-string", "sigma-bool", "degree-bool", "degree-float",
-        "degree-string",
+        "degree-string", "point-nan", "point-infinity", "point-minus-infinity", "offset-nan",
+        "offset-minus-infinity", "sigma-infinity", "tolerance-nan",
     ],
 )
 def test_problem_values_of_the_wrong_type_are_refused(setter, value, message):
     """Each value once crashed the parser with a TypeError or ValueError,
     was read one character at a time, was silently ignored, or (the
-    labels and the kernel parameters) was silently read as a number."""
+    labels and the kernel parameters) was silently read as a number.
+    The non-finite numbers, which ``json`` reads but JSON has not, once
+    failed later as an asymmetric Gram matrix or trained a constant kernel."""
     data = json.loads((FIXTURES / "example4.json").read_text())
     setter(data, value)
     with pytest.raises(ProblemError, match=message):

@@ -17,7 +17,7 @@ from luklearn.kernels import KernelError, KernelSpec
 from luklearn.logic import parse_formula
 from luklearn.problem import build_training_problem, load_problem
 from luklearn.solver import Infeasible, SolverError
-from luklearn.train import TrainError, assemble_problem, load_model, solve_primal
+from luklearn.train import TrainError, assemble_problem, load_model, solve_primal, write_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 POINT = {"points": {"x1": (0.4, 0.3)}}
@@ -375,3 +375,60 @@ def test_restriction_to_active_columns_keeps_optimum():
     again = solve_primal(tp2)
     assert np.max(np.abs(again.p_star - model.p_star)) <= 1e-8
     assert again.loss == pytest.approx(model.loss, abs=1e-9)
+
+
+def _written(tmp_path, payload) -> str:
+    path = tmp_path / "out.json"
+    write_json(path, payload)
+    return path.read_text()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[], {}, [[]], [{}]]},
+        [[], [], {}],
+        {"inner": {"deeper": {"deepest": {"x": [1, 2, {"y": []}]}}}},
+        [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308, 0.1],
+        {"nan": {"v": float("nan")}, "list": [1, [float("-inf"), -0.0]], "scalar": float("inf")},
+        [10**30, -(10**30), -7, 0, True, False, None],
+        {"flags": [True, False, None], "mixed": [True, {"k": None}, "s", 1.5, 2]},
+        {"caf\u00e9": "\u00fcber \u2603 \U0001f600", "ctl": "a\tb\nc\u0000\u001f\"\\"},
+        {"tuple": (1, (2.5, "x"), ()), "pair": (1.0, 2.0)},
+        [np.float64(0.1), {"f": np.float64(-2.5e-7)}, [np.float64("nan")]],
+        {1: "int key", 2.5: [1], True: {"b": 1}, None: "none"},
+        "top-level string",
+        3.25,
+        None,
+    ],
+    ids=[
+        "empty-dict", "empty-list", "nested-empties", "list-of-empties", "deep", "floats", "non-finite-nested",
+        "ints-bools", "bools-in-mixed", "non-ascii-control", "tuples", "numpy-float64", "non-string-keys",
+        "root-string", "root-float", "root-null",
+    ],
+)
+def test_write_json_matches_json_dumps(tmp_path, payload):
+    assert _written(tmp_path, payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        np.int64(3),
+        {1, 2},
+        {"v": [1.0, np.int64(2)]},
+        {"deep": {"x": [1, {"y": np.bool_(True)}]}},
+        [{"ok": 1}, {2, 3}],
+        {"k": {(1, 2): "tuple key"}},
+        {"k": [1, {"v": 1}], (1, 2): "tuple key"},
+    ],
+    ids=["numpy-int64", "set", "numpy-int64-in-flat", "numpy-bool-nested", "set-in-list", "tuple-key-flat",
+         "tuple-key-mixed"],
+)
+def test_write_json_raises_where_json_dumps_does(tmp_path, payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, indent=2)
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "out.json", payload)
