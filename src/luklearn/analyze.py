@@ -115,11 +115,19 @@ class GeneralSolution:
     def lambda_of(self, t: Sequence[float]) -> np.ndarray:
         return self.particular + self.basis @ np.asarray(t, dtype=float)
 
+    @cached_property
+    def block_columns(self) -> dict[str, list[int]]:
+        """Each block's columns, by block id in column order."""
+        columns: dict[str, list[int]] = {}
+        for i, b in enumerate(self.column_blocks):
+            columns.setdefault(b, []).append(i)
+        return columns
+
     def columns_of(self, block_id: str) -> list[int]:
-        return [i for i, b in enumerate(self.column_blocks) if b == block_id]
+        return list(self.block_columns.get(block_id, ()))
 
     def block_ids(self) -> list[str]:
-        return list(dict.fromkeys(self.column_blocks))
+        return list(self.block_columns)
 
 
 def solve_problem2(
@@ -184,7 +192,7 @@ def _fit_tolerance(target: np.ndarray, tol: Tolerances) -> float:
 
 class _Fits:
     """Nonnegative least-squares fits of M lam = target over subsets of
-    the columns ``pool``, each distinct subset solved once.
+    the columns ``pool``, each distinct subset solved and checked once.
 
     A subset's problem is the pool's with the other columns pinned to
     zero, which gives two rules.  The subset fits the target no better
@@ -203,6 +211,7 @@ class _Fits:
         self.pool = tuple(pool)
         self.limit = _fit_tolerance(target, tol)
         self._solved: dict[tuple, tuple[np.ndarray, float]] = {}
+        self._answers: dict[tuple, np.ndarray | None] = {}
 
     def _solve(self, cols: tuple) -> tuple[np.ndarray, float]:
         if cols not in self._solved:
@@ -228,23 +237,31 @@ class _Fits:
         tolerance, and no subset fits better."""
         return self._solve(self._key(cols))[1] <= np.sqrt(self.M.shape[0]) * self.limit
 
-    @property
+    @cached_property
     def pool_fits(self) -> bool:
         return self.may_fit(self.pool)
 
-    def multipliers(self, cols: Sequence[int]) -> np.ndarray | None:
-        """Nonnegative multipliers on ``cols``, a subset of the pool,
-        with every equation of M lam = target holding within the fit
-        tolerance, or None."""
-        if not self.pool_fits:
-            return None
-        key = self._key(cols)
+    def _answer(self, key: tuple) -> np.ndarray | None:
+        """The fit over ``key`` as multipliers over every column, or None
+        when an equation misses the fit tolerance."""
         lam_key, _ = self._solve(key)
         if float(np.max(np.abs(self.M[:, list(key)] @ lam_key - self.target), initial=0.0)) > self.limit:
             return None
         lam = np.zeros(self.M.shape[1])
         lam[list(key)] = lam_key
         return lam
+
+    def multipliers(self, cols: Sequence[int]) -> np.ndarray | None:
+        """Nonnegative multipliers on ``cols``, a subset of the pool,
+        with every equation of M lam = target holding within the fit
+        tolerance, or None; a fresh vector on every call."""
+        if not self.pool_fits:
+            return None
+        key = self._key(cols)
+        if key not in self._answers:
+            self._answers[key] = self._answer(key)
+        lam = self._answers[key]
+        return None if lam is None else lam.copy()
 
 
 def _deactivate(gs: GeneralSolution, block_id: str, tol: Tolerances, fits: _Fits) -> DeactivationResult:
@@ -265,8 +282,9 @@ def _deactivate(gs: GeneralSolution, block_id: str, tol: Tolerances, fits: _Fits
     relaxed = gs.lambda_of(relaxed_t) if residual <= tol.stationarity else None
     t_unique = nullspace(eq_rows, tol.nullspace).dim == 0
 
-    blocked = set(cols)
-    certificate = fits.multipliers([c for c in np.flatnonzero(gs.active) if c not in blocked])
+    outside = gs.active.copy()
+    outside[cols] = False
+    certificate = fits.multipliers(np.flatnonzero(outside))
     return DeactivationResult(block_id, certificate, relaxed, t_unique, residual)
 
 
@@ -286,9 +304,9 @@ def deactivation_report(gs: GeneralSolution, tol: Tolerances = DEFAULT_TOLERANCE
     origin = gs.lambda_of(np.zeros(gs.nullspace_dim))
     return {
         block_id: _deactivate(gs, block_id, tol, fits)
-        if gs.active[gs.columns_of(block_id)].any()
+        if gs.active[cols].any()
         else DeactivationResult(block_id, pool_cert, origin, gs.nullspace_dim == 0, 0.0)
-        for block_id in gs.block_ids()
+        for block_id, cols in gs.block_columns.items()
     }
 
 
@@ -328,33 +346,41 @@ class _EntailmentRegion:
         rhs.extend([1.0] * size)
         self.region = LpRegion(np.asarray(rows, dtype=float).reshape(-1, size), rhs, tol.lp)
 
-    def test(self, target: ConstraintBlock) -> EntailmentResult:
-        """Maximize each piece of ``target`` over the region without it;
-        the block is entailed when no piece can become positive."""
+    def _relaxation(self, target: ConstraintBlock) -> tuple[list[int], list[int]]:
+        """The rows to drop and the coordinates to free when testing ``target``."""
         drop = self.rows.get(target.block_id, [])
-        free = []
         if target.family == "consistency" and len(target.pieces) == 1:
             terms = target.pieces[0].terms
             if len(terms) == 1:
                 coord, coef = terms[0]
-                if coef < 0:
-                    free = [coord]
-                else:
-                    drop = [self.upper + coord]
-        maxima = []
-        for piece in target.pieces:
-            if not piece.terms:
-                maxima.append(piece.constant)
-                continue
-            res = self.region.minimize(-piece.dense(self.size), drop, free)
-            if res.status == "infeasible":
-                return EntailmentResult(True, [], True)
-            if res.status == "unbounded":
-                maxima.append(float("inf"))
-                continue
-            maxima.append(float(-res.objective + piece.constant))
-        entailed = all(v <= self.tol.entailment for v in maxima)
-        return EntailmentResult(entailed, maxima, False)
+                return ([], [coord]) if coef < 0 else ([self.upper + coord], [])
+        return drop, []
+
+    def test(self, targets: Sequence[ConstraintBlock]) -> list[EntailmentResult]:
+        """Maximize each piece of each block of ``targets`` over the
+        region without that block, every LP in one ``minimize_many``;
+        a block is entailed when no piece can become positive."""
+        lps = []
+        for target in targets:
+            drop, free = self._relaxation(target)
+            lps += [(-piece.dense(self.size), drop, free) for piece in target.pieces if piece.terms]
+        solved = iter(self.region.minimize_many(lps))
+        results = []
+        for target in targets:
+            maxima = []
+            for piece in target.pieces:
+                res = next(solved) if piece.terms else None
+                if res is None:
+                    maxima.append(piece.constant)
+                elif res.status == "infeasible":
+                    maxima = None
+                elif maxima is not None:
+                    maxima.append(float("inf") if res.status == "unbounded" else float(-res.objective + piece.constant))
+            if maxima is None:
+                results.append(EntailmentResult(True, [], True))
+            else:
+                results.append(EntailmentResult(all(v <= self.tol.entailment for v in maxima), maxima, False))
+        return results
 
 
 def grounded_entailment(
@@ -378,7 +404,7 @@ def grounded_entailment(
     target = next((b for b in blocks if b.block_id == block_id), None)
     if target is None:
         raise AnalysisError(f"unknown block {block_id!r}")
-    return _EntailmentRegion(blocks, size, tol).test(target)
+    return _EntailmentRegion(blocks, size, tol).test([target])[0]
 
 
 @dataclass(eq=False)
@@ -610,16 +636,19 @@ def removable_constraints(
     ]
     deactivations = deactivation_report(gs, tol)
     gradient = _Fits(matrix.matrix, -2.0 * model.alpha, np.flatnonzero(model.activity), tol)
-    # every block's entailment LPs start from one phase 1, which p* makes feasible
-    entailment = _EntailmentRegion(tp.blocks, tp.index.size, tol) if check_entailment else None
+    entailments = dict.fromkeys(block_ids)
+    if check_entailment:
+        # every block's entailment LPs start from one phase 1, which p* makes feasible
+        by_id = {b.block_id: b for b in tp.blocks}
+        region = _EntailmentRegion(tp.blocks, tp.index.size, tol)
+        entailments = dict(zip(block_ids, region.test([by_id[b] for b in block_ids])))
     # a block with no active piece leaves the pool whole, so it takes the pool's certificate
     pool_cert = gradient.multipliers(gradient.pool)
-    by_id = {b.block_id: b for b in tp.blocks}
     reports = []
     for block_id in block_ids:
         cols = matrix.block_columns[block_id]
         active_labels = [matrix.column_labels[nu] for nu in cols if model.activity[nu]]
-        ent = None if entailment is None else entailment.test(by_id[block_id])
+        ent = entailments[block_id]
         cert = pool_cert
         if active_labels:
             outside = model.activity.copy()

@@ -6,8 +6,11 @@ An ``LpRegion`` is the one entry point for LPs: the region A x <= b,
 x >= 0.  Its simplex starts from the slack basis and adds artificials,
 and a phase 1, only for the rows with a negative right-hand side.  It
 keeps the feasible tableau of that phase 1, so LPs over the region with
-some rows dropped or some variables freed each run phase 2 alone.  Every
-optimum is checked against the rows it was solved over.
+some rows dropped or some variables freed run phase 2 alone.
+``minimize_many`` solves many such LPs at once: they pivot as stacks of
+tableaus in one simplex kernel, the one phase 1 runs in too, and each
+LP's result does not depend on its stack.  Every optimum is checked
+against the rows it was solved over.
 
 Everything here is deliberately small-scale and deterministic.  The
 simplex uses Bland's rule, NNLS and the QP break ties by lowest index, and all
@@ -72,39 +75,117 @@ def tolerances_with(base: Tolerances | None = None, **overrides) -> Tolerances:
 # ---------------------------------------------------------------------------
 # Simplex
 
-SIMPLEX_MAX_ITER = 20000  # pivots per simplex phase
+SIMPLEX_MAX_ITER = 20000  # pivots per LP per simplex phase
+# Tableau bytes of one stack of LPs (``LpRegion.minimize_many``); an LP
+# whose tableau alone is larger runs in a stack of its own.
+SIMPLEX_STACK_BYTES = 1 << 20
 
 
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    rows = np.flatnonzero(factors)
-    T[rows] -= np.outer(factors[rows], T[row])
+def _pivot(T: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Pivot each tableau T[l] of a stack on its entry (rows[l], cols[l]),
+    and return the factors: the pivot column after the division, with
+    zero in the pivot row.
 
-
-def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, tol: float, max_iter: int) -> str:
-    """Iterate a canonical tableau (basis columns = identity) to optimality.
-
-    ``T`` has one trailing right-hand-side column.  Returns "optimal" or
-    "unbounded"; Bland's rule prevents cycling: the lowest eligible
-    column enters, and of the rows within 1e-12 of the minimum ratio the
-    one with the lowest basic index leaves.
+    That row is divided by the entry; then each other row with a nonzero
+    factor, and only such a row, has the factor times the pivot row
+    subtracted.  Every operation is elementwise, so a tableau's bits do
+    not depend on the others in its stack.
     """
-    ncols = T.shape[1] - 1
+    at = np.arange(T.shape[0])
+    pivot_rows = T[at, rows]
+    pivot_rows /= pivot_rows[at, cols][:, None]
+    T[at, rows] = pivot_rows
+    factors = T[at, :, cols]
+    factors[at, rows] = 0.0
+    lps, others = np.nonzero(factors)
+    update = pivot_rows[lps]
+    update *= factors[lps, others][:, None]
+    T[lps, others] -= update
+    return factors
+
+
+def _exchange(T: np.ndarray, basis: np.ndarray, ids: np.ndarray, rows: np.ndarray, slots: np.ndarray) -> None:
+    """Pivot each compact tableau T[l] of a stack on (rows[l], slots[l]):
+    the variable ids[l, slot] enters the basis in that row, and the one
+    that leaves takes its slot, with the column a full tableau would
+    give it: 1 / pivot in the pivot row and -factor / pivot elsewhere."""
+    at = np.arange(T.shape[0])
+    inverse = 1.0 / T[at, rows, slots]
+    factors = _pivot(T, rows, slots)
+    factors *= -inverse[:, None]
+    factors[at, rows] = inverse
+    T[at, :, slots] = factors
+    entering = ids[at, slots]
+    ids[at, slots] = basis[at, rows]
+    basis[at, rows] = entering
+
+
+def _price(T: np.ndarray, cost: np.ndarray, basic_cost: np.ndarray) -> None:
+    """Set the last row of each compact tableau T[l] of a stack to the
+    reduced costs of its columns, cost[l] - basic_cost[l] T[l], with
+    minus the basic cost in the right-hand side's column.  Each LP
+    subtracts its rows with a nonzero basic cost one at a time, in row
+    order, so its row depends on its own tableau only."""
+    m = T.shape[1] - 1
+    lps, rows = np.nonzero(basic_cost)
+    priced = T[:, m]
+    priced[:, :-1] = cost
+    priced[:, -1] = 0.0
+    np.subtract.at(priced, lps, basic_cost[lps, rows, None] * T[lps, rows])
+
+
+def _simplex(T: np.ndarray, basis: np.ndarray, ids: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Iterate a stack of compact tableaus, each to its own optimum, by
+    Bland's rule: of the columns with a reduced cost below -``tol`` the
+    one of the lowest variable enters, and of the rows within 1e-12 of
+    the minimum ratio the one with the lowest basic variable leaves.
+
+    A compact tableau holds only the nonbasic columns of a canonical
+    one, whose basic columns are unit vectors: T[l] has LP l's rows,
+    then its reduced-cost row (``_price``), and its columns are the
+    variables ids[l], then the right-hand side; basis[l] names the basic
+    variable of each row.  Every LP still running pivots once per
+    round, and one that stops, optimal or unbounded, swaps places with
+    a running one at the end of the working stack, which shrinks; so
+    each LP gets the decisions and arithmetic it gets alone.  Returns
+    (slot, unbounded): LP l ends in T[slot[l]], basis[slot[l]] and
+    ids[slot[l]], and unbounded[l] tells whether it is unbounded.
+    SolverError is raised when an LP is still running after
+    ``max_iter`` rounds.
+    """
+    stack, height, width = T.shape
+    m, k = height - 1, width - 1
+    spare = max(ids.max(initial=0), basis.max(initial=0)) + 1  # above every variable
+    held = np.arange(stack)  # the LP in each slot
+    unbounded = np.zeros(stack, dtype=bool)
+    live = stack
     for _ in range(max_iter):
-        eligible = np.flatnonzero(cost[:ncols] - cost[basis] @ T[:, :ncols] < -tol)
-        if not eligible.size:
-            return "optimal"
-        entering = int(eligible[0])
-        rows = np.flatnonzero(T[:, entering] > tol)
-        if not rows.size:
-            return "unbounded"
-        ratios = T[rows, -1] / T[rows, entering]
-        ties = rows[ratios <= np.min(ratios) + 1e-12]
-        leaving = int(ties[np.argmin(basis[ties])])
-        _pivot(T, leaving, entering)
-        basis[leaving] = entering
+        at = np.arange(live)
+        eligible = T[:live, m, :k] < -tol
+        entering = np.argmin(np.where(eligible, ids[:live], spare), axis=1)
+        column = T[at, :m, entering]
+        ratios = np.full((live, m), np.inf)
+        np.divide(T[:live, :m, k], column, out=ratios, where=column > tol)
+        least = ratios.min(axis=1, initial=np.inf)
+        priced = eligible[at, entering]
+        stop = ~priced | (least == np.inf)
+        if stop.any():
+            unbounded[held[:live][stop]] = priced[stop]
+            live -= int(np.count_nonzero(stop))
+            out = np.flatnonzero(stop[:live])
+            into = live + np.flatnonzero(~stop[live:])
+            if out.size:
+                to, fro = np.concatenate([out, into]), np.concatenate([into, out])
+                for a in (T, basis, ids, held, entering, ratios, least):
+                    a[to] = a[fro]
+            if not live:
+                slot = np.empty(stack, dtype=int)
+                slot[held] = np.arange(stack)
+                return slot, unbounded
+            entering, ratios, least = entering[:live], ratios[:live], least[:live]
+        ties = ratios <= (least + 1e-12)[:, None]
+        leaving = np.argmin(np.where(ties, basis[:live], spare), axis=1)
+        _exchange(T[:live], basis[:live], ids[:live], leaving, entering)
     raise SolverError("simplex iteration limit exceeded")
 
 
@@ -116,41 +197,50 @@ def _phase1(
     Each row with b >= 0 starts basic in its slack (the all-slack crash
     basis; Bixby, ORSA J. Computing 4(3), 1992).  Each row with b < 0 is
     negated and starts basic in an artificial of its own, and the
-    phase-1 simplex runs only when some row has one.  Artificials still
-    basic at its optimum are pivoted out, and rows where none can be are
-    redundant and dropped.  Returns (T, basis, value): T has the columns
-    of A, then the slacks, and a trailing right-hand side, and value is
-    the phase-1 optimum.  For an infeasible system T and basis are None.
+    phase-1 simplex, a stack of one, runs only when some row has one.
+    Artificials still basic at its optimum are pivoted out, and rows
+    where none can be are redundant and dropped.  Returns (T, basis,
+    value): T has the columns of A, then the slacks, and a trailing
+    right-hand side, and value is the phase-1 optimum.  For an
+    infeasible system T and basis are None.
     """
     m, n = A.shape
     flip = b < 0
     sign = np.where(flip, -1.0, 1.0)[:, None]
     needy = np.flatnonzero(flip)
     width = n + m
-    artificials = np.zeros((m, needy.size))
-    artificials[needy, np.arange(needy.size)] = 1.0
+    # nonbasic at the start: x, and the slacks of the rows on an artificial
+    ids = np.concatenate([np.arange(n), n + needy])[None]
+    T = np.empty((1, m + 1, ids.size + 1))
+    T[0, :m, :n] = sign * A
+    T[0, :m, n:-1] = (sign * np.eye(m))[:, needy]
+    T[0, :m, -1] = sign[:, 0] * b
     basis = np.arange(n, width)
     basis[needy] = width + np.arange(needy.size)
-    T = np.hstack([sign * A, sign * np.eye(m), artificials, sign * b[:, None]])
+    basis = basis[None]
     value = 0.0
     if needy.size:
-        phase1_cost = np.concatenate([np.zeros(width), np.ones(needy.size)])
-        status = _run_simplex(T, basis, phase1_cost, tol, max_iter)
-        if status != "optimal":
+        _price(T, np.zeros(ids.shape), (basis >= width).astype(float))
+        _, unbounded = _simplex(T, basis, ids, tol, max_iter)
+        if unbounded[0]:
             raise SolverError("phase 1 cannot be unbounded")
-        value = float(phase1_cost[basis] @ T[:, -1])
+        value = float((basis[0] >= width).astype(float) @ T[0, :m, -1])
         if value > tol * max(1.0, float(np.max(np.abs(b)))):
             return None, None, value
 
     keep = np.ones(m, dtype=bool)
-    for i in np.flatnonzero(basis >= width):
-        candidates = np.flatnonzero(np.abs(T[i, :width]) > tol)
+    for i in np.flatnonzero(basis[0] >= width):
+        candidates = np.flatnonzero((np.abs(T[0, i, :-1]) > tol) & (ids[0] < width))
         if not candidates.size:
             keep[i] = False
             continue
-        _pivot(T, i, int(candidates[0]))
-        basis[i] = candidates[0]
-    return np.hstack([T[keep, :width], T[keep, -1:]]), basis[keep], value
+        _exchange(T, basis, ids, np.array([i]), candidates[np.argmin(ids[0, candidates])][None])
+    full = np.zeros((int(np.count_nonzero(keep)), width + 1))
+    structural = ids[0] < width
+    full[:, ids[0, structural]] = T[0, :m][keep][:, np.append(structural, False)]
+    full[np.arange(full.shape[0]), basis[0, keep]] = 1.0
+    full[:, -1] = T[0, :m, -1][keep]
+    return full, basis[0, keep], value
 
 
 @dataclass(eq=False)
@@ -166,10 +256,10 @@ class LpRegion:
     ready to minimize any linear cost over it or over a relaxation.
 
     Its standard form has the variables x, then one slack per row.
-    Phase 1 runs once, in the constructor, and every ``minimize`` runs
-    phase 2 on a copy of its tableau.  Dropping rows or freeing
-    variables only enlarges the region, so that tableau stays a feasible
-    start for each relaxation (Chvatal, Linear Programming, 1983, ch. 10).
+    Phase 1 runs once, in the constructor, and every LP runs phase 2
+    from its tableau.  Dropping rows or freeing variables only enlarges
+    the region, so that tableau stays a feasible start for each
+    relaxation (Chvatal, Linear Programming, 1983, ch. 10).
     """
 
     def __init__(self, A_ub: np.ndarray, b_ub: Sequence[float], tol: float = DEFAULT_TOLERANCES.lp):
@@ -186,55 +276,123 @@ class LpRegion:
         self, c: Sequence[float], drop_rows: Sequence[int] = (), free_vars: Sequence[int] = ()
     ) -> LpResult:
         """min c.x over the region without the rows ``drop_rows`` and
-        with the variables ``free_vars`` free.
+        with the variables ``free_vars`` free: ``minimize_many`` of this
+        LP alone."""
+        return self.minimize_many([(c, drop_rows, free_vars)])[0]
+
+    def minimize_many(self, lps: Sequence[tuple[Sequence[float], Sequence[int], Sequence[int]]]) -> list[LpResult]:
+        """The result of each LP (c, drop_rows, free_vars): min c.x over
+        the region without the rows ``drop_rows`` and with the variables
+        ``free_vars`` free.
 
         A dropped row's slack becomes free and a freed variable loses
         its bound: each gets a negative part, whose column is the
-        negated tableau column of the slack or the variable.  An optimal
-        x is checked against the kept rows, within ``tol`` times
-        1 + ||b_ub||_inf over them, and SolverError is raised when it
-        violates one.  Over an empty region, a relaxation runs its own
-        phase 1 over the kept rows, with the negative parts of the freed
-        variables as extra columns.
+        negated tableau column of the slack or the variable, gathered
+        for that LP alone.  The LPs pivot together in stacks of at most
+        ``SIMPLEX_STACK_BYTES`` tableau bytes, and each LP's result is
+        bit for bit the one it gets alone.  An optimal x is checked
+        against the kept rows, within ``tol`` times 1 + ||b_ub||_inf
+        over them, and SolverError is raised when it violates one.  Over
+        an empty region, each relaxation runs its own phase 1 over the
+        kept rows, with the negative parts of the freed variables as
+        extra columns.
         """
-        c = np.asarray(c, dtype=float)
         m, n = self.A.shape
-        keep = np.ones(m, dtype=bool)
-        keep[np.asarray(drop_rows, dtype=int)] = False
-        freed = np.zeros(n, dtype=bool)
-        freed[np.asarray(free_vars, dtype=int)] = True
-        freed = np.flatnonzero(freed)
+        count = len(lps)
+        costs = np.zeros((count, n))
+        keep = np.ones((count, m), dtype=bool)
+        freed = np.zeros((count, n), dtype=bool)
+        for l, (c, drop_rows, free_vars) in enumerate(lps):
+            costs[l] = np.asarray(c, dtype=float)
+            keep[l, np.asarray(drop_rows, dtype=int)] = False
+            freed[l, np.asarray(free_vars, dtype=int)] = True
         if not self.feasible:
-            if keep.all() and not freed.size:
-                return LpResult("infeasible", None, None, self.certificate)
-            A = self.A[keep]
-            relaxed = LpRegion(np.hstack([A, -A[:, freed]]), self.b[keep], self.tol)
-            res = relaxed.minimize(np.concatenate([c, -c[freed]]))
-            if res.status != "optimal":
-                return res
-            x = res.x[:n]
-            x[freed] -= res.x[n:]
-            return LpResult("optimal", x, float(c @ x), None)
+            return [self._relaxed(costs[l], keep[l], np.flatnonzero(freed[l])) for l in range(count)]
+        # the negated columns, freed variables first: LP owner[j] has variable negated[j] at extra column rank[j]
+        owner, negated = np.nonzero(np.hstack([freed, ~keep]))
+        extras = np.bincount(owner, minlength=count)
+        starts = np.concatenate([[0], np.cumsum(extras)])
+        rank = np.arange(owner.size) - starts[owner]
+        rows, width = self._T.shape[0], self._T.shape[1] - 1
+        nonbasic = np.ones(width, dtype=bool)
+        nonbasic[self._basis] = False
+        nonbasic = np.flatnonzero(nonbasic)
+        compact = self._T[:, np.append(nonbasic, width)]
+        results: list[LpResult] = []
+        first = 0
+        while first < count:
+            last, extra = first + 1, extras[first]
+            while last < count:
+                grown = max(extra, extras[last])
+                if (last + 1 - first) * (rows + 1) * (nonbasic.size + grown + 1) * 8 > SIMPLEX_STACK_BYTES:
+                    break
+                last, extra = last + 1, grown
+            part = slice(starts[first], starts[last])
+            results += self._phase2(
+                costs[first:last], keep[first:last], compact, nonbasic, int(extra),
+                owner[part] - first, negated[part], rank[part],
+            )
+            first = last
+        return results
 
-        dropped = n + np.flatnonzero(~keep)
-        width = self._T.shape[1] - 1
-        T = np.hstack([self._T[:, :-1], -self._T[:, freed], -self._T[:, dropped], self._T[:, -1:]])
-        cost = np.zeros(T.shape[1] - 1)
-        cost[:n] = c
-        cost[width : width + freed.size] = -c[freed]
-        basis = self._basis.copy()
-        if _run_simplex(T, basis, cost, self.tol, SIMPLEX_MAX_ITER) == "unbounded":
-            return LpResult("unbounded", None, None, None)
-        z = np.zeros(T.shape[1] - 1)
-        z[basis] = T[:, -1]
-        x = z[:n].copy()
-        x[freed] -= z[width : width + freed.size]
-        if keep.any():
-            b = self.b[keep]
-            worst = float(np.max(self.A[keep] @ x - b))
-            if worst > self.tol * (1.0 + float(np.max(np.abs(b)))):
-                raise SolverError(f"simplex optimum violates its own constraints by {worst:.3e}")
+    def _relaxed(self, c: np.ndarray, keep: np.ndarray, freed: np.ndarray) -> LpResult:
+        """min c.x over a relaxation of an empty region, by a phase 1 of its own."""
+        n = self.A.shape[1]
+        if keep.all() and not freed.size:
+            return LpResult("infeasible", None, None, self.certificate)
+        A = self.A[keep]
+        res = LpRegion(np.hstack([A, -A[:, freed]]), self.b[keep], self.tol).minimize(np.concatenate([c, -c[freed]]))
+        if res.status != "optimal":
+            return res
+        x = res.x[:n]
+        x[freed] -= res.x[n:]
         return LpResult("optimal", x, float(c @ x), None)
+
+    def _phase2(self, costs, keep, compact, nonbasic, extra, owner, negated, rank) -> list[LpResult]:
+        """Phase 2 of one stack of LPs from the region's tableau, whose
+        nonbasic columns ``nonbasic`` and right-hand side are ``compact``:
+        those columns, then the ``extra`` columns of the negative parts
+        (LP owner[j] negates variable negated[j] in its column rank[j])
+        padded with zero columns, then the right-hand side."""
+        B, (m, n) = self._T, self.A.shape
+        rows, width = B.shape[0], B.shape[1] - 1
+        stack, k = len(costs), nonbasic.size
+        T = np.empty((stack, rows + 1, k + extra + 1))
+        T[:, :rows, :k] = compact[:, :k]
+        T[:, :rows, k:] = 0.0
+        T[:, :rows, -1] = compact[:, -1]
+        T[owner, :rows, k + rank] = -B[:, negated].T
+        ids = np.empty((stack, k + extra), dtype=int)
+        ids[:, :k] = nonbasic
+        ids[:, k:] = width + extra  # padding, never eligible
+        ids[owner, k + rank] = width + rank
+        cost = np.zeros((stack, width + extra + 1))
+        cost[:, :n] = costs
+        on_freed = negated < n
+        cost[owner[on_freed], width + rank[on_freed]] = -costs[owner[on_freed], negated[on_freed]]
+        at = np.arange(stack)[:, None]
+        basis = np.tile(self._basis, (stack, 1))
+        _price(T, cost[at, ids], cost[at, basis])
+        slot, unbounded = _simplex(T, basis, ids, self.tol, SIMPLEX_MAX_ITER)
+
+        z = np.zeros((stack, width + extra + 1))
+        z[at, basis] = T[:, :rows, -1]
+        z = z[slot]
+        X = z[:, :n].copy()
+        X[owner[on_freed], negated[on_freed]] -= z[owner[on_freed], width + rank[on_freed]]
+        excess = X @ self.A.T - self.b
+        excess[~keep] = -np.inf
+        worst = np.max(excess, axis=1, initial=-np.inf)
+        bound = self.tol * (1.0 + np.max(np.abs(self.b) * keep, axis=1, initial=0.0))
+        results = []
+        for l in range(stack):
+            if unbounded[l]:
+                results.append(LpResult("unbounded", None, None, None))
+            elif worst[l] > bound[l]:
+                raise SolverError(f"simplex optimum violates its own constraints by {worst[l]:.3e}")
+            else:
+                results.append(LpResult("optimal", X[l], float(costs[l] @ X[l]), None))
+        return results
 
 
 # ---------------------------------------------------------------------------

@@ -414,8 +414,9 @@ def test_entailment_maxima_match_highs(path):
 
 @pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
 def test_analysis_entailment_matches_grounded_entailment(path):
-    """The entailment LPs of one analysis, all started from one region,
-    give each block the result of its own ``grounded_entailment``."""
+    """The entailment LPs of one analysis, all started from one region
+    and pivoted in stacks, give each block the result of its own
+    ``grounded_entailment``, maxima equal bit for bit."""
     model = _fixture_model(path)
     if model is None:
         return
@@ -427,7 +428,7 @@ def test_analysis_entailment_matches_grounded_entailment(path):
             assert (entry.entailment.entailed, entry.entailment.vacuous) == (alone.entailed, alone.vacuous), where
             assert len(entry.entailment.piece_maxima) == len(alone.piece_maxima), where
             for got, want in zip(entry.entailment.piece_maxima, alone.piece_maxima):
-                assert got == want or abs(got - want) <= 1e-9, where
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), where
 
 
 def test_analysis_runs_one_phase1(monkeypatch):
@@ -852,6 +853,37 @@ def test_fits_answer_every_subset_like_a_fresh_nnls(monkeypatch):
                 assert np.all(np.delete(lam, cols) == 0.0)
                 assert np.max(np.abs(M @ lam - M[:, cols] @ fresh)) <= limit
     assert reused > 0
+
+
+def test_fits_check_each_column_set_once(monkeypatch):
+    """Each distinct column set's fit is checked against the tolerance
+    once, however often it is asked for, and a caller that changes a
+    returned vector does not change a later answer."""
+    rng = np.random.default_rng(77)
+    checks = []
+    answer = analyze._Fits._answer
+
+    def counting(self, key):
+        checks.append(key)
+        return answer(self, key)
+
+    monkeypatch.setattr(analyze._Fits, "_answer", counting)
+    M = rng.standard_normal((3, 6))
+    target = M[:, [0, 2, 4]] @ np.array([1.0, 0.5, 2.0])
+    fits = analyze._Fits(M, target, range(6), solver.DEFAULT_TOLERANCES)
+    subsets = [list(c) for size in (2, 3, 4) for c in itertools.combinations(range(6), size)]
+    first = [fits.multipliers(cols) for cols in subsets]
+    keys = {fits._key(cols) for cols in subsets}
+    assert len(checks) == len(set(checks)) == len(keys)
+    assert any(lam is not None for lam in first)
+    for lam in first:
+        if lam is not None:
+            lam[:] = -1.0
+    again = [fits.multipliers(cols) for cols in subsets]
+    assert len(checks) == len(keys)
+    for cols, lam in zip(subsets, again):
+        fresh = answer(fits, fits._key(cols))
+        assert (lam is None and fresh is None) or lam.tobytes() == fresh.tobytes(), cols
 
 
 def test_report_to_dict_structure():

@@ -273,21 +273,100 @@ def test_lp_region_against_scipy():
     assert ("signed", False, False, True, "optimal") in seen
 
 
+def _same_result(got, want) -> bool:
+    """Same status, and the same bits of x and of the objective."""
+    if got.status != want.status:
+        return False
+    if got.x is None or want.x is None:
+        return got.x is None and want.x is None and got.objective == want.objective
+    return got.x.tobytes() == want.x.tobytes() and np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 2_000, 20_000, 1 << 20])
+def test_minimize_many_matches_minimize_alone(budget, monkeypatch):
+    """Every LP of a ``minimize_many`` call gets the status and the bits
+    of x and the objective that ``minimize`` gives it alone, whatever the
+    stack size (from one LP per stack to all in one) and the order of
+    the LPs; the LPs cover degenerate vertices, unbounded relaxations,
+    freed variables, dropped rows and relaxations of empty regions."""
+    rng = np.random.default_rng(211)
+    seen = set()
+    for kind in ("feasible", "conflicting", "signed"):
+        for _ in range(25):
+            A, b, k = _random_region(rng, kind)
+            n = A.shape[1]
+            region = LpRegion(A, b)
+            lps = [(rng.standard_normal(n), np.array([], dtype=int), np.array([k]))]
+            for _ in range(7):
+                drop = np.flatnonzero(rng.random(len(b)) < 0.3)
+                free = np.flatnonzero(rng.random(n) < 0.4)
+                lps.append((rng.standard_normal(n), drop, free))
+            alone = [region.minimize(*lp) for lp in lps]
+            monkeypatch.setattr(solver, "SIMPLEX_STACK_BYTES", budget)
+            order = rng.permutation(len(lps))
+            stacked = region.minimize_many([lps[i] for i in order])
+            monkeypatch.undo()
+            for i, got in zip(order, stacked):
+                assert _same_result(got, alone[i]), (kind, i)
+                seen.add((region.feasible, got.status))
+    assert {(True, "optimal"), (True, "unbounded"), (False, "optimal"), (False, "infeasible")} <= seen
+
+
+def test_minimize_many_of_no_lps():
+    assert LpRegion([[1.0]], [1.0]).minimize_many([]) == []
+
+
+def test_simplex_iteration_limit(monkeypatch):
+    """An LP that needs more pivots than ``SIMPLEX_MAX_ITER`` raises
+    SolverError, alone and inside a stack of LPs that need none."""
+    region = LpRegion(np.eye(3), np.ones(3))
+    climb = (-np.ones(3), (), ())  # three pivots, one per coordinate
+    rest = (np.ones(3), (), ())  # optimal at the start
+    assert region.minimize(*climb).objective == -3.0
+    monkeypatch.setattr(solver, "SIMPLEX_MAX_ITER", 2)
+    assert region.minimize(*rest).objective == 0.0
+    with pytest.raises(SolverError, match="iteration limit"):
+        region.minimize(*climb)
+    with pytest.raises(SolverError, match="iteration limit"):
+        region.minimize_many([rest, climb, rest])
+    monkeypatch.setattr(solver, "SIMPLEX_MAX_ITER", 4)
+    assert [r.objective for r in region.minimize_many([rest, climb, rest])] == [0.0, -3.0, 0.0]
+
+
+def test_phase1_iteration_limit(monkeypatch):
+    """Phase 1 runs the same kernel under the same limit."""
+    A, b = -np.eye(3), -np.ones(3)  # x >= 1: one phase-1 pivot per row
+    assert LpRegion(A, b).feasible
+    monkeypatch.setattr(solver, "SIMPLEX_MAX_ITER", 2)
+    with pytest.raises(SolverError, match="iteration limit"):
+        LpRegion(A, b)
+
+
+def _row_loop_pivot(T, row, col):
+    """One tableau pivoted by eliminating row by row."""
+    expected = T.copy()
+    expected[row] /= expected[row, col]
+    for i in range(expected.shape[0]):
+        if i != row and expected[i, col] != 0.0:
+            expected[i] -= expected[i, col] * expected[row]
+    return expected
+
+
 def test_pivot_matches_row_loop():
-    """The rank-1 pivot gives the same bits as eliminating row by row."""
+    """The rank-1 pivot gives the same bits as eliminating row by row,
+    for a stack of one and for each tableau of a stack, each pivoted on
+    its own entry."""
     rng = np.random.default_rng(59)
-    for _ in range(20):
-        T = rng.standard_normal((6, 9))
+    for trial in range(20):
+        stack = 1 if trial % 2 else int(rng.integers(2, 6))
+        T = rng.standard_normal((stack, 6, 9))
         T[rng.random(T.shape) < 0.3] = 0.0
-        row, col = int(rng.integers(0, 6)), int(rng.integers(0, 8))
-        T[row, col] = rng.standard_normal() + 3.0
-        expected = T.copy()
-        expected[row] /= expected[row, col]
-        for i in range(expected.shape[0]):
-            if i != row and expected[i, col] != 0.0:
-                expected[i] -= expected[i, col] * expected[row]
-        solver._pivot(T, row, col)
-        assert np.array_equal(T, expected)
+        rows, cols = rng.integers(0, 6, stack), rng.integers(0, 8, stack)
+        T[np.arange(stack), rows, cols] = rng.standard_normal(stack) + 3.0
+        expected = [_row_loop_pivot(T[l], rows[l], cols[l]) for l in range(stack)]
+        solver._pivot(T, rows, cols)
+        for l in range(stack):
+            assert T[l].tobytes() == expected[l].tobytes(), (trial, l)
 
 
 def _nnls_system(kind, rng):
