@@ -367,16 +367,19 @@ class _EntailmentRegion:
         solved = iter(self.region.minimize_many(lps))
         results = []
         for target in targets:
-            maxima = []
+            maxima, vacuous = [], False
             for piece in target.pieces:
-                res = next(solved) if piece.terms else None
-                if res is None:
+                if not piece.terms:
                     maxima.append(piece.constant)
-                elif res.status == "infeasible":
-                    maxima = None
-                elif maxima is not None:
-                    maxima.append(float("inf") if res.status == "unbounded" else float(-res.objective + piece.constant))
-            if maxima is None:
+                    continue
+                res = next(solved)
+                if res.status == "infeasible":
+                    vacuous = True
+                elif res.status == "unbounded":
+                    maxima.append(float("inf"))
+                else:
+                    maxima.append(float(-res.objective + piece.constant))
+            if vacuous:
                 results.append(EntailmentResult(True, [], True))
             else:
                 results.append(EntailmentResult(all(v <= self.tol.entailment for v in maxima), maxima, False))
