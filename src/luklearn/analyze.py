@@ -219,17 +219,13 @@ class _Fits:
         return self._solved[cols]
 
     @cached_property
-    def _support(self) -> np.ndarray:
-        """Mask over the columns of M of those the pool's fit uses."""
-        support = np.zeros(self.M.shape[1], dtype=bool)
-        support[list(self.pool)] = self._solve(self.pool)[0] > 0.0
-        return support
+    def _support(self) -> frozenset[int]:
+        """The columns of M that the pool's fit uses."""
+        return frozenset(np.array(self.pool, dtype=np.intp)[self._solve(self.pool)[0] > 0.0].tolist())
 
     def _key(self, cols: Sequence[int]) -> tuple:
         """The column set whose fit answers ``cols``, a subset of the pool."""
-        unused = self._support.copy()
-        unused[list(cols)] = False
-        return tuple(cols) if unused.any() else self.pool
+        return self.pool if self._support.issubset(cols) else tuple(cols)
 
     def may_fit(self, cols: Sequence[int]) -> bool:
         """False when no subset of ``cols`` carries multipliers: the fit

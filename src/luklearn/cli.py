@@ -89,7 +89,9 @@ def cmd_compile(args) -> int:
     tp = _setup(args)
     out = _out_dir(args)
     labels = tp.index.labels()
-    (out / "M.csv").write_text(matrix_csv(tp.matrix, labels))
+    tp.matrix.check_labels(labels)  # before M.csv is opened, so a failure leaves none
+    with open(out / "M.csv", "w") as fh:
+        matrix_csv(tp.matrix, labels, fh)
     manifest = {
         "version": __version__,
         "coordinates": labels,

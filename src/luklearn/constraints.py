@@ -13,10 +13,10 @@ multiplier vector.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
-from itertools import starmap
-from typing import Sequence
+from functools import cached_property
+from itertools import chain, starmap
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -28,7 +28,7 @@ class CompileError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffinePiece:
     """One affine function coord -> terms . p + constant, sparse over
     coordinates; ``terms`` is sorted by coordinate and has no zeros."""
@@ -184,11 +184,13 @@ def to_constraint_block(
     keeps the terms sorted and free of zeros.
 
     Constant pieces (the cap's image (0, 0)) are kept; they are part of
-    the block's piece count even though they never bind.
+    the block's piece count even though they never bind.  Equal terms
+    share one negated tuple, so a block of many pieces over few
+    coordinates holds each (coordinate, coefficient) pair once.
     """
+    negated = {term: (term[0], -term[1]) for piece in aset.pieces for term in piece.terms}
     pieces = tuple(
-        AffinePiece(tuple((k, -c) for k, c in piece.terms), 1.0 - piece.constant)
-        for piece in aset.pieces
+        AffinePiece(tuple(map(negated.get, piece.terms)), 1.0 - piece.constant) for piece in aset.pieces
     )
     return ConstraintBlock(block_id, family, pieces, source)
 
@@ -227,13 +229,22 @@ def consistency_blocks(index: GroundingIndex) -> list[ConstraintBlock]:
 
 @dataclass(eq=False)
 class ConstraintMatrix:
-    """All retained constraint pieces stacked as columns.
+    """All retained constraint pieces stacked as the columns of the S x N
+    matrix M, stored by its nonzeros.
 
-    ``matrix`` is S x N; column nu holds M_nu and ``offsets[nu]`` holds
-    q_nu, so the piece reads matrix[:, nu] . p + offsets[nu] <= 0.
+    Column nu holds M_nu and ``offsets[nu]`` holds q_nu, so the piece
+    reads M[:, nu] . p + offsets[nu] <= 0.  Entry e of M sits at row
+    ``coords[e]`` and column ``cols[e]`` with value ``values[e]``; the
+    entries run in stacked column order (by column, then in the piece's
+    term order), so ``cols`` never decreases.  ``matrix`` scatters them
+    into the dense float64 M the first time it is read; writing the CSV
+    never needs it.
     """
 
-    matrix: np.ndarray
+    shape: tuple[int, int]
+    coords: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     offsets: np.ndarray
     column_labels: list[str]
     column_block: list[str]
@@ -243,9 +254,20 @@ class ConstraintMatrix:
     sources: dict[str, str]
     dropped: dict[str, int]
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        matrix = np.zeros(self.shape)
+        matrix[self.coords, self.cols] = self.values
+        return matrix
+
     @property
     def n_columns(self) -> int:
-        return self.matrix.shape[1]
+        return self.shape[1]
+
+    def check_labels(self, coordinate_labels: Sequence[str]) -> None:
+        """Raise CompileError unless there is one label per row of M."""
+        if len(coordinate_labels) != self.shape[0]:
+            raise CompileError("coordinate label count does not match the matrix")
 
     def violations(self, p: np.ndarray) -> np.ndarray:
         return self.matrix.T @ p + self.offsets
@@ -256,8 +278,9 @@ def assemble_matrix(
 ) -> ConstraintMatrix:
     """Stack block pieces into one matrix, in block order then piece order.
 
-    Each piece's terms are scattered into one zero matrix, so the Python
-    work grows with the nonzeros of M, not with its size x columns cells.
+    Each piece's terms become the stored entries of its column, so the
+    work and memory grow with the nonzeros of M, not with its size x
+    columns cells; no dense array is made here.
 
     By default, pieces with no coordinates and a nonpositive offset are
     dropped: they can never bind, and the reference matrices this code
@@ -267,7 +290,7 @@ def assemble_matrix(
     infeasible system.
     """
     ids = set()
-    rows: list[int] = []
+    coords: list[int] = []
     cols: list[int] = []
     values: list[float] = []
     offsets = []
@@ -297,7 +320,7 @@ def assemble_matrix(
                     raise CompileError(
                         f"block {block.block_id!r} uses coordinate {k} outside 0..{size - 1}"
                     )
-                rows.append(k)
+                coords.append(k)
                 cols.append(column)
                 values.append(c)
             kept += 1
@@ -305,10 +328,11 @@ def assemble_matrix(
             offsets.append(piece.constant)
             labels.append(f"{block.block_id}:{kept}")
             column_block.append(block.block_id)
-    matrix = np.zeros((size, len(offsets)))
-    matrix[rows, cols] = values
     return ConstraintMatrix(
-        matrix,
+        (size, len(offsets)),
+        np.array(coords, dtype=np.intp),
+        np.array(cols, dtype=np.intp),
+        np.array(values, dtype=float),
         np.array(offsets, dtype=float),
         labels,
         column_block,
@@ -321,21 +345,29 @@ def assemble_matrix(
 
 
 def restrict_columns(cm: ConstraintMatrix, columns: Sequence[int]) -> ConstraintMatrix:
-    """Submatrix keeping only the given columns, in their stacked order."""
-    cols = list(columns)
+    """Submatrix keeping only the given columns, in the given order: the
+    stored entries of each, renumbered."""
+    cols = np.array(list(columns), dtype=np.intp)
+    first = np.searchsorted(cm.cols, cols)
+    counts = np.searchsorted(cm.cols, cols, side="right") - first
+    # The entries of every kept column, column after column.
+    take = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
     block_order: list[str] = []
     block_columns: dict[str, list[int]] = {}
-    for new, old in enumerate(cols):
+    for new, old in enumerate(cols.tolist()):
         bid = cm.column_block[old]
         if bid not in block_columns:
             block_order.append(bid)
             block_columns[bid] = []
         block_columns[bid].append(new)
     return ConstraintMatrix(
-        cm.matrix[:, cols],
+        (cm.shape[0], cols.size),
+        cm.coords[take],
+        np.repeat(np.arange(cols.size), counts),
+        cm.values[take],
         cm.offsets[cols],
-        [cm.column_labels[i] for i in cols],
-        [cm.column_block[i] for i in cols],
+        [cm.column_labels[i] for i in cols.tolist()],
+        [cm.column_block[i] for i in cols.tolist()],
         block_order,
         block_columns,
         {b: cm.families[b] for b in block_order},
@@ -344,36 +376,41 @@ def restrict_columns(cm: ConstraintMatrix, columns: Sequence[int]) -> Constraint
     )
 
 
-def matrix_csv(cm: ConstraintMatrix, coordinate_labels: Sequence[str]) -> str:
-    """CSV export: header "coord,<column labels>", one row per grounding
-    coordinate, and a trailing row for the offsets labeled "q".
+def matrix_csv(cm: ConstraintMatrix, coordinate_labels: Sequence[str], out: TextIO) -> None:
+    """Write the CSV export to the open text file ``out``: header
+    "coord,<column labels>", one row per grounding coordinate, and a
+    trailing row for the offsets labeled "q".
 
     Every cell is ``repr`` of its float.  Labels containing commas (tuple
     coordinates) are quoted per the CSV standard; number cells never
-    need quoting.  A row starts as a copy of one shared list of "0.0"
-    cells, and only the entries whose bits are not +0.0 (so -0.0 prints
-    as -0.0) are overwritten, each distinct value formatted once: the
-    Python work grows with the nonzeros of M and q, and the per-cell
-    work is the list copy and one join per row.
+    need quoting.  The stored entries of M, grouped by coordinate, and
+    then the offsets fill the rows: a row starts as a copy of one shared
+    list of "0.0" cells, only its entries are overwritten (so a stored
+    -0.0 prints as -0.0), and it is written before the next is built.
+    Each distinct nonzero value is formatted once.  A label count that
+    does not match M raises before anything is written.
     """
-    if len(coordinate_labels) != cm.matrix.shape[0]:
-        raise CompileError("coordinate label count does not match the matrix")
-    out = io.StringIO()
+    cm.check_labels(coordinate_labels)
+    size, n = cm.shape
+    order = np.argsort(cm.coords, kind="stable")
+    cols, values = cm.cols[order], cm.values[order]
+    bounds = [0, *np.cumsum(np.bincount(cm.coords, minlength=size)).tolist()]
+    # (column, value) pairs of each row, built as the row is written.
+    rows = (zip(cols[a:b].tolist(), values[a:b].tolist()) for a, b in zip(bounds, bounds[1:]))
+
     csv.writer(out, lineterminator="\n").writerow(["coord", *cm.column_labels])
     # The label field and, when cells follow, the comma that separates them.
     label_writer = csv.writer(out, lineterminator="")
-    label_tail = [""] if cm.n_columns else []
-    zeros = ["0.0"] * cm.n_columns
+    label_tail = [""] if n else []
+    zeros = ["0.0"] * n
     text: dict[float, str] = {}
-    for label, row in zip([*coordinate_labels, "q"], [*cm.matrix, cm.offsets]):
+    for label, entries in zip([*coordinate_labels, "q"], chain(rows, [enumerate(cm.offsets.tolist())])):
         cells = zeros.copy()
-        nonzero = np.flatnonzero(row.view(np.int64))
-        for j, v in zip(nonzero.tolist(), row[nonzero].tolist()):
+        for j, v in entries:
             cell = text.get(v)
-            if cell is None:
+            if cell is None or v == 0.0:  # 0.0 and -0.0 are one key
                 cell = text[v] = repr(v)
             cells[j] = cell
         label_writer.writerow([label, *label_tail])
         out.write(",".join(cells))
         out.write("\n")
-    return out.getvalue()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from oracles import reference_compile_min_affine
 
+from luklearn import cli
 from luklearn.constraints import (
     AffinePiece,
     CompileError,
@@ -25,6 +26,7 @@ from luklearn.constraints import (
 )
 from luklearn.grounding import (
     GroundingError,
+    GroundingIndex,
     PredicateDecl,
     build_grounding_index,
     build_samples,
@@ -250,14 +252,20 @@ def test_restrict_columns_keeps_structure():
     assert sub.column_labels == ["pt:p1:x1:1", "lb:p1:x2:1", "ub:p1:x2:1"]
     assert sub.block_order == ["pt:p1:x1", "lb:p1:x2", "ub:p1:x2"]
     assert sub.block_columns["lb:p1:x2"] == [1]
-    assert np.array_equal(sub.matrix, cm.matrix[:, [0, 3, 4]])
+    assert sub.matrix.tobytes() == cm.matrix[:, [0, 3, 4]].tobytes()
+
+
+def _csv_text(cm, coordinate_labels) -> str:
+    out = io.StringIO()
+    matrix_csv(cm, coordinate_labels, out)
+    return out.getvalue()
 
 
 def test_matrix_csv_round_trip():
     aset, index = _compile(TRANSITIVE_PRODUCT)
     block = to_constraint_block(aset, "phi1")
     cm = assemble_matrix([block] + consistency_blocks(index), index.size)
-    text = matrix_csv(cm, index.labels())
+    text = _csv_text(cm, index.labels())
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0][0] == "coord"
     assert rows[0][1:] == cm.column_labels
@@ -267,12 +275,23 @@ def test_matrix_csv_round_trip():
     assert np.array_equal(body, cm.matrix)
     assert np.array_equal([float(v) for v in rows[-1][1:]], cm.offsets)
 
+    out = io.StringIO()
     with pytest.raises(CompileError, match="label count"):
-        matrix_csv(cm, ["just-one"])
+        matrix_csv(cm, ["just-one"], out)
+    assert out.getvalue() == ""
+
+
+def test_compile_checks_the_label_count_before_writing_m_csv(tmp_path, monkeypatch, capsys):
+    labels = GroundingIndex.labels
+    monkeypatch.setattr(GroundingIndex, "labels", lambda self: labels(self)[:-1])
+    assert cli.main(["compile", str(FIXTURES / "example1.json"), "-o", str(tmp_path)]) == 2
+    assert "coordinate label count does not match the matrix" in capsys.readouterr().err
+    assert not (tmp_path / "M.csv").exists()
 
 
 def _csv_oracle(cm, coordinate_labels) -> str:
-    """The per-cell writer that ``matrix_csv`` must reproduce byte for byte."""
+    """The per-cell writer over the dense M that ``matrix_csv`` must
+    reproduce byte for byte."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["coord"] + list(cm.column_labels))
@@ -283,7 +302,8 @@ def _csv_oracle(cm, coordinate_labels) -> str:
 
 
 def _stacked_oracle(blocks, size, keep_zero_pieces=False) -> np.ndarray:
-    """M as one dense column per kept piece, stacked."""
+    """M as one dense column per kept piece, stacked: each column a zero
+    vector with the piece's terms scattered into it."""
     columns = [
         piece.dense(size)
         for block in blocks
@@ -293,12 +313,19 @@ def _stacked_oracle(blocks, size, keep_zero_pieces=False) -> np.ndarray:
     return np.column_stack(columns) if columns else np.zeros((size, 0))
 
 
-def _assert_same_bytes(blocks, size, labels, keep_zero_pieces=False):
+def _assert_same_bytes(blocks, size, labels, keep_zero_pieces=False, picks=None):
+    """The densified M, the streamed CSV and the restriction to the
+    columns ``picks`` match the dense oracles byte for byte."""
     cm = assemble_matrix(blocks, size, keep_zero_pieces)
     expected = _stacked_oracle(blocks, size, keep_zero_pieces)
-    assert cm.matrix.shape == expected.shape
+    assert cm.shape == expected.shape
     assert cm.matrix.tobytes() == expected.tobytes()
-    assert matrix_csv(cm, labels) == _csv_oracle(cm, labels)
+    assert _csv_text(cm, labels) == _csv_oracle(cm, labels)
+    picks = list(range(0, cm.n_columns, 2)) if picks is None else picks
+    sub = restrict_columns(cm, picks)
+    assert sub.matrix.tobytes() == expected[:, picks].tobytes()
+    assert sub.offsets.tobytes() == cm.offsets[picks].tobytes()
+    assert sub.column_labels == [cm.column_labels[i] for i in picks]
 
 
 @pytest.mark.parametrize(
@@ -324,27 +351,58 @@ def test_relational_matrix_and_csv_match_the_per_cell_oracles(keep_zero_pieces):
     labels = index.labels()
     assert any("," in label for label in labels)
     _assert_same_bytes(blocks, index.size, labels, keep_zero_pieces)
-    text = matrix_csv(assemble_matrix(blocks, index.size, keep_zero_pieces), labels)
+    text = _csv_text(assemble_matrix(blocks, index.size, keep_zero_pieces), labels)
     assert '\n"p2:x1,x2",' in text
+
+
+@pytest.mark.parametrize("keep_zero_pieces", [False, True])
+def test_random_assemblies_match_the_per_cell_oracles(keep_zero_pieces):
+    """Random blocks of random pieces, with constant pieces of every
+    sign, offsets of either zero sign and labels that need quoting."""
+    rng = np.random.default_rng(1618)
+    coefficients = [1.0, -1.0, 2.0, -2.0, 0.5, 1.0 / 3.0, 1e-300]
+    constants = [0.0, -0.0, 1.0, -1.0, 2.0, 0.1]
+    for trial in range(60):
+        size = int(rng.integers(0, 7))
+        blocks = []
+        for b in range(int(rng.integers(1, 5))):
+            pieces = []
+            for _ in range(int(rng.integers(1, 5))):
+                coords = sorted(rng.permutation(size)[: rng.integers(0, min(size, 3) + 1)].tolist())
+                terms = tuple((k, coefficients[rng.integers(len(coefficients))]) for k in coords)
+                pieces.append(AffinePiece(terms, constants[rng.integers(len(constants))]))
+            blocks.append(ConstraintBlock(f"b{b},{trial}", "logical", tuple(pieces)))
+        labels = [f"c{k}" if k % 2 else f'say "r(x{k},y)"' for k in range(size)]
+        n = sum(keep_zero_pieces or bool(p.terms) or p.constant > 0.0 for b in blocks for p in b.pieces)
+        picks = rng.permutation(n)[: rng.integers(0, n + 1)]
+        _assert_same_bytes(blocks, size, labels, keep_zero_pieces, picks.tolist())
+
+
+def _stored(matrix, offsets, column_labels) -> ConstraintMatrix:
+    """A ConstraintMatrix storing the entries of ``matrix`` whose bits are
+    not those of +0.0, in stacked column order."""
+    cols, coords = np.nonzero(matrix.T.view(np.int64))
+    return ConstraintMatrix(
+        matrix.shape, coords, cols, matrix[coords, cols], offsets, column_labels, [], [], {}, {}, {}, {}
+    )
 
 
 def test_matrix_csv_keeps_negative_zero_and_quotes_labels():
     matrix = np.array([[-0.0, 0.0, 1.5, 0.1], [0.0, 0.0, 0.0, 0.0], [2.0, -0.0, 1.5, 1e-300]])
     offsets = np.array([0.0, -0.0, -1.0, 1.0 / 3.0])
-    cm = ConstraintMatrix(
-        matrix, offsets, ["a:1", "b,c:1", 'q"d:1', "e:1"], [], [], {}, {}, {}, {}
-    )
+    cm = _stored(matrix, offsets, ["a:1", "b,c:1", 'q"d:1', "e:1"])
+    assert cm.matrix.tobytes() == matrix.tobytes()
     labels = ["x1", 'say "hi"', "r(x00,x01)"]
-    text = matrix_csv(cm, labels)
+    text = _csv_text(cm, labels)
     assert text == _csv_oracle(cm, labels)
     assert text.splitlines()[1] == "x1,-0.0,0.0,1.5,0.1"
     assert text.splitlines()[-1] == "q,0.0,-0.0,-1.0,0.3333333333333333"
 
 
 def test_matrix_csv_with_no_columns():
-    cm = ConstraintMatrix(np.zeros((2, 0)), np.zeros(0), [], [], [], {}, {}, {}, {})
+    cm = _stored(np.zeros((2, 0)), np.zeros(0), [])
     labels = ["x1", "r(x,y)"]
-    assert matrix_csv(cm, labels) == _csv_oracle(cm, labels) == 'coord\nx1\n"r(x,y)"\nq\n'
+    assert _csv_text(cm, labels) == _csv_oracle(cm, labels) == 'coord\nx1\n"r(x,y)"\nq\n'
 
     index = _index()
     never = ConstraintBlock("never", "logical", (AffinePiece((), 0.0),))
