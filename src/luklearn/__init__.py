@@ -34,7 +34,6 @@ from .constraints import (
     consistency_blocks,
     matrix_csv,
     pointwise_block,
-    restrict_columns,
     to_constraint_block,
 )
 from .grounding import (

@@ -23,11 +23,15 @@ reported:
 Each question has one entry point: ``deactivation_report`` for the
 deactivation of every block of a target system, ``removable_constraints``
 for a whole analysis (gradient certificates included),
-``grounded_entailment`` and ``minimal_support_sets``.  An analysis puts
-every question about one system to one ``_Fits``: a nonnegative
-least-squares fit per distinct column set, where a column set holding
-every column that the whole active pool's fit uses is answered by that
-fit, since only an optimum's support matters to it.
+``grounded_entailment`` and ``minimal_support_sets``.  Every question is
+asked of the one matrix M: a mode and a block are each a set of its
+columns, and mode "logical" only masks the target system's activity to
+the logical blocks' columns.  An analysis puts every question about one
+system (deactivation certificates, the minimal-set search and its
+mandatory-block test, or gradient certificates) to one ``_Fits``: a
+nonnegative least-squares fit per distinct column set, where a column
+set holding every column that the whole active pool's fit uses is
+answered by that fit, since only an optimum's support matters to it.
 
 Verdicts per block: "entailed" (the block follows from the others over
 all truth assignments), "removable" (drop-safe, optimum provably
@@ -44,12 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constraints import (
-    ConstraintBlock,
-    ConstraintMatrix,
-    assemble_matrix,
-    restrict_columns,
-)
+from .constraints import ConstraintBlock, ConstraintMatrix, assemble_matrix
 from .solver import (
     DEFAULT_TOLERANCES,
     LpRegion,
@@ -122,12 +121,6 @@ class GeneralSolution:
         for i, b in enumerate(self.column_blocks):
             columns.setdefault(b, []).append(i)
         return columns
-
-    def columns_of(self, block_id: str) -> list[int]:
-        return list(self.block_columns.get(block_id, ()))
-
-    def block_ids(self) -> list[str]:
-        return list(self.block_columns)
 
 
 def solve_problem2(
@@ -208,7 +201,7 @@ class _Fits:
     def __init__(self, M: np.ndarray, target: np.ndarray, pool: Sequence[int], tol: Tolerances):
         self.M = M
         self.target = target
-        self.pool = tuple(pool)
+        self.pool = tuple(map(int, pool))
         self.limit = _fit_tolerance(target, tol)
         self._solved: dict[tuple, tuple[np.ndarray, float]] = {}
         self._answers: dict[tuple, np.ndarray | None] = {}
@@ -259,51 +252,65 @@ class _Fits:
         lam = self._answers[key]
         return None if lam is None else lam.copy()
 
+    def avoiding(self, block_columns: dict[str, Sequence[int]]) -> dict[str, np.ndarray | None]:
+        """Each block's multipliers on the pool outside its columns, by
+        block id.  A block with no column in the pool leaves the pool
+        whole, so every such block shares the pool's answer, one vector."""
+        pool = frozenset(self.pool)
+        whole = self.multipliers(self.pool)
+        answers = {}
+        for block_id, cols in block_columns.items():
+            answers[block_id] = whole
+            if not pool.isdisjoint(cols):
+                blocked = set(cols)
+                answers[block_id] = self.multipliers([c for c in self.pool if c not in blocked])
+        return answers
 
-def _deactivate(gs: GeneralSolution, block_id: str, tol: Tolerances, fits: _Fits) -> DeactivationResult:
+
+def _deactivate(gs: GeneralSolution, block_id: str, tol: Tolerances, certificate: np.ndarray | None) -> DeactivationResult:
     """Search lam(t) for a nonnegative solution with every coordinate of
     ``block_id`` equal to zero.
 
-    The certificate comes from ``fits``, whose pool holds every active
-    column: the nonnegative least-squares solution of M lam = target over
-    the active columns outside the block, reported when every equation
-    holds within the stationarity tolerance times 1 + ||target||_inf.
-    Where ``t_unique`` is false, several multiplier vectors avoid the
-    block, and this one may differ from the vertex an LP would return.
+    ``certificate`` is the block's answer from ``_Fits.avoiding`` over
+    every active column: the nonnegative least-squares solution of
+    M lam = target over the active columns outside the block, reported
+    when every equation holds within the stationarity tolerance times
+    1 + ||target||_inf.  Where ``t_unique`` is false, several multiplier
+    vectors avoid the block, and this one may differ from the vertex an
+    LP would return.
     """
-    cols = gs.columns_of(block_id)
-    act_cols = [c for c in cols if gs.active[c]]
+    act_cols = [c for c in gs.block_columns[block_id] if gs.active[c]]
     eq_rows = gs.basis[act_cols, :]
     relaxed_t, residual = min_norm_solution(eq_rows, -gs.particular[act_cols])
     relaxed = gs.lambda_of(relaxed_t) if residual <= tol.stationarity else None
     t_unique = nullspace(eq_rows, tol.nullspace).dim == 0
-
-    outside = gs.active.copy()
-    outside[cols] = False
-    certificate = fits.multipliers(np.flatnonzero(outside))
     return DeactivationResult(block_id, certificate, relaxed, t_unique, residual)
+
+
+def _deactivations(gs: GeneralSolution, tol: Tolerances, fits: _Fits) -> dict[str, DeactivationResult]:
+    """Every block's deactivation result, certificates from ``fits``,
+    whose pool holds every active column.  A block with no active column
+    constrains nothing in lam(t), so every such block takes lam(0), a
+    unique t exactly when the nullspace is trivial, and residual 0."""
+    active = frozenset(fits.pool)
+    origin = gs.lambda_of(np.zeros(gs.nullspace_dim))
+    return {
+        block_id: DeactivationResult(block_id, certificate, origin, gs.nullspace_dim == 0, 0.0)
+        if active.isdisjoint(gs.block_columns[block_id])
+        else _deactivate(gs, block_id, tol, certificate)
+        for block_id, certificate in fits.avoiding(gs.block_columns).items()
+    }
 
 
 def deactivation_report(gs: GeneralSolution, tol: Tolerances = DEFAULT_TOLERANCES) -> dict[str, DeactivationResult]:
     """Every block's deactivation result in the target multiplier system,
     by block id in column order.  The certificates come from one
     ``_Fits`` over the active columns, so a block whose columns the
-    pool's fit does not use takes that fit, and none is fitted when the
-    whole active pool cannot carry the target.
-
-    A block with no active column constrains nothing in lam(t), so every
-    such block takes one shared answer: the pool's certificate, lam(0),
-    a unique t exactly when the nullspace is trivial, and residual 0.
+    pool's fit does not use takes that fit, a block with no active
+    column shares it, and none is fitted when the whole active pool
+    cannot carry the target.
     """
-    fits = _Fits(gs.matrix, gs.target, np.flatnonzero(gs.active), tol)
-    pool_cert = fits.multipliers(fits.pool)
-    origin = gs.lambda_of(np.zeros(gs.nullspace_dim))
-    return {
-        block_id: _deactivate(gs, block_id, tol, fits)
-        if gs.active[cols].any()
-        else DeactivationResult(block_id, pool_cert, origin, gs.nullspace_dim == 0, 0.0)
-        for block_id, cols in gs.block_columns.items()
-    }
+    return _deactivations(gs, tol, _Fits(gs.matrix, gs.target, np.flatnonzero(gs.active), tol))
 
 
 @dataclass(eq=False)
@@ -432,17 +439,19 @@ def minimal_support_sets(
     search finds them, lexicographic in pool order.
     """
     active = np.asarray(activity, dtype=bool)
-    pool = [
-        block_id
-        for block_id in matrix.block_order
-        if any(active[nu] for nu in matrix.block_columns[block_id])
-    ]
+    fits = _Fits(matrix.matrix, np.asarray(target, dtype=float), np.flatnonzero(active), tol)
+    return _support_sets(matrix, active, fits, limit)
+
+
+def _support_sets(matrix: ConstraintMatrix, active: np.ndarray, fits: _Fits, limit: int) -> list[SupportSet]:
+    """``minimal_support_sets`` with the fits of its target, whose pool
+    holds every active column."""
+    pool = [b for b in matrix.block_order if active[matrix.block_columns[b]].any()]
     block_cols = {b: [nu for nu in matrix.block_columns[b] if active[nu]] for b in pool}
 
     def columns(blocks) -> list[int]:
         return [nu for b in blocks for nu in block_cols[b]]
 
-    fits = _Fits(matrix.matrix, np.asarray(target, dtype=float), columns(pool), tol)
     if not fits.pool_fits:
         return []
     if len(pool) > limit:
@@ -529,14 +538,16 @@ class AnalysisReport:
     psd: dict[str, str]
     loss: float
     minimal_sets: list[SupportSet] | None
-    column_labels: list[str]
+    columns: np.ndarray          # the mode's columns of M, the ones reported
+    column_labels: list[str]     # their labels
 
     def to_dict(self) -> dict:
         def vec(v, labels=None):
             if v is None:
                 return None
-            values = np.asarray(v, dtype=float).tolist()
-            return values if labels is None else dict(zip(labels, values))
+            if labels is None:
+                return np.asarray(v, dtype=float).tolist()
+            return dict(zip(labels, np.asarray(v, dtype=float)[self.columns].tolist()))
 
         labels = self.column_labels
         blocks = []
@@ -606,53 +617,42 @@ def removable_constraints(
     deactivation results) are computed and reported alongside.  Where the
     target system has no solution neither has the gradient system, and
     InconsistentSystem names the positive semidefinite Gram matrices.
+
+    Mode "logical" reports the logical blocks and masks the target
+    system's activity to their columns of M; its vectors keep one entry
+    per column of M, zero off the mode's columns, and ``to_dict`` writes
+    the mode's entries only.  Each system's questions go to one
+    ``_Fits``, the minimal-set search's included.
     """
     tp = model.problem
     tol = tp.tolerances
     matrix = tp.matrix
     target = logical_coefficients(model, mode)
-
-    if mode == "logical":
-        chosen = [
-            nu
-            for nu in range(matrix.n_columns)
-            if matrix.families[matrix.column_block[nu]] == "logical"
-        ]
-        working = restrict_columns(matrix, chosen)
-    else:
-        chosen = list(range(matrix.n_columns))
-        working = matrix
-    sub_active = model.activity[chosen]
+    block_ids = [b for b in matrix.block_order if mode == "all" or matrix.families[b] == "logical"]
+    # the mode's columns of M, and the target system's activity masked to them
+    in_mode = np.array([mode == "all" or matrix.families[b] == "logical" for b in matrix.column_block], dtype=bool)
+    active = model.activity & in_mode
     try:
-        gs = solve_problem2(working.matrix, target, sub_active, working.column_block, tol)
+        gs = solve_problem2(matrix.matrix, target, active, matrix.column_block, tol)
     except InconsistentSystem as exc:
         named = ", ".join(name for name, kind in tp.psd.items() if kind == "positive_semidefinite") or "none"
         raise InconsistentSystem(f"analysis refused: {exc}; positive semidefinite Gram matrices: {named}") from exc
 
-    block_ids = [
-        b for b in matrix.block_order
-        if mode == "all" or matrix.families[b] == "logical"
-    ]
-    deactivations = deactivation_report(gs, tol)
+    fits = _Fits(matrix.matrix, gs.target, np.flatnonzero(active), tol)
+    deactivations = _deactivations(gs, tol, fits)
     gradient = _Fits(matrix.matrix, -2.0 * model.alpha, np.flatnonzero(model.activity), tol)
+    certificates = gradient.avoiding({b: matrix.block_columns[b] for b in block_ids})
     entailments = dict.fromkeys(block_ids)
     if check_entailment:
         # every block's entailment LPs start from one phase 1, which p* makes feasible
         by_id = {b.block_id: b for b in tp.blocks}
         region = _EntailmentRegion(tp.blocks, tp.index.size, tol)
         entailments = dict(zip(block_ids, region.test([by_id[b] for b in block_ids])))
-    # a block with no active piece leaves the pool whole, so it takes the pool's certificate
-    pool_cert = gradient.multipliers(gradient.pool)
     reports = []
     for block_id in block_ids:
-        cols = matrix.block_columns[block_id]
-        active_labels = [matrix.column_labels[nu] for nu in cols if model.activity[nu]]
+        active_labels = [matrix.column_labels[nu] for nu in matrix.block_columns[block_id] if model.activity[nu]]
         ent = entailments[block_id]
-        cert = pool_cert
-        if active_labels:
-            outside = model.activity.copy()
-            outside[cols] = False
-            cert = gradient.multipliers(np.flatnonzero(outside))
+        cert = certificates[block_id]
         if ent is not None and ent.entailed:
             verdict = "entailed"
         elif cert is not None:
@@ -672,10 +672,7 @@ def removable_constraints(
             )
         )
 
-    sets = None
-    if minimal_sets:
-        sets = minimal_support_sets(working, target, sub_active, support_limit, tol)
-
+    columns = np.flatnonzero(in_mode)
     return AnalysisReport(
         mode,
         target,
@@ -684,6 +681,7 @@ def removable_constraints(
         tp.unique_optimum,
         tp.psd,
         model.loss,
-        sets,
-        list(working.column_labels),
+        _support_sets(matrix, active, fits, support_limit) if minimal_sets else None,
+        columns,
+        [matrix.column_labels[nu] for nu in columns.tolist()],
     )

@@ -344,38 +344,6 @@ def assemble_matrix(
     )
 
 
-def restrict_columns(cm: ConstraintMatrix, columns: Sequence[int]) -> ConstraintMatrix:
-    """Submatrix keeping only the given columns, in the given order: the
-    stored entries of each, renumbered."""
-    cols = np.array(list(columns), dtype=np.intp)
-    first = np.searchsorted(cm.cols, cols)
-    counts = np.searchsorted(cm.cols, cols, side="right") - first
-    # The entries of every kept column, column after column.
-    take = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
-    block_order: list[str] = []
-    block_columns: dict[str, list[int]] = {}
-    for new, old in enumerate(cols.tolist()):
-        bid = cm.column_block[old]
-        if bid not in block_columns:
-            block_order.append(bid)
-            block_columns[bid] = []
-        block_columns[bid].append(new)
-    return ConstraintMatrix(
-        (cm.shape[0], cols.size),
-        cm.coords[take],
-        np.repeat(np.arange(cols.size), counts),
-        cm.values[take],
-        cm.offsets[cols],
-        [cm.column_labels[i] for i in cols.tolist()],
-        [cm.column_block[i] for i in cols.tolist()],
-        block_order,
-        block_columns,
-        {b: cm.families[b] for b in block_order},
-        {b: cm.sources[b] for b in block_order},
-        {},
-    )
-
-
 def matrix_csv(cm: ConstraintMatrix, coordinate_labels: Sequence[str], out: TextIO) -> None:
     """Write the CSV export to the open text file ``out``: header
     "coord,<column labels>", one row per grounding coordinate, and a

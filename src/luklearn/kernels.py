@@ -76,20 +76,22 @@ def gram(spec: KernelSpec, points: Sequence[Sequence[float]]) -> GramMatrix:
     """Gram matrix of ``spec`` on ``points``.
 
     Tuple samples of n-ary predicates are expected to be concatenated
-    into flat vectors before this call.
+    into flat vectors before this call.  Raises KernelError when an
+    entry overflows to a non-finite value.
     """
     if len(points) == 0:
         raise KernelError("empty sample list")
     X = _rows(points)
-    K = cross_gram(spec, X, X)  # one array on both sides: X @ X.T comes out exactly symmetric
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
+        K = cross_gram(spec, X, X)
+    if not np.isfinite(K).all():
+        raise KernelError(f"{spec.kind} Gram matrix is not finite: the kernel overflows on these points")
     if spec.kind == "rbf":
         np.fill_diagonal(K, 1.0)
-    symmetric = bool(np.max(np.abs(K - K.T)) <= 1e-12) if K.size else True
-    if symmetric:
-        eigs = np.linalg.eigvalsh((K + K.T) / 2.0)
-        min_eig = float(eigs[0])
-    else:
-        min_eig = float("nan")
+    # one array on both sides: X @ X.T comes out exactly symmetric, and
+    # eigvalsh reads one triangle of it
+    symmetric = bool(np.array_equal(K, K.T))
+    min_eig = float(np.linalg.eigvalsh(K)[0]) if symmetric else float("nan")
     return GramMatrix(K, symmetric, min_eig)
 
 

@@ -19,6 +19,7 @@ Concrete syntax, loosest to tightest binding: ``forall v:``, ``->``
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -170,12 +171,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
             line_starts.append(i + 1)
 
     def position(offset: int) -> tuple[int, int]:
-        line = 0
-        for li, start in enumerate(line_starts):
-            if start <= offset:
-                line = li
-            else:
-                break
+        line = bisect_right(line_starts, offset) - 1
         return line + 1, offset - line_starts[line] + 1
 
     tokens = []

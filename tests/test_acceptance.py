@@ -22,7 +22,7 @@ from luklearn.analyze import (
     removable_constraints,
     solve_problem2,
 )
-from luklearn.constraints import compile_min_affine, restrict_columns, to_constraint_block
+from luklearn.constraints import compile_min_affine, to_constraint_block
 from luklearn.grounding import (
     PredicateDecl,
     build_grounding_index,
@@ -61,7 +61,7 @@ def _logical_matrix(problem_file: str) -> np.ndarray:
         for nu in range(tp.matrix.n_columns)
         if tp.matrix.families[tp.matrix.column_block[nu]] == "logical"
     ]
-    return restrict_columns(tp.matrix, logical).matrix
+    return tp.matrix.matrix[:, logical]
 
 
 def test_criterion_1_compilation():

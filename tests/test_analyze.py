@@ -27,11 +27,12 @@ from luklearn.analyze import (
 from luklearn.constraints import AffinePiece, ConstraintBlock, assemble_matrix
 from luklearn.grounding import PredicateDecl, build_samples
 from luklearn.logic import parse_formula
-from luklearn.problem import build_training_problem, load_problem
+from luklearn.problem import build_training_problem, load_problem, parse_problem
 from luklearn.solver import Infeasible
 from luklearn.train import assemble_problem, solve_primal
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 FIXTURE_PATHS = sorted(FIXTURES.glob("*.json"))
 
 
@@ -58,7 +59,7 @@ def _fit_tol(model, target):
 
 
 def _outside(gs, block_id):
-    blocked = set(gs.columns_of(block_id))
+    blocked = set(gs.block_columns.get(block_id, ()))
     return [c for c in np.flatnonzero(gs.active) if c not in blocked]
 
 
@@ -670,7 +671,7 @@ def test_deactivation_certificates_solve_the_target_system(path):
         if cert is None:
             continue
         assert np.min(cert) >= 0.0
-        assert np.all(cert[gs.columns_of(entry.block_id)] == 0.0)
+        assert np.all(cert[gs.block_columns[entry.block_id]] == 0.0)
         assert np.all(cert[~gs.active] == 0.0)
         assert np.max(np.abs(gs.matrix @ cert - gs.target)) <= 1e-9 * scale
         t = gs.basis.T @ (cert - gs.particular)
@@ -744,6 +745,89 @@ def test_deactivation_fits_each_distinct_question_once(monkeypatch):
     assert len(calls) == 2 + len(holding)
 
 
+def _audit_models(monkeypatch):
+    """The trained models of perfbench's ``audit`` KBs (seed 3) that
+    train; the infeasible ones are left out."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+
+    models = []
+    for inst in gen.workload("audit", 3):
+        try:
+            models.append(solve_primal(build_training_problem(parse_problem(inst.kb.problem()))))
+        except Infeasible:
+            pass
+    return models
+
+
+def test_analysis_fits_each_column_set_once(monkeypatch):
+    """One analysis with the minimal-set search solves each (column set,
+    target) pair at most once: the deactivation certificates, the
+    minimal-set search and its mandatory-block test share the target
+    system's fits.  Checked in both modes on every fixture that analyzes
+    and on perfbench's ``audit`` KBs."""
+    models = [m for m in map(_fixture_model, FIXTURE_PATHS) if m is not None] + _audit_models(monkeypatch)
+    calls = _counting_nnls(monkeypatch)
+    searched = 0
+    for model in models:
+        for mode in ("all", "logical"):
+            calls.clear()
+            try:
+                report = removable_constraints(model, mode=mode, minimal_sets=True)
+                searched += bool(report.minimal_sets)
+            except SupportLimitExceeded:
+                pass
+            assert calls and len(set(calls)) == len(calls), mode
+    assert searched > 0
+
+
+@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
+def test_logical_mode_matches_the_logical_blocks_matrix(path):
+    """Mode "logical" masks the activity to the logical blocks' columns of
+    M, and its report writes, value for value, what the public functions
+    give over the matrix assembled from the logical blocks alone."""
+    model = _fixture_model(path)
+    if model is None:
+        return
+    tp = model.problem
+    tol = tp.tolerances
+    sub = assemble_matrix([b for b in tp.blocks if b.family == "logical"], tp.index.size, tp.keep_zero_pieces)
+    target = logical_coefficients(model, "logical")
+    active = model.activity[[tp.matrix.families[b] == "logical" for b in tp.matrix.column_block]]
+    gs = solve_problem2(sub.matrix, target, active, sub.column_block, tol)
+    deactivations = deactivation_report(gs, tol)
+    try:
+        sets = minimal_support_sets(sub, target, active, 20, tol)
+    except SupportLimitExceeded:
+        with pytest.raises(SupportLimitExceeded):
+            removable_constraints(model, mode="logical", minimal_sets=True)
+        sets = None
+
+    def vec(v):
+        return None if v is None else dict(zip(sub.column_labels, v.tolist()))
+
+    data = removable_constraints(model, mode="logical", minimal_sets=sets is not None).to_dict()
+    assert data["target"] == target.tolist()
+    assert data["nullspace_dimension"] == gs.nullspace_dim
+    assert data["system_residual"] == gs.residual
+    assert data["particular_solution"] == vec(gs.particular)
+    assert [b["id"] for b in data["blocks"]] == sub.block_order
+    for entry in data["blocks"]:
+        d = deactivations.get(entry["id"])
+        assert entry["target_system"] == (
+            None
+            if d is None
+            else {
+                "certificate": vec(d.certificate),
+                "relaxed": vec(d.relaxed),
+                "t_unique": d.t_unique,
+                "equality_residual": d.equality_residual,
+            }
+        ), entry["id"]
+    if sets is not None:
+        assert data["minimal_support_sets"] == [{"blocks": list(s.blocks), "certificate": vec(s.certificate)} for s in sets]
+
+
 def _same_vector(a, b) -> bool:
     """Both None, or arrays equal bit for bit."""
     return (a is None and b is None) or (a is not None and b is not None and a.tobytes() == b.tobytes())
@@ -773,7 +857,7 @@ def test_blocks_with_no_active_piece_share_the_whole_systems_answers(path, monke
         lstsq_calls.clear()
         report = removable_constraints(model, mode=mode)
         gs = report.general
-        busy = [b for b in gs.block_ids() if gs.active[gs.columns_of(b)].any()]
+        busy = [b for b, cols in gs.block_columns.items() if gs.active[cols].any()]
         assert len(lstsq_calls) == 1 + len(busy), mode
 
         fits = analyze._Fits(gs.matrix, gs.target, np.flatnonzero(gs.active), tol)
@@ -781,7 +865,9 @@ def test_blocks_with_no_active_piece_share_the_whole_systems_answers(path, monke
         for entry in report.blocks:
             if entry.active_columns:
                 continue
-            fresh = analyze._deactivate(gs, entry.block_id, tol, fits)
+            unfitted = gs.active.copy()
+            unfitted[gs.block_columns[entry.block_id]] = False
+            fresh = analyze._deactivate(gs, entry.block_id, tol, fits.multipliers(np.flatnonzero(unfitted)))
             shared = entry.deactivation
             assert shared.block == entry.block_id
             assert _same_vector(shared.certificate, fresh.certificate), (mode, entry.block_id)

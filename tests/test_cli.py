@@ -383,6 +383,21 @@ def test_predict_grid_checks_predicate_before_training(tmp_path, monkeypatch, fi
     assert _run("predict-grid", FIXTURES / fixture, "-o", tmp_path, "--predicate", predicate) == 2
 
 
+def test_overflowing_kernel_exit_2(tmp_path, capsys):
+    problem = {
+        "domains": {"points": {"x1": [1e200], "x2": [2.0]}},
+        "predicates": {"p1": {"domains": ["points"], "kernel": "lin"}},
+        "kernels": {"lin": {"kind": "linear"}},
+        "formulas": [],
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(problem))
+    assert _run("train", path, "-o", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "input error: linear Gram matrix is not finite" in err
+    assert "symmetric" not in err
+
+
 def test_missing_problem_file_exit_2(tmp_path, capsys):
     assert _run("train", tmp_path / "nope.json", "-o", tmp_path) == 2
     assert "input error" in capsys.readouterr().err

@@ -104,6 +104,10 @@ def test_gram_rejects_bad_inputs():
         gram(KernelSpec(), [])
     with pytest.raises(KernelError, match="common dimension"):
         gram(KernelSpec(), [(1.0, 2.0), (1.0,)])
+    # an entry that overflows is refused as such, not as asymmetry
+    for spec, x in [(KernelSpec("linear"), 1e200), (KernelSpec("polynomial", degree=2), 1e160)]:
+        with pytest.raises(KernelError, match="not finite"):
+            gram(spec, [(x,), (2.0,)])
 
 
 def test_psd_check_branches():

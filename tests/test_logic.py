@@ -76,6 +76,13 @@ def test_parse_errors_carry_positions():
         parse_formula("a(x\n) + ?")
     assert info.value.line == 2 and info.value.column == 5
 
+    # a token at a line's first character, and the end of input after
+    # trailing newlines, sit on the line that starts there
+    for text, line, column in [("\n\n  a(x) &\n?", 4, 1), ("a(x)\n  ?", 2, 3), ("a(x) +\n\n", 3, 1)]:
+        with pytest.raises(ParseError) as info:
+            parse_formula(text)
+        assert (info.value.line, info.value.column) == (line, column), text
+
     with pytest.raises(ParseError):
         parse_formula("(a(x)")
     with pytest.raises(ParseError):

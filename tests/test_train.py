@@ -11,7 +11,7 @@ from oracles import is_farkas_vector
 from scipy.optimize import linprog
 
 from luklearn import solver
-from luklearn.constraints import restrict_columns
+from luklearn.constraints import ConstraintMatrix
 from luklearn.grounding import PredicateDecl, build_samples
 from luklearn.kernels import KernelError, KernelSpec
 from luklearn.logic import parse_formula
@@ -359,7 +359,13 @@ def test_restriction_to_active_columns_keeps_optimum():
     model = solve_primal(_chain_problem())
     tp = model.problem
     active_cols = [i for i in range(tp.matrix.n_columns) if model.activity[i]]
-    restricted = restrict_columns(tp.matrix, active_cols)
+    dense = tp.matrix.matrix[:, active_cols]
+    cols, coords = np.nonzero(dense.T)
+    restricted = ConstraintMatrix(
+        dense.shape, coords, cols, dense[coords, cols], tp.matrix.offsets[active_cols],
+        [tp.matrix.column_labels[i] for i in active_cols], [], [], {}, {}, {}, {},
+    )
+    assert restricted.matrix.tobytes() == dense.tobytes()
     tp2 = type(tp)(
         tp.decls,
         tp.index,
