@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constraints import ConstraintBlock, ConstraintMatrix, assemble_matrix
+from .constraints import ConstraintBlock, ConstraintMatrix, Pieces
 from .solver import (
     DEFAULT_TOLERANCES,
     LpRegion,
@@ -335,45 +335,49 @@ class _EntailmentRegion:
         self.size = size
         self.tol = tol
         self.rows: dict[str, list[int]] = {}
-        rows = []
-        rhs = []
-        for block in blocks:
-            if block.family == "consistency":
-                continue
-            for piece in block.pieces:
-                self.rows.setdefault(block.block_id, []).append(len(rows))
-                rows.append(piece.dense(size))
-                rhs.append(-piece.constant)
-        self.upper = len(rows)  # the row of coordinate k's upper side is upper + k
-        rows.extend(np.eye(size))
-        rhs.extend([1.0] * size)
-        self.region = LpRegion(np.asarray(rows, dtype=float).reshape(-1, size), rhs, tol.lp)
+        kept = [block for block in blocks if block.family != "consistency"]
+        count = 0
+        for block in kept:
+            self.rows.setdefault(block.block_id, []).extend(range(count, count + len(block.pieces)))
+            count += len(block.pieces)
+        stacked = Pieces.concatenate([block.pieces for block in kept])
+        self.upper = len(stacked)  # the row of coordinate k's upper side is upper + k
+        self.region = LpRegion(
+            np.concatenate((stacked.dense(size), np.eye(size))),
+            np.concatenate((-stacked.constants, np.ones(size))),
+            tol.lp,
+        )
 
     def _relaxation(self, target: ConstraintBlock) -> tuple[list[int], list[int]]:
         """The rows to drop and the coordinates to free when testing ``target``."""
         drop = self.rows.get(target.block_id, [])
-        if target.family == "consistency" and len(target.pieces) == 1:
-            terms = target.pieces[0].terms
-            if len(terms) == 1:
-                coord, coef = terms[0]
-                return ([], [coord]) if coef < 0 else ([self.upper + coord], [])
+        pieces = target.pieces
+        if target.family == "consistency" and len(pieces) == 1 and pieces.indptr[1] == 1:
+            coord = int(pieces.coords[0])
+            return ([], [coord]) if pieces.coefs[0] < 0 else ([self.upper + coord], [])
         return drop, []
 
     def test(self, targets: Sequence[ConstraintBlock]) -> list[EntailmentResult]:
         """Maximize each piece of each block of ``targets`` over the
         region without that block, every LP in one ``minimize_many``;
-        a block is entailed when no piece can become positive."""
+        a block is entailed when no piece can become positive.  The
+        targets' pieces are scattered into one array of objectives."""
+        stacked = Pieces.concatenate([target.pieces for target in targets])
+        has_terms = (stacked.lengths() > 0).tolist()
+        objectives = -stacked.dense(self.size)
+        bounds = [0, *itertools.accumulate(len(target.pieces) for target in targets)]
         lps = []
-        for target in targets:
+        for target, start, stop in zip(targets, bounds, bounds[1:]):
             drop, free = self._relaxation(target)
-            lps += [(-piece.dense(self.size), drop, free) for piece in target.pieces if piece.terms]
+            lps += [(objectives[i], drop, free) for i in range(start, stop) if has_terms[i]]
         solved = iter(self.region.minimize_many(lps))
+        constants = stacked.constants.tolist()
         results = []
-        for target in targets:
+        for start, stop in zip(bounds, bounds[1:]):
             maxima, vacuous = [], False
-            for piece in target.pieces:
-                if not piece.terms:
-                    maxima.append(piece.constant)
+            for constant, terms in zip(constants[start:stop], has_terms[start:stop]):
+                if not terms:
+                    maxima.append(constant)
                     continue
                 res = next(solved)
                 if res.status == "infeasible":
@@ -381,7 +385,7 @@ class _EntailmentRegion:
                 elif res.status == "unbounded":
                     maxima.append(float("inf"))
                 else:
-                    maxima.append(float(-res.objective + piece.constant))
+                    maxima.append(float(-res.objective + constant))
             if vacuous:
                 results.append(EntailmentResult(True, [], True))
             else:
@@ -483,12 +487,43 @@ class AblationRecord:
     identical: bool
 
 
+def _without_block(cm: ConstraintMatrix, block_id: str) -> ConstraintMatrix:
+    """``cm`` less the columns of one block: the matrix
+    ``assemble_matrix`` builds from the other blocks, whose columns keep
+    their order and labels and close up over the removed ones."""
+    columns = cm.block_columns[block_id]
+    start = columns[0] if columns else 0
+    stop = start + len(columns)
+    kept = (cm.cols < start) | (cm.cols >= stop)
+    cols = cm.cols[kept]
+    cols[cols >= stop] -= len(columns)
+    return ConstraintMatrix(
+        (cm.shape[0], cm.shape[1] - len(columns)),
+        cm.coords[kept],
+        cols,
+        cm.values[kept],
+        np.concatenate((cm.offsets[:start], cm.offsets[stop:])),
+        cm.column_labels[:start] + cm.column_labels[stop:],
+        cm.column_block[:start] + cm.column_block[stop:],
+        [b for b in cm.block_order if b != block_id],
+        {
+            b: [c - len(columns) if c >= stop else c for c in cs]
+            for b, cs in cm.block_columns.items()
+            if b != block_id
+        },
+        {b: f for b, f in cm.families.items() if b != block_id},
+        {b: s for b, s in cm.sources.items() if b != block_id},
+        {b: n for b, n in cm.dropped.items() if b != block_id},
+    )
+
+
 def ablated_problem(tp: TrainingProblem, block_id: str) -> TrainingProblem:
-    """The same training problem with one constraint block removed."""
+    """The same training problem with one constraint block removed; its
+    matrix is the problem's less that block's columns."""
     if all(b.block_id != block_id for b in tp.blocks):
         raise AnalysisError(f"unknown block {block_id!r}")
     blocks = [b for b in tp.blocks if b.block_id != block_id]
-    return replace(tp, blocks=blocks, matrix=assemble_matrix(blocks, tp.index.size, tp.keep_zero_pieces))
+    return replace(tp, blocks=blocks, matrix=_without_block(tp.matrix, block_id))
 
 
 def ablate_and_compare(

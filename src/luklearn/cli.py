@@ -121,11 +121,12 @@ def cmd_train(args) -> int:
     model = solve_primal(tp)
     out = _out_dir(args)
     model.save(out / "model.json")
+    labels = tp.index.labels()
     report = {
         **_header(args, tp),
         "loss": model.loss,
-        "alpha": _float_map(tp.index.labels(), model.alpha),
-        "p_star": _float_map(tp.index.labels(), model.p_star),
+        "alpha": _float_map(labels, model.alpha),
+        "p_star": _float_map(labels, model.p_star),
         "biases": model.biases,
         "activity": {
             label: bool(flag)

@@ -4,19 +4,25 @@ A formula in the concave fragment has a truth function expressible as
 min_i (a_i . p + c_i) over the box [0,1]^S.  Requiring full truth
 (value 1) then turns into affine inequalities: for every piece,
 (-a_i) . p + (1 - c_i) <= 0.  ``compile_min_affine`` produces the
-pieces of a quantified formula in one walk that grounds it as it goes;
-this module also builds pointwise and consistency constraints, and
-stacks every block into one matrix whose columns later index the
-multiplier vector.
+pieces of a quantified formula by walking its body once per equality
+pattern of its atoms and reading every grounding's coordinates off
+lookup tables; this module also builds pointwise and consistency
+constraints, and stacks every block into one matrix whose columns later
+index the multiplier vector.  Pieces travel as flat CSR-style arrays
+(``Pieces``).
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from bisect import bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, starmap
-from typing import Sequence, TextIO
+from itertools import accumulate, chain, count, repeat
+from operator import add
+from typing import TextIO
 
 import numpy as np
 
@@ -46,19 +52,120 @@ class AffinePiece:
         return v
 
 
-def _piece(coeffs: dict[int, float], constant: float) -> AffinePiece:
-    terms = tuple(sorted((k, c) for k, c in coeffs.items() if c != 0.0))
-    return AffinePiece(terms, float(constant))
+class Pieces(Sequence):
+    """Affine pieces stored as flat CSR-style arrays, read as AffinePiece
+    views.
+
+    Piece i is the sum of coefs[e] * p[coords[e]] over e in
+    indptr[i]:indptr[i + 1], plus constants[i]; its coordinates increase
+    and its coefficients are nonzero.  Sets and blocks built from one
+    another share these arrays, so they are never written.  Indexing and
+    iteration build the AffinePiece views, of Python ints and floats,
+    once; ``len`` reads ``constants`` only.  Pieces compare equal to the
+    tuple of their views.
+    """
+
+    __slots__ = ("indptr", "coords", "coefs", "constants", "_views")
+
+    def __init__(self, indptr: np.ndarray, coords: np.ndarray, coefs: np.ndarray, constants: np.ndarray):
+        self.indptr = indptr
+        self.coords = coords
+        self.coefs = coefs
+        self.constants = constants
+        self._views: tuple[AffinePiece, ...] | None = None
+
+    @classmethod
+    def of(cls, pieces: Iterable[AffinePiece]) -> Pieces:
+        pieces = tuple(pieces)
+        terms = [term for piece in pieces for term in piece.terms]
+        return cls(
+            np.fromiter(accumulate((len(p.terms) for p in pieces), initial=0), np.intp, len(pieces) + 1),
+            np.array([k for k, _ in terms], dtype=np.intp),
+            np.array([c for _, c in terms], dtype=float),
+            np.array([piece.constant for piece in pieces], dtype=float),
+        )
+
+    @classmethod
+    def concatenate(cls, parts: Sequence[Pieces]) -> Pieces:
+        """The pieces of every part, in order, as one Pieces."""
+        if not parts:
+            return cls.of(())
+        lengths: list[int] = []
+        for part in parts:
+            if len(part.constants) == 1:  # one piece: all of the part's terms
+                lengths.append(len(part.coords))
+            else:
+                lengths += (part.indptr[1:] - part.indptr[:-1]).tolist()
+        return cls(
+            np.fromiter(accumulate(lengths, initial=0), np.intp, len(lengths) + 1),
+            np.concatenate([part.coords for part in parts]),
+            np.concatenate([part.coefs for part in parts]),
+            np.concatenate([part.constants for part in parts]),
+        )
+
+    def _tuple(self) -> tuple[AffinePiece, ...]:
+        if self._views is None:
+            bounds = self.indptr.tolist()
+            terms = list(zip(self.coords.tolist(), self.coefs.tolist()))
+            self._views = tuple(
+                AffinePiece(tuple(terms[a:b]), c)
+                for a, b, c in zip(bounds, bounds[1:], self.constants.tolist())
+            )
+        return self._views
+
+    def __len__(self) -> int:
+        return len(self.constants)
+
+    def __getitem__(self, i):
+        return self._tuple()[i]
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Pieces):
+            other = other._tuple()
+        return self._tuple() == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return f"Pieces{self._tuple()!r}"
+
+    def lengths(self) -> np.ndarray:
+        """The number of terms of every piece."""
+        return self.indptr[1:] - self.indptr[:-1]
+
+    def dense(self, size: int) -> np.ndarray:
+        """The coefficient rows of the pieces, one per piece, scattered
+        into a len x ``size`` array at once."""
+        rows = np.zeros((len(self), size))
+        rows[np.arange(len(self)).repeat(self.lengths()), self.coords] = self.coefs
+        return rows
+
+    def values(self, p: Sequence[float]) -> np.ndarray:
+        """Every piece's value at ``p``.  Each sum runs in term order from
+        0.0, so it has the bits of ``AffinePiece.value``."""
+        owners = np.arange(len(self)).repeat(self.lengths())
+        products = self.coefs * np.asarray(p, dtype=float)[self.coords]
+        return np.bincount(owners, products, len(self)) + self.constants
 
 
 @dataclass(frozen=True)
 class AffineSet:
-    """A concave piecewise-linear function, the min of ``pieces``."""
+    """A concave piecewise-linear function, the min of ``pieces``; given
+    as any sequence of AffinePiece, they are stored as ``Pieces``."""
 
-    pieces: tuple[AffinePiece, ...]
+    pieces: Pieces
+
+    def __post_init__(self):
+        if not isinstance(self.pieces, Pieces):
+            object.__setattr__(self, "pieces", Pieces.of(self.pieces))
 
     def value(self, p: Sequence[float]) -> float:
-        return min(piece.value(p) for piece in self.pieces)
+        values = self.pieces.values(p)
+        return float(values[values.argmin()])
 
 
 # A piece during compilation: the (terms, constant) of an AffinePiece.
@@ -96,52 +203,108 @@ def _sums(left: list[_Piece], right: list[_Piece]) -> list[_Piece]:
     return sums
 
 
+def _domain(universe: dict[str, list[str]], var: str) -> list[str]:
+    names = universe.get(var)
+    if names is None:
+        raise GroundingError(f"cannot infer a domain for quantified variable {var!r}")
+    if not names:
+        raise GroundingError(f"the domain of variable {var!r} has no samples")
+    return names
+
+
+def _occurrence_coordinates(
+    occurrences: dict[tuple[str, tuple], int], axes: list[list[str]], index: GroundingIndex
+) -> list[list[int]]:
+    """The coordinate of every occurrence, in id order, in every
+    grounding of the prefix (first variable slowest), or -1 where that
+    atom has none.  An argument is a sample name or the position of a
+    prefix variable, whose samples are ``axes[position]``; the lookup
+    table is read at the sums of the arguments' scaled positions.
+    """
+    groundings = math.prod(map(len, axes))
+    grids: dict[tuple[int, int], list[int]] = {}  # (prefix position, id of its scaled positions) -> per grounding
+    columns = []
+    for name, args in occurrences:
+        table, positions = index.coordinate_table(name)
+        if len(args) != len(positions):  # the wrong arity: no coordinate anywhere
+            columns.append([-1] * groundings)
+            continue
+        at = None
+        for arg, (where, extra) in zip(args, positions):
+            if type(arg) is str:
+                part = repeat(where.get(arg, extra), groundings)
+            else:
+                part = grids.get((arg, id(where)))
+                if part is None:
+                    scaled = map(where.get, axes[arg], repeat(extra))
+                    part = list(chain.from_iterable(map(repeat, scaled, repeat(math.prod(map(len, axes[arg + 1 :]))))))
+                    part = grids[arg, id(where)] = part * math.prod(map(len, axes[:arg]))
+            at = part if at is None else map(add, at, part)
+        columns.append(list(map(table.__getitem__, at)))
+    return columns
+
+
 def compile_min_affine(nnf: NnfFormula, index: GroundingIndex) -> AffineSet:
     """Min-of-affines form of a closed concave-fragment formula in
     negation normal form, over the coordinates of ``index``.
 
-    One walk grounds and compiles, on plain ``(terms, constant)``
-    tuples.  A literal maps to one affine piece.  Weak conjunction
-    concatenates the piece lists of its operands, and ``forall`` is the
-    weak conjunction of its instances, one per sample of the variable's
-    domain in name order; it binds the variable in one environment that
-    is updated in place and restored on exit.  Strong disjunction
-    contributes the constant-1 cap once plus all pointwise sums of one
-    piece per operand, with each operand's duplicates removed first;
-    constant-true pieces of the operands are not summed, since any sum
-    involving them is dominated by the cap.  Duplicates are removed once
-    more at the root.  Every removal keeps each piece's first
-    occurrence, which gives the same list as removing them at every
-    node, and an AffinePiece is built only for each distinct piece of
-    the result.
+    The walk runs on plain ``(terms, constant)`` tuples.  A literal maps
+    to one affine piece.  Weak conjunction concatenates the piece lists
+    of its operands, and ``forall`` is the weak conjunction of its
+    instances, one per sample in name order.  Strong disjunction gives
+    the constant-1 cap once plus all pointwise sums of one piece per
+    operand, each operand's duplicates removed first; constant-true
+    pieces are not summed, since the cap dominates any sum with them.
+
+    The root forall-prefix is lifted, not walked: every atom occurrence
+    of the body is resolved for all groundings of the prefix at once
+    (first variable slowest) through the lookup tables of ``index``, and
+    the groundings are grouped by the order of their occurrences'
+    coordinates, which fixes which occurrences coincide.  The body is
+    walked once per such equality pattern, over slots (an occurrence's
+    slot is the first occurrence with its coordinate), and each group
+    reads its groundings' coordinates off the slots' columns into that
+    walk's pieces, terms sorted by coordinate.  Duplicates go once more
+    over all groundings, in grounding then piece order.  Each removal
+    keeps first occurrences, which gives the pieces, in order, of
+    walking each grounding; an error is the one the first grounding to
+    meet it raises first.  No prefix is the case of one grounding.
     """
     universe = sample_universe(nnf, index)
-    coordinates = index.coordinates
-    # Every variable of the formula, bound to its current sample or to
-    # None while it is free; a name that is not a key is a sample constant.
-    env: dict[str, str | None] = dict.fromkeys(universe)
+    # Every variable of the formula: bound to its position in the
+    # prefix, to its current sample inside an inner forall, or to None
+    # while it is free; a name that is not a key is a sample constant.
+    env: dict[str, str | int | None] = dict.fromkeys(universe)
+    axes = []  # the samples of each prefix variable
+    body = nnf
+    while type(body) is Forall:
+        env[body.var] = len(axes)
+        axes.append(universe.get(body.var) or _domain(universe, body.var))
+        body = body.body
+    # Each distinct atom occurrence (predicate, arguments under env), by
+    # id in walk order, and the slot each id stands for in the pattern
+    # being walked; the first walk gives every occurrence its own slot.
+    occurrences: dict[tuple[str, tuple], int] = {}
+    slots: list[int] = []
 
     def rec(node) -> list[_Piece]:
         kind = type(node)
         if kind is Atom or (kind is Neg and type(node.child) is Atom):
             atom = node if kind is Atom else node.child
             args = tuple(map(env.get, atom.args, atom.args))
-            k = coordinates.get((atom.name, args))
-            if k is None:
-                if None in args:
-                    free = atom.args[args.index(None)]
-                    raise GroundingError(f"free variable {free!r} in {to_text(nnf)}; quantify it")
-                index.coordinate_of(Atom(atom.name, args))  # raises, naming the atom
+            if None in args:
+                free = atom.args[args.index(None)]
+                raise GroundingError(f"free variable {free!r} in {to_text(nnf)}; quantify it")
+            j = occurrences.setdefault((atom.name, args), len(occurrences))
+            if j == len(slots):  # a new occurrence, met in the first walk
+                slots.append(j)
+            k = slots[j]
             return [(((k, 1.0),), 0.0)] if kind is Atom else [(((k, -1.0),), 1.0)]
         if kind is StrongDisj:
             return _sums(_disjunct(rec(node.left)), _disjunct(rec(node.right)))
         if kind is Forall:
             var = node.var
-            names = universe.get(var)
-            if names is None:
-                raise GroundingError(f"cannot infer a domain for quantified variable {var!r}")
-            if not names:
-                raise GroundingError(f"the domain of variable {var!r} has no samples")
+            names = _domain(universe, var)
             outer = env[var]
             pieces = []
             for name in names:
@@ -153,27 +316,107 @@ def compile_min_affine(nnf: NnfFormula, index: GroundingIndex) -> AffineSet:
             return rec(node.left) + rec(node.right)
         raise CompileError(f"node {kind.__name__} is outside the concave fragment")
 
-    return AffineSet(tuple(starmap(AffinePiece, dict.fromkeys(rec(nnf)))))
+    error = None
+    try:
+        distinct = rec(body)
+    except (GroundingError, CompileError) as exc:
+        error = exc
+    columns = _occurrence_coordinates(occurrences, axes, index)
+    groundings = math.prod(map(len, axes))
+    # The first grounding meets an error of the walk after the
+    # occurrences seen so far; a missing atom before it comes first.
+    if min([column[0] for column in columns] if error else chain.from_iterable(columns), default=0) < 0:
+        g = next(g for g in range(groundings) if any(column[g] < 0 for column in columns))
+        name, args = list(occurrences)[next(j for j, column in enumerate(columns) if column[g] < 0)]
+        at = np.unravel_index(g, tuple(map(len, axes)))
+        index.coordinate_of(Atom(name, tuple(a if type(a) is str else axes[a][at[a]] for a in args)))
+    if error:
+        raise error
+
+    # Group the groundings by the order of their occurrences'
+    # coordinates: equal, below or above, per pair of occurrences of one
+    # predicate (those of two predicates keep the order of declaration).
+    # The order fixes the equality pattern, so the walk over its slots,
+    # and the coordinate order of each piece's terms.
+    group_of = [0] * groundings
+    members = [columns]
+    keys = list(occurrences)
+    pairs = [(i, j) for j in range(len(keys)) for i in range(j) if keys[i][0] == keys[j][0]]
+    if pairs:
+        coords = np.array(columns)
+        signs = np.sign(coords[[i for i, _ in pairs]] - coords[[j for _, j in pairs]]).astype(np.int8)
+        signs = signs[(signs != signs[:, :1]).any(1)]  # a fixed order splits nothing
+        if len(signs):
+            order = np.lexsort(signs)
+            new = (signs[:, order[1:]] != signs[:, order[:-1]]).any(0)
+            ids = np.empty_like(order)
+            ids[order] = np.concatenate(([0], new.cumsum()))
+            group_of = ids.tolist()
+            members = [coords[:, m].tolist() for m in np.split(order, new.nonzero()[0] + 1)]
+
+    # Each group's pieces, grounding-major: its pattern's walk, terms
+    # sorted by the group's first grounding, then every grounding's
+    # coordinates read off the slots' columns.  A piece is keyed by its
+    # coordinates and the id of its coefficients and constant.
+    walks = {tuple(range(len(keys))): distinct}
+    signatures: dict[tuple[tuple[float, ...], float], int] = {}
+    streams = []
+    for group in members:
+        first_grounding = [column[0] for column in group]
+        first: dict[int, int] = {}
+        pattern = tuple(map(first.setdefault, first_grounding, count()))
+        pieces = walks.get(pattern)
+        if pieces is None:
+            slots = list(pattern)
+            pieces = walks[pattern] = rec(body)
+        rows = []
+        for terms, constant in pieces:
+            if len(terms) > 1:
+                terms = sorted(terms, key=lambda term: first_grounding[term[0]])
+            sig = signatures.setdefault((tuple([c for _, c in terms]), constant), len(signatures))
+            if terms:
+                rows.append(zip(repeat(sig), zip(*[group[k] for k, _ in terms])))
+            else:
+                rows.append(repeat((sig, ()), len(group[0])))
+        streams.append(zip(*rows))
+    # Keep each piece's first occurrence, in grounding then piece order.
+    kept = dict.fromkeys(chain.from_iterable(map(next, map(streams.__getitem__, group_of))))
+    sigs, piece_coords = zip(*kept)
+    lengths = list(map(len, piece_coords))
+    kept_count, total = len(kept), sum(lengths)
+    coefs = [c for c, _ in signatures]
+    constants = [c for _, c in signatures]
+    ints = chain(accumulate(lengths, initial=0), chain.from_iterable(piece_coords))
+    floats = chain(chain.from_iterable(map(coefs.__getitem__, sigs)), map(constants.__getitem__, sigs))
+    ints = np.fromiter(ints, np.intp, kept_count + 1 + total)
+    floats = np.fromiter(floats, float, total + kept_count)
+    return AffineSet(Pieces(ints[: kept_count + 1], ints[kept_count + 1 :], floats[:total], floats[total:]))
 
 
 @dataclass(frozen=True)
 class ConstraintBlock:
     """One constraint h: the conjunction of pieces M_i . p + q_i <= 0.
 
-    Pieces reuse AffinePiece with terms = M_i and constant = q_i.
+    ``pieces`` holds the rows M_i as the CSR-style arrays of ``Pieces``
+    (coordinates and coefficients, per piece) and the q_i as its
+    ``constants``; given as any sequence of AffinePiece, they are
+    converted.
     """
 
     block_id: str
     family: str  # "logical" | "pointwise" | "consistency"
-    pieces: tuple[AffinePiece, ...]
+    pieces: Pieces
     source: str = ""
 
     def __post_init__(self):
-        if len(self.pieces) < 1:
+        if not isinstance(self.pieces, Pieces):
+            object.__setattr__(self, "pieces", Pieces.of(self.pieces))
+        if len(self.pieces.constants) < 1:
             raise CompileError(f"block {self.block_id!r} has no pieces")
 
     def max_value(self, p: Sequence[float]) -> float:
-        return max(piece.value(p) for piece in self.pieces)
+        values = self.pieces.values(p)
+        return float(values[values.argmax()])
 
 
 def to_constraint_block(
@@ -181,18 +424,17 @@ def to_constraint_block(
 ) -> ConstraintBlock:
     """Turn a min-of-affines truth function into the block requiring
     truth value 1: each piece (a, c) becomes (-a, 1 - c) <= 0.  Negating
-    keeps the terms sorted and free of zeros.
+    keeps the terms sorted and free of zeros, so the block shares the
+    set's ``indptr`` and ``coords``.
 
     Constant pieces (the cap's image (0, 0)) are kept; they are part of
-    the block's piece count even though they never bind.  Equal terms
-    share one negated tuple, so a block of many pieces over few
-    coordinates holds each (coordinate, coefficient) pair once.
+    the block's piece count even though they never bind.
     """
-    negated = {term: (term[0], -term[1]) for piece in aset.pieces for term in piece.terms}
-    pieces = tuple(
-        AffinePiece(tuple(map(negated.get, piece.terms)), 1.0 - piece.constant) for piece in aset.pieces
-    )
-    return ConstraintBlock(block_id, family, pieces, source)
+    p = aset.pieces
+    return ConstraintBlock(block_id, family, Pieces(p.indptr, p.coords, -p.coefs, 1.0 - p.constants), source)
+
+
+_ONE_TERM = np.array([0, 1], dtype=np.intp)
 
 
 def pointwise_block(
@@ -203,27 +445,26 @@ def pointwise_block(
     k = index.coordinate_of(Atom(predicate, tuple(t)))
     block_id = f"pt:{predicate}:{','.join(t)}"
     source = f"{predicate}({','.join(t)}) = {'+1' if label == 1 else '-1'}"
-    if label == 1:
-        piece = _piece({k: -1.0}, 1.0)
-    elif label == -1:
-        piece = _piece({k: 1.0}, 0.0)
-    else:
+    if label not in (1, -1):
         raise CompileError(f"label for {block_id} must be -1 or +1, got {label!r}")
-    return ConstraintBlock(block_id, "pointwise", (piece,), source)
+    coef, constant = (-1.0, 1.0) if label == 1 else (1.0, 0.0)
+    pieces = Pieces(_ONE_TERM, np.array([k], dtype=np.intp), np.array([coef]), np.array([constant]))
+    return ConstraintBlock(block_id, "pointwise", pieces, source)
 
 
 def consistency_blocks(index: GroundingIndex) -> list[ConstraintBlock]:
     """Two one-piece blocks per coordinate keeping it inside [0, 1]:
-    -p <= 0, then p - 1 <= 0, in coordinate order."""
+    -p <= 0, then p - 1 <= 0, in coordinate order.  The blocks share
+    their coefficient and constant arrays, and each coordinate is a
+    slice of one array."""
+    coords = np.arange(index.size, dtype=np.intp)
+    lower = np.array([-1.0]), np.array([0.0])
+    upper = np.array([1.0]), np.array([-1.0])
     blocks = []
-    for k in range(index.size):
-        label = index.label(k)
-        blocks.append(
-            ConstraintBlock(f"lb:{label}", "consistency", (_piece({k: -1.0}, 0.0),), f"0 <= {label}")
-        )
-        blocks.append(
-            ConstraintBlock(f"ub:{label}", "consistency", (_piece({k: 1.0}, -1.0),), f"{label} <= 1")
-        )
+    for k, label in enumerate(index.labels()):
+        at = coords[k : k + 1]
+        blocks.append(ConstraintBlock(f"lb:{label}", "consistency", Pieces(_ONE_TERM, at, *lower), f"0 <= {label}"))
+        blocks.append(ConstraintBlock(f"ub:{label}", "consistency", Pieces(_ONE_TERM, at, *upper), f"{label} <= 1"))
     return blocks
 
 
@@ -278,68 +519,69 @@ def assemble_matrix(
 ) -> ConstraintMatrix:
     """Stack block pieces into one matrix, in block order then piece order.
 
-    Each piece's terms become the stored entries of its column, so the
-    work and memory grow with the nonzeros of M, not with its size x
-    columns cells; no dense array is made here.
+    The blocks' piece arrays are concatenated, and each piece's terms
+    become the stored entries of its column, so the work and memory grow
+    with the nonzeros of M, not with its size x columns cells; no dense
+    array is made here.
 
     By default, pieces with no coordinates and a nonpositive offset are
-    dropped: they can never bind, and the reference matrices this code
-    is checked against do not carry the corresponding zero columns.
-    ``keep_zero_pieces`` retains them so every block piece gets a column.
-    A constant piece with positive offset is always kept; it marks an
-    infeasible system.
+    dropped, by one mask over every piece: they can never bind, and the
+    reference matrices this code is checked against do not carry the
+    corresponding zero columns.  ``keep_zero_pieces`` retains them so
+    every block piece gets a column.  A constant piece with positive
+    offset is always kept; it marks an infeasible system.  A duplicate
+    block id and a coordinate outside 0..size-1 raise CompileError,
+    whichever comes first in block order.
     """
-    ids = set()
-    coords: list[int] = []
-    cols: list[int] = []
-    values: list[float] = []
-    offsets = []
-    labels = []
-    column_block = []
-    block_order = []
+    ids = [block.block_id for block in blocks]
+    duplicate = len(ids)
+    if len(set(ids)) < duplicate:
+        seen: set[str] = set()
+        duplicate = next(i for i, block_id in enumerate(ids) if block_id in seen or seen.add(block_id))
+    stacked = Pieces.concatenate([block.pieces for block in blocks])
+    counts = [len(block.pieces.constants) for block in blocks]
+    ends = list(accumulate(counts))
+    lengths = stacked.lengths()
+    coords = stacked.coords
+    if len(coords) and coords.view(np.uintp).max() >= size:  # a negative one wraps around
+        first = int(((coords < 0) | (coords >= size)).argmax())
+        position = bisect_right(ends, int(stacked.indptr.searchsorted(first, side="right")) - 1)
+        if position < duplicate:
+            raise CompileError(
+                f"block {ids[position]!r} uses coordinate {int(coords[first])} outside 0..{size - 1}"
+            )
+    if duplicate < len(ids):
+        raise CompileError(f"duplicate block id {ids[duplicate]!r}")
+
+    constants = stacked.constants
+    keep = np.ones(len(lengths), dtype=bool) if keep_zero_pieces else (lengths > 0) | (constants > 0.0)
+    before = np.zeros(len(keep) + 1, dtype=np.intp)  # the kept pieces before each piece
+    keep.cumsum(out=before[1:])
+    labels: list[str] = []
+    column_block: list[str] = []
     block_columns: dict[str, list[int]] = {}
-    families = {}
-    sources = {}
     dropped = {}
-    for block in blocks:
-        if block.block_id in ids:
-            raise CompileError(f"duplicate block id {block.block_id!r}")
-        ids.add(block.block_id)
-        block_order.append(block.block_id)
-        block_columns[block.block_id] = []
-        families[block.block_id] = block.family
-        sources[block.block_id] = block.source
-        kept = 0
-        for piece in block.pieces:
-            if not keep_zero_pieces and not piece.terms and piece.constant <= 0.0:
-                dropped[block.block_id] = dropped.get(block.block_id, 0) + 1
-                continue
-            column = len(offsets)
-            for k, c in piece.terms:
-                if not 0 <= k < size:
-                    raise CompileError(
-                        f"block {block.block_id!r} uses coordinate {k} outside 0..{size - 1}"
-                    )
-                coords.append(k)
-                cols.append(column)
-                values.append(c)
-            kept += 1
-            block_columns[block.block_id].append(column)
-            offsets.append(piece.constant)
-            labels.append(f"{block.block_id}:{kept}")
-            column_block.append(block.block_id)
+    firsts = before[[0, *ends]].tolist()
+    for block_id, count, first, stop in zip(ids, counts, firsts, firsts[1:]):
+        columns = block_columns[block_id] = []
+        for column in range(first, stop):
+            columns.append(column)
+            labels.append(f"{block_id}:{column - first + 1}")
+            column_block.append(block_id)
+        if stop - first < count:
+            dropped[block_id] = count - (stop - first)
     return ConstraintMatrix(
-        (size, len(offsets)),
-        np.array(coords, dtype=np.intp),
-        np.array(cols, dtype=np.intp),
-        np.array(values, dtype=float),
-        np.array(offsets, dtype=float),
+        (size, firsts[-1]),
+        coords,
+        before[:-1].repeat(lengths),  # a piece with terms is always kept
+        stacked.coefs,
+        constants[keep],
         labels,
         column_block,
-        block_order,
+        ids,
         block_columns,
-        families,
-        sources,
+        {block.block_id: block.family for block in blocks},
+        {block.block_id: block.source for block in blocks},
         dropped,
     )
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import getitem
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -151,9 +153,13 @@ class GroundingIndex:
     """Bijection between (predicate, sample tuple) pairs and coordinates.
 
     Coordinates are 0-based internally; exported labels use the
-    "predicate:sample1,sample2" convention.  ``coordinates`` maps the
-    plain tuple (predicate, sample tuple) of every ground atom to its
-    coordinate, so a lookup builds no Atom.
+    "predicate:sample1,sample2" convention and are built once, in
+    coordinate order.  ``coordinates`` maps the plain tuple (predicate,
+    sample tuple) of every ground atom to its coordinate, so a lookup
+    builds no Atom.  ``coordinate_table`` holds the same map as one flat
+    table per predicate, indexed by sample positions, so the compiler
+    looks an atom up for many groundings by summing positions; each
+    table is built on first use and kept.
     """
 
     decls: tuple[PredicateDecl, ...]
@@ -162,6 +168,10 @@ class GroundingIndex:
     offsets: dict[str, int]
     size: int
     coordinates: dict[tuple[str, tuple[str, ...]], int]
+    _tables: dict[str, tuple[list[int], tuple[tuple[dict[str, int], int], ...]]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _positions: dict[tuple[str, int], dict[str, int]] = field(default_factory=dict, init=False, repr=False)
 
     def slice_of(self, predicate: str) -> slice:
         start = self.offsets[predicate]
@@ -184,12 +194,49 @@ class GroundingIndex:
                 f"ground atom {to_text(atom)} has no coordinate in the index"
             ) from None
 
+    def coordinate_table(self, predicate: str) -> tuple[list[int], tuple[tuple[dict[str, int], int], ...]]:
+        """The lookup table of ``predicate`` and, per argument, the scaled
+        position of each sample of its domain and of one extra position.
+
+        The table is a flat list over the arguments' positions, row-major,
+        each axis one position longer than its domain: the entry at the
+        summed scaled positions of a sample tuple is its coordinate, and
+        every other entry is -1, for a tuple that is not grounded or one
+        through an extra position, where a sample outside the argument's
+        domain reads.
+        """
+        found = self._tables.get(predicate)
+        if found is None:
+            decl = next(d for d in self.decls if d.name == predicate)
+            axes = []
+            size = 1
+            for domain in reversed(decl.domains):
+                names = self.samples.domains[domain]
+                key = domain, size
+                if key not in self._positions:
+                    self._positions[key] = {name: i * size for i, name in enumerate(names)}
+                axes.append((self._positions[key], len(names) * size))
+                size *= len(names) + 1
+            axes.reverse()
+            table = [-1] * size
+            scaled = [where for where, _ in axes]
+            for k, t in enumerate(self.tuples[predicate], self.offsets[predicate]):
+                table[sum(map(getitem, scaled, t))] = k
+            found = self._tables[predicate] = table, tuple(axes)
+        return found
+
+    @cached_property
+    def _labels(self) -> list[str]:
+        return [f"{decl.name}:{','.join(t)}" for decl in self.decls for t in self.tuples[decl.name]]
+
     def label(self, k: int) -> str:
-        pred, t = self.from_global(k)
-        return f"{pred}:{','.join(t)}"
+        if not 0 <= k < self.size:
+            raise GroundingError(f"coordinate {k} out of range 0..{self.size - 1}")
+        return self._labels[k]
 
     def labels(self) -> list[str]:
-        return [self.label(k) for k in range(self.size)]
+        """Every coordinate's label, in coordinate order, as a new list."""
+        return list(self._labels)
 
     def tuple_points(self, predicate: str) -> list[tuple[float, ...]]:
         """Concatenated coordinates of each grounding tuple, in index order."""

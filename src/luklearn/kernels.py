@@ -52,15 +52,24 @@ def cross_gram(
     """The matrix k(x_i, y_j) of ``spec`` between the rows of X and of Y.
 
     The RBF distances use the squared-norm expansion |x|^2 + |y|^2 - 2 x.y,
-    clipped at zero.
+    clipped at zero.  They are computed in place, in one array beside
+    X @ Y.T, with the same operations in the same order as the plain
+    expression ``exp(-max(|x|^2 + |y|^2 - 2.0 * (X @ Y.T), 0) /
+    (2 sigma^2))``, so K has its bits.
     """
     X, Y = _rows(X), _rows(Y)
     if X.shape[1] != Y.shape[1]:
         raise KernelError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
     if spec.kind == "rbf":
-        d2 = np.sum(X**2, axis=1)[:, None] + np.sum(Y**2, axis=1)[None, :] - 2.0 * (X @ Y.T)
+        d2 = np.sum(X**2, axis=1)[:, None] + np.sum(Y**2, axis=1)[None, :]
+        xy = X @ Y.T
+        xy *= 2.0
+        d2 -= xy
+        del xy
         np.maximum(d2, 0.0, out=d2)
-        return np.exp(-d2 / (2.0 * spec.sigma**2))
+        np.negative(d2, out=d2)
+        d2 /= 2.0 * spec.sigma**2
+        return np.exp(d2, out=d2)
     K = X @ Y.T + spec.offset
     return K**spec.degree if spec.kind == "polynomial" else K
 

@@ -611,6 +611,24 @@ def test_ablated_problem_structure():
         ablated_problem(model.problem, "zzz")
 
 
+@pytest.mark.parametrize("path", FIXTURE_PATHS + sorted(FIXTURES.glob("refused/*.json")), ids=lambda p: p.stem)
+def test_ablated_matrix_is_the_assembly_of_the_other_blocks(path):
+    """Dropping a block's columns from M gives, array for array and label
+    for label, the matrix assembled from the remaining blocks."""
+    tp = build_training_problem(load_problem(path))
+    for block in tp.blocks:
+        got = ablated_problem(tp, block.block_id).matrix
+        rest = [b for b in tp.blocks if b.block_id != block.block_id]
+        want = assemble_matrix(rest, tp.index.size, tp.keep_zero_pieces)
+        assert got.shape == want.shape
+        for name in ("coords", "cols", "values", "offsets"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (block.block_id, name)
+        for name in ("column_labels", "column_block", "block_order", "block_columns", "families", "sources"):
+            assert getattr(got, name) == getattr(want, name), (block.block_id, name)
+        assert list(got.dropped.items()) == list(want.dropped.items())
+
+
 # ---------------------------------------------------------------------------
 # full report
 

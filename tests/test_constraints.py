@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from oracles import reference_compile_min_affine
 
-from luklearn import cli
+from luklearn import cli, constraints
 from luklearn.constraints import (
     AffinePiece,
     CompileError,
@@ -510,8 +510,10 @@ def test_walk_matches_the_reference_on_random_formulas():
         (to_nnf(parse_formula("forall x: r(x,x)")), r"^ground atom r\(a,a\) has no coordinate in the index$"),
         # w occurs nowhere in its body, so no domain can be inferred for it
         (Forall("w", Atom("p", ("a",))), r"cannot infer a domain for quantified variable 'w'"),
+        (to_nnf(parse_formula("forall x: p(x) + r(x)")), r"^ground atom r\(a\) has no coordinate in the index$"),
+        (WeakConj(Atom("p", ("a",)), Atom("s", ())), r"^ground atom s has no coordinate in the index$"),
     ],
-    ids=["free", "free-inner", "free-after-scope", "missing-coordinate", "no-domain"],
+    ids=["free", "free-inner", "free-after-scope", "missing-coordinate", "no-domain", "few-args", "no-args"],
 )
 def test_walk_errors_match_the_reference(nnf, message):
     _, partial = _walk_indexes()
@@ -520,3 +522,177 @@ def test_walk_errors_match_the_reference(nnf, message):
     assert _outcome(compile_min_affine, nnf, partial) == _outcome(
         reference_compile_min_affine, nnf, partial
     )
+
+
+# Lifted prefixes over a 4-point domain: every equality pattern of two
+# and three variables occurs.  The partial index lacks r(a,a) and r(c,b).
+WIDE_DOMS = {
+    "points": {"a": (0.1,), "b": (0.4,), "c": (0.6,), "d": (0.9,)},
+    "tags": {"t": (0.0,), "u": (1.0,)},
+}
+WIDE_PARTIAL = {"r": [(x, y) for x in "abcd" for y in "abcd" if (x, y) not in (("a", "a"), ("c", "b"))]}
+
+
+def _wide_indexes():
+    full = build_grounding_index(WALK_DECLS, build_samples(WIDE_DOMS, WALK_DECLS))
+    partial = build_grounding_index(
+        WALK_DECLS, build_samples(WIDE_DOMS, WALK_DECLS, groundings=WIDE_PARTIAL)
+    )
+    return full, partial
+
+
+PREFIX_TEXTS = [
+    "forall x: forall y: ~r(x,y) + r(y,x)",  # x = y cancels to the cap
+    "forall x: forall y: ~r(x,y) + ~r(y,x)",  # x = y merges two terms
+    "forall x: forall y: forall z: (~r(x,y) + ~r(y,z)) + r(x,z)",  # y = z, x = z, x = y = z
+    "forall x: forall y: forall z: ~r(x,y) + ~r(y,z) + r(z,x)",
+    "forall x: forall y: forall z: ~p(x) + ~p(y) + ~p(z) + r(x,y)",
+    "forall x: forall y: forall z: r(x,x) + ~r(y,z)",
+    "forall x: forall y: p(x) + ~p(y)",  # cancelling literals
+    "forall x: forall y: (p(x) & ~p(y)) + (r(x,y) & ~r(y,x))",
+    "forall x: forall y: ~r(x,b) + r(b,y) + ~p(x)",  # a variable equal to a sample constant
+    "forall x: forall y: ~p(x) + p(c) + r(y,c)",
+    "forall x: forall y: forall z: (r(x,y) & r(y,x)) + (~r(x,z) & p(y))",
+    "forall x: forall z: ~q(x,z) + q(x,u) + s(z)",
+    "forall x: forall y: forall w: ~q(x,w) + q(y,w) + ~r(x,y)",
+    "forall x: forall y: r(x,y) & (forall z: ~r(z,y) + p(x))",
+]
+
+
+def test_lifted_prefixes_match_the_reference():
+    full, partial = _wide_indexes()
+    r_xy, r_yx, r_xx, p_x = Atom("r", ("x", "y")), Atom("r", ("y", "x")), Atom("r", ("x", "x")), Atom("p", ("x",))
+    shadowed = [
+        # x rebound inside the body, then the prefix's x again
+        Forall("x", Forall("y", WeakConj(WeakConj(r_xy, Forall("x", p_x)), Neg(r_yx)))),
+        Forall("x", Forall("y", StrongDisj(Forall("x", StrongDisj(Neg(r_xy), p_x)), r_xx))),
+        # the prefix rebinds x: the outer x multiplies the groundings only
+        Forall("x", Forall("x", StrongDisj(r_xx, Neg(p_x)))),
+        Forall("x", Forall("y", Forall("x", StrongDisj(Neg(r_xy), r_yx)))),
+    ]
+    for nnf in [to_nnf(parse_formula(text)) for text in PREFIX_TEXTS] + shadowed:
+        for index in (full, partial):
+            assert _outcome(compile_min_affine, nnf, index) == _outcome(
+                reference_compile_min_affine, nnf, index
+            ), to_text(nnf)
+
+
+def _random_prefixed(rng):
+    """A random concave formula under a prefix of two or three variables,
+    which may repeat a name; every prefix variable occurs in the body."""
+    names = ["x", "y", "z"][: int(rng.integers(2, 4))]
+    if rng.random() < 0.15:
+        names[-1] = names[0]
+    bound = {name: "points" if rng.random() < 0.8 else "tags" for name in names}
+    body = _random_concave(rng, int(rng.integers(1, 4)), bound)
+    used = {a for atom in iter_atoms(body) for a in atom.args}
+    for name in bound:
+        if name not in used:
+            body = StrongDisj(body, Atom("p" if bound[name] == "points" else "s", (name,)))
+    for name in reversed(names):
+        body = Forall(name, body)
+    return body
+
+
+def test_lifted_prefixes_match_the_reference_on_random_formulas():
+    full, partial = _wide_indexes()
+    rng = np.random.default_rng(31415)
+    counts = {"pieces": 0, "errors": 0}
+    for _ in range(150):
+        nnf = _random_prefixed(rng)
+        for index in (full, partial):
+            outcome = _outcome(compile_min_affine, nnf, index)
+            assert outcome == _outcome(reference_compile_min_affine, nnf, index), to_text(nnf)
+            counts["errors" if isinstance(outcome, tuple) else "pieces"] += 1
+    assert counts["pieces"] >= 150 and counts["errors"] >= 15
+
+
+# The relational formulas of perfbench/gen.py: q unary, r binary.
+RELATIONAL_TEXTS = [
+    "forall x: forall y: forall z: (r(x,y) * r(y,z)) -> r(x,z)",
+    "forall x: forall y: r(x,y) -> r(y,x)",
+    "forall x: forall y: (q(x) & r(x,y)) + (~q(y) & ~r(y,x))",
+    "forall x: forall y: (q(x) * r(x,y)) -> q(y)",
+]
+RELATIONAL_DECLS = [PredicateDecl("q", ("points",)), PredicateDecl("r", ("points", "points"))]
+
+
+def _reference_block(nnf, index, block_id):
+    """The block of ``nnf`` built from the reference walk's pieces, each
+    negated as AffinePiece tuples."""
+    pieces = reference_compile_min_affine(nnf, index).pieces
+    negated = tuple(AffinePiece(tuple((k, -c) for k, c in p.terms), 1.0 - p.constant) for p in pieces)
+    return ConstraintBlock(block_id, "logical", negated)
+
+
+def _assert_same_arrays(a, b, names):
+    for name in names:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+def _assert_same_matrices(blocks, reference, size, labels, keep_zero_pieces):
+    for got, want in zip(blocks, reference):
+        _assert_same_arrays(got.pieces, want.pieces, ("indptr", "coords", "coefs", "constants"))
+    cm = assemble_matrix(blocks, size, keep_zero_pieces)
+    ref = assemble_matrix(reference, size, keep_zero_pieces)
+    assert cm.shape == ref.shape and cm.column_labels == ref.column_labels
+    _assert_same_arrays(cm, ref, ("coords", "cols", "values", "offsets"))
+    assert _csv_text(cm, labels) == _csv_text(ref, labels) == _csv_oracle(ref, labels)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_relational_blocks_and_matrix_match_the_reference(m):
+    names = {f"x{i:02d}": (i / m, 1.0 - i / m) for i in range(m)}
+    index = build_grounding_index(RELATIONAL_DECLS, build_samples({"points": names}, RELATIONAL_DECLS))
+    nnfs = [to_nnf(parse_formula(text)) for text in RELATIONAL_TEXTS]
+    blocks = [to_constraint_block(compile_min_affine(f, index), f"phi{i}") for i, f in enumerate(nnfs, 1)]
+    reference = [_reference_block(f, index, f"phi{i}") for i, f in enumerate(nnfs, 1)]
+    rest = [pointwise_block("q", ("x00",), 1, index)] + consistency_blocks(index)
+    for keep_zero_pieces in (False, True):
+        _assert_same_matrices(blocks + rest, reference + rest, index.size, index.labels(), keep_zero_pieces)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(FIXTURES.glob("*.json")) + sorted(FIXTURES.glob("refused/*.json")),
+    ids=lambda p: p.stem,
+)
+def test_fixture_blocks_and_matrix_match_the_reference(path):
+    problem = load_problem(path)
+    tp = build_training_problem(problem)
+    logical = [b for b in tp.blocks if b.family == "logical"]
+    reference = [_reference_block(to_nnf(f), tp.index, b.block_id) for f, b in zip(problem.formulas, logical)]
+    rest = tp.blocks[len(logical) :]
+    _assert_same_matrices(tp.blocks, reference + rest, tp.index.size, tp.index.labels(), problem.keep_zero_pieces)
+    _assert_same_arrays(tp.matrix, assemble_matrix(reference + rest, tp.index.size, problem.keep_zero_pieces),
+                        ("coords", "cols", "values", "offsets"))
+
+
+def test_transitivity_walks_once_per_equality_pattern(monkeypatch):
+    """Transitivity over 6 points has four equality patterns (none, x = y,
+    y = z, x = y = z), each walked once with two strong disjunctions;
+    walking each of the 216 groundings made 432 ``_sums`` calls."""
+    calls = []
+    sums = constraints._sums
+    monkeypatch.setattr(constraints, "_sums", lambda left, right: calls.append(1) or sums(left, right))
+    names = {f"x{i}": (i / 6.0,) for i in range(6)}
+    index = build_grounding_index(RELATIONAL_DECLS, build_samples({"points": names}, RELATIONAL_DECLS))
+    nnf = to_nnf(parse_formula(RELATIONAL_TEXTS[0]))
+    aset = compile_min_affine(nnf, index)
+    assert len(calls) <= 10
+    assert aset.pieces == reference_compile_min_affine(nnf, index).pieces
+
+
+def test_a_variable_named_like_a_sample_of_another_domain():
+    """x is a sample of ``points`` and a variable over ``tags``: the
+    prefix binds it to tag names, which q(x, x) then looks up on both
+    axes, as the reference walk does."""
+    doms = {"points": {"t": (0.1,), "u": (0.5,), "x": (0.9,)}, "tags": {"t": (0.0,), "u": (1.0,)}}
+    decls = [PredicateDecl("q", ("points", "tags")), PredicateDecl("s", ("tags",))]
+    partial = {"q": [("t", "t"), ("x", "u")]}
+    for groundings in (None, partial):
+        index = build_grounding_index(decls, build_samples(doms, decls, groundings=groundings))
+        for text in ["forall x: q(x,x) + ~s(x)", "forall x: forall y: q(x,y) + q(t,x)"]:
+            nnf = to_nnf(parse_formula(text))
+            assert _outcome(compile_min_affine, nnf, index) == _outcome(reference_compile_min_affine, nnf, index)

@@ -4,6 +4,7 @@ as the affine compiler performs it."""
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from luklearn.grounding import (
     sample_universe,
 )
 from luklearn.logic import Atom, Forall, eval_lukasiewicz, parse_formula, to_nnf
+from luklearn.problem import build_training_problem, load_problem
 
 DOMS = {"points": {"x2": (0.7, 0.3), "x1": (0.2, 0.6)}}
 DECLS = [
@@ -105,6 +107,50 @@ def test_index_round_trip():
         index.from_global(6)
     with pytest.raises(GroundingError, match="no coordinate"):
         index.coordinate_of(Atom("p1", ("x9",)))
+
+
+def _from_global_labels(index):
+    return [f"{pred}:{','.join(t)}" for pred, t in map(index.from_global, range(index.size))]
+
+
+def test_labels_match_from_global_on_every_fixture_and_a_partial_index():
+    fixtures = Path(__file__).parent / "fixtures"
+    indexes = [
+        build_training_problem(load_problem(path)).index
+        for path in sorted(fixtures.glob("*.json")) + sorted(fixtures.glob("refused/*.json"))
+    ]
+    partial = {"p2": [("x2", "x1"), ("x1", "x1")]}
+    indexes.append(build_grounding_index(DECLS, build_samples(DOMS, DECLS, groundings=partial)))
+    for index in indexes:
+        expected = _from_global_labels(index)
+        labels = index.labels()
+        assert labels == expected
+        assert [index.label(k) for k in range(index.size)] == expected
+        labels.append("changed")  # a fresh list each call
+        assert index.labels() == expected
+        with pytest.raises(GroundingError, match="out of range"):
+            index.label(index.size)
+    assert indexes[-1].labels() == ["p1:x1", "p1:x2", "p2:x1,x1", "p2:x2,x1"]
+
+
+def test_coordinate_tables_hold_every_coordinate_and_minus_one_elsewhere():
+    partial = {"p2": [("x2", "x1"), ("x1", "x1")]}
+    for groundings in (None, partial):
+        index = build_grounding_index(DECLS, build_samples(DOMS, DECLS, groundings=groundings))
+        for decl in DECLS:
+            table, axes = index.coordinate_table(decl.name)
+            # each axis one position longer than its domain
+            assert len(table) == np.prod([len(where) + 1 for where, _ in axes])
+            for t in itertools.product(*(sorted(where) for where, _ in axes)):
+                at = sum(where[name] for (where, _), name in zip(axes, t))
+                assert table[at] == index.coordinates.get((decl.name, t), -1)
+            # every grounded tuple once; every entry through an extra position -1
+            assert sorted(k for k in table if k >= 0) == list(range(index.size))[index.slice_of(decl.name)]
+            for i, (_, extra) in enumerate(axes):
+                others = [[*where.values(), e] for j, (where, e) in enumerate(axes) if j != i]
+                for rest in itertools.product(*others):
+                    assert table[extra + sum(rest)] == -1
+            assert index.coordinate_table(decl.name)[0] is table  # built once per index
 
 
 def test_tuple_points_concatenate_coordinates():
