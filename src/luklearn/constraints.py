@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, count, repeat
 from operator import add
+from types import SimpleNamespace
 from typing import TextIO
 
 import numpy as np
@@ -379,6 +380,7 @@ def compile_min_affine(nnf: NnfFormula, index: GroundingIndex) -> AffineSet:
             else:
                 rows.append(repeat((sig, ()), len(group[0])))
         streams.append(zip(*rows))
+    del rec  # a cycle through its closure
     # Keep each piece's first occurrence, in grounding then piece order.
     kept = dict.fromkeys(chain.from_iterable(map(next, map(streams.__getitem__, group_of))))
     sigs, piece_coords = zip(*kept)
@@ -521,8 +523,7 @@ def assemble_matrix(
 
     The blocks' piece arrays are concatenated, and each piece's terms
     become the stored entries of its column, so the work and memory grow
-    with the nonzeros of M, not with its size x columns cells; no dense
-    array is made here.
+    with the nonzeros of M; no dense array is made here.
 
     By default, pieces with no coordinates and a nonpositive offset are
     dropped, by one mask over every piece: they can never bind, and the
@@ -591,36 +592,41 @@ def matrix_csv(cm: ConstraintMatrix, coordinate_labels: Sequence[str], out: Text
     "coord,<column labels>", one row per grounding coordinate, and a
     trailing row for the offsets labeled "q".
 
-    Every cell is ``repr`` of its float.  Labels containing commas (tuple
-    coordinates) are quoted per the CSV standard; number cells never
-    need quoting.  The stored entries of M, grouped by coordinate, and
-    then the offsets fill the rows: a row starts as a copy of one shared
-    list of "0.0" cells, only its entries are overwritten (so a stored
-    -0.0 prints as -0.0), and it is written before the next is built.
-    Each distinct nonzero value is formatted once.  A label count that
-    does not match M raises before anything is written.
+    Labels are quoted per the CSV standard.  Every cell is ``repr`` of
+    its float, formatted once per distinct value by its bits (so -0.0
+    stays -0.0).  A stable sort by coordinate puts M's entries by row,
+    then column (``cols`` never decreases), and a piece's coordinates
+    increase, so a cell holds at most one entry.  A row joins its label,
+    per entry the "0.0" cells before it and its cell, and the "0.0"
+    cells after the last; it is written before the next is built.  A
+    label count that does not match M raises before anything is written.
     """
     cm.check_labels(coordinate_labels)
     size, n = cm.shape
     order = np.argsort(cm.coords, kind="stable")
-    cols, values = cm.cols[order], cm.values[order]
-    bounds = [0, *np.cumsum(np.bincount(cm.coords, minlength=size)).tolist()]
-    # (column, value) pairs of each row, built as the row is written.
-    rows = (zip(cols[a:b].tolist(), values[a:b].tolist()) for a, b in zip(bounds, bounds[1:]))
+    rows, cols = cm.coords[order], cm.cols[order]
+    bits = np.concatenate([cm.values[order], cm.offsets]).view(np.int64)
+    distinct, ids = np.unique(bits, return_inverse=True)
+    text = ["," + repr(v) for v in distinct.view(float).tolist()]
+    # The zero cells' characters before each entry and after each row.
+    first = np.diff(rows, prepend=-1) != 0
+    gaps = 4 * (cols - np.where(first, -1, np.roll(cols, 1)) - 1)
+    last = np.full(size, -1)
+    at_end = np.roll(first, -1)
+    last[rows[at_end]] = cols[at_end]
+    trailing = (4 * (n - 1 - last)).tolist()
+    bounds = [0, *np.bincount(rows, minlength=size).cumsum().tolist()]
 
     csv.writer(out, lineterminator="\n").writerow(["coord", *cm.column_labels])
-    # The label field and, when cells follow, the comma that separates them.
-    label_writer = csv.writer(out, lineterminator="")
-    label_tail = [""] if n else []
-    zeros = ["0.0"] * n
-    text: dict[float, str] = {}
-    for label, entries in zip([*coordinate_labels, "q"], chain(rows, [enumerate(cm.offsets.tolist())])):
-        cells = zeros.copy()
-        for j, v in entries:
-            cell = text.get(v)
-            if cell is None or v == 0.0:  # 0.0 and -0.0 are one key
-                cell = text[v] = repr(v)
-            cells[j] = cell
-        label_writer.writerow([label, *label_tail])
-        out.write(",".join(cells))
-        out.write("\n")
+    # Each label field as csv writes [label, ""], less the comma.
+    heads: list[str] = []
+    tail = [""] if n else []
+    csv.writer(SimpleNamespace(write=heads.append), lineterminator="").writerows(
+        [label, *tail] for label in [*coordinate_labels, "q"]
+    )
+    heads = [head[: len(head) - len(tail)] for head in heads]
+    zeros = ",0.0" * n
+    for head, a, b, after in zip(heads, bounds, bounds[1:], trailing):
+        row = [zeros[:g] + text[i] for g, i in zip(gaps[a:b].tolist(), ids[a:b].tolist())]
+        out.write("".join([head, *row, zeros[:after], "\n"]))
+    out.write("".join([heads[-1], *map(text.__getitem__, ids[bounds[-1] :].tolist()), "\n"]))

@@ -340,36 +340,37 @@ def to_nnf(f: Formula) -> NnfFormula:
     negation.  A negation over ``forall`` has no equivalent here and
     raises :class:`NnfError`.
     """
+    return _push(f, False)
 
-    def push(node: Formula, negated: bool) -> Formula:
-        kind = type(node)
-        if kind is Atom:
-            return Neg(node) if negated else node
-        if kind is Neg:
-            return push(node.child, not negated)
-        if kind is Implies:
-            return push(StrongDisj(Neg(node.left), node.right), negated)
-        if kind is StrongConj:
-            ctor = StrongDisj if negated else StrongConj
-            return ctor(push(node.left, negated), push(node.right, negated))
-        if kind is StrongDisj:
-            ctor = StrongConj if negated else StrongDisj
-            return ctor(push(node.left, negated), push(node.right, negated))
-        if kind is WeakConj:
-            ctor = WeakDisj if negated else WeakConj
-            return ctor(push(node.left, negated), push(node.right, negated))
-        if kind is WeakDisj:
-            ctor = WeakConj if negated else WeakDisj
-            return ctor(push(node.left, negated), push(node.right, negated))
-        if kind is Forall:
-            if negated:
-                raise NnfError(
-                    "negation over 'forall' cannot be normalized in this logic"
-                )
-            return Forall(node.var, push(node.body, False))
-        raise FormulaError(f"unknown node {node!r}")
 
-    return push(f, False)
+def _push(node: Formula, negated: bool) -> Formula:
+    """``node`` in negation normal form, negated if ``negated``."""
+    kind = type(node)
+    if kind is Atom:
+        return Neg(node) if negated else node
+    if kind is Neg:
+        return _push(node.child, not negated)
+    if kind is Implies:
+        return _push(StrongDisj(Neg(node.left), node.right), negated)
+    if kind is StrongConj:
+        ctor = StrongDisj if negated else StrongConj
+        return ctor(_push(node.left, negated), _push(node.right, negated))
+    if kind is StrongDisj:
+        ctor = StrongConj if negated else StrongDisj
+        return ctor(_push(node.left, negated), _push(node.right, negated))
+    if kind is WeakConj:
+        ctor = WeakDisj if negated else WeakConj
+        return ctor(_push(node.left, negated), _push(node.right, negated))
+    if kind is WeakDisj:
+        ctor = WeakConj if negated else WeakDisj
+        return ctor(_push(node.left, negated), _push(node.right, negated))
+    if kind is Forall:
+        if negated:
+            raise NnfError(
+                "negation over 'forall' cannot be normalized in this logic"
+            )
+        return Forall(node.var, _push(node.body, False))
+    raise FormulaError(f"unknown node {node!r}")
 
 
 @dataclass(frozen=True)
@@ -394,28 +395,30 @@ def check_concave_fragment(f: NnfFormula) -> FragmentReport:
     constraint compiler requires.  ``f`` is expected to be in negation
     normal form; anything else is reported as a violation.
     """
-
-    def walk(node: Formula, path: tuple[int, ...]):
-        kind = type(node)
-        if kind is Atom:
-            return None
-        if kind is Neg:
-            if type(node.child) is Atom:
-                return None
-            return path, "Neg"
-        if kind in (WeakConj, StrongDisj):
-            bad = walk(node.left, path + (0,))
-            if bad is None:
-                bad = walk(node.right, path + (1,))
-            return bad
-        if kind is Forall:
-            return walk(node.body, path + (0,))
-        return path, kind.__name__
-
-    bad = walk(f, ())
+    bad = _first_outside(f, ())
     if bad is None:
         return FragmentReport(True)
     return FragmentReport(False, bad[0], bad[1])
+
+
+def _first_outside(node: Formula, path: tuple[int, ...]):
+    """The path and kind of the first node of ``node``, at ``path``,
+    outside the concave fragment, or None."""
+    kind = type(node)
+    if kind is Atom:
+        return None
+    if kind is Neg:
+        if type(node.child) is Atom:
+            return None
+        return path, "Neg"
+    if kind in (WeakConj, StrongDisj):
+        bad = _first_outside(node.left, path + (0,))
+        if bad is None:
+            bad = _first_outside(node.right, path + (1,))
+        return bad
+    if kind is Forall:
+        return _first_outside(node.body, path + (0,))
+    return path, kind.__name__
 
 
 def eval_lukasiewicz(

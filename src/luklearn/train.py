@@ -209,10 +209,19 @@ _CONTAINERS = (dict, list, tuple)
 
 @functools.cache
 def _flat_encoder(depth: int):
-    """``encode`` of the stdlib's C encoder, separating items as
-    ``indent=2`` does at ``depth``, for containers that hold no
-    container; ``indent`` itself selects the pure-Python encoder."""
-    return json.JSONEncoder(separators=(",\n" + _INDENT * depth, ": ")).encode
+    """JSON text through the stdlib's C encoder, separating items as
+    ``indent=2`` does at ``depth`` (``indent`` itself selects the
+    pure-Python encoder), for containers that hold no container.  The
+    encoder is built once per depth, with the arguments
+    ``JSONEncoder.iterencode`` gives it.  Such a container cannot be
+    circular, so ``markers`` is None: a dict shared across calls would
+    keep the ids of a call that raised."""
+    encoder = json.JSONEncoder(separators=(",\n" + _INDENT * depth, ": "))
+    encode = json.encoder.c_make_encoder(
+        None, encoder.default, json.encoder.encode_basestring_ascii, None, encoder.key_separator,
+        encoder.item_separator, encoder.sort_keys, encoder.skipkeys, encoder.allow_nan,
+    )
+    return lambda value: "".join(encode(value, 0))
 
 
 def _scalar(value) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 
 from luklearn import __version__, cli, train
 from luklearn.cli import main
+from luklearn.problem import build_training_problem, load_problem
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -47,6 +49,29 @@ def test_compile_example1(tmp_path, capsys):
         0.0,
     ]
     assert float(body["q"][col - 1]) == -1.0
+
+
+def test_problems_and_commands_leave_no_cyclic_garbage(tmp_path):
+    """Building the training problem of every fixture, one compile and
+    one train leave nothing for the cycle collector: every object they
+    drop is freed by its reference count.  The parser, built once per
+    process with argparse's own cycles, is built first."""
+    cli.build_parser()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for path in sorted(FIXTURES.glob("*.json")):
+            build_training_problem(load_problem(path))
+        assert _run("compile", FIXTURES / "example1.json", "-o", tmp_path / "compile") == 0
+        assert _run("train", FIXTURES / "example4.json", "-o", tmp_path / "train") == 0
+        gc.collect()
+        garbage = sorted({type(obj).__qualname__ for obj in gc.garbage})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert garbage == []
 
 
 def test_compile_holds_far_less_than_the_dense_matrix(tmp_path):

@@ -379,6 +379,38 @@ def test_matrix_csv_keeps_negative_zero_and_quotes_labels():
     assert text.splitlines()[-1] == "q,0.0,-0.0,-1.0,0.3333333333333333"
 
 
+def _wide(width: int) -> list[list[float]]:
+    """Rows of ``width`` cells whose zero runs take many lengths: entries
+    at the triangular columns 0, 1, 3, 6, ..., then one in the middle
+    only, then every cell but the last."""
+    triangular = np.zeros(width)
+    triangular[[k * (k + 1) // 2 for k in range(width) if k * (k + 1) // 2 < width]] = 1.5
+    middle = np.zeros(width)
+    middle[width // 2] = -2.0
+    return [triangular.tolist(), middle.tolist(), [0.25] * (width - 1) + [0.0]]
+
+
+@pytest.mark.parametrize(
+    "matrix, offsets, labels",
+    [
+        ([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.5], [3.0, 0.0, 0.0, 0.0]], [0.0, 1.0, -1.0, 0.0], None),
+        ([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [4.0, 5.0, 6.0]], [1.0, 2.0, 3.0], None),
+        ([[0.0], [3.0], [0.0], [-1.0]], [0.5], None),
+        ([[0.0, -0.0, 0.0], [1.0, 0.0, -0.0]], [-0.0, 0.0, 1.0], None),
+        ([[1.0, 0.0], [0.0, 1.0]], [0.0, -1.0], ['r(x,y) "a"', '"b, c"']),
+        (_wide(45), [float(j % 3) for j in range(45)], None),
+    ],
+    ids=["only-first-or-last", "empty-between-full", "one-column", "negative-zero", "comma-and-quote", "wide"],
+)
+def test_matrix_csv_edge_cases_match_the_per_cell_oracle(matrix, offsets, labels):
+    matrix = np.array(matrix)
+    size, n = matrix.shape
+    cm = _stored(matrix, np.array(offsets), [f'b,"{j}":1' if j == n - 1 else f"b:{j + 1}" for j in range(n)])
+    assert cm.matrix.tobytes() == matrix.tobytes()
+    labels = labels or [f"x{k}" for k in range(size)]
+    assert _csv_text(cm, labels) == _csv_oracle(cm, labels)
+
+
 def test_matrix_csv_with_no_columns():
     cm = _stored(np.zeros((2, 0)), np.zeros(0), [])
     labels = ["x1", "r(x,y)"]

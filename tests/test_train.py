@@ -405,6 +405,10 @@ def _written(tmp_path, payload) -> str:
         {"tuple": (1, (2.5, "x"), ()), "pair": (1.0, 2.0)},
         [np.float64(0.1), {"f": np.float64(-2.5e-7)}, [np.float64("nan")]],
         {1: "int key", 2.5: [1], True: {"b": 1}, None: "none"},
+        [
+            {"id": "phi1", "family": "logical", "pieces": 1, "columns": ["phi1:1"], "dropped": 0, "source": "a"},
+            {"id": "pt:p:x", "family": "pointwise", "pieces": 1, "columns": ["pt:p:x:1"], "dropped": 0, "source": ""},
+        ],
         "top-level string",
         3.25,
         None,
@@ -412,7 +416,7 @@ def _written(tmp_path, payload) -> str:
     ids=[
         "empty-dict", "empty-list", "nested-empties", "list-of-empties", "deep", "floats", "non-finite-nested",
         "ints-bools", "bools-in-mixed", "non-ascii-control", "tuples", "numpy-float64", "non-string-keys",
-        "root-string", "root-float", "root-null",
+        "manifest-blocks", "root-string", "root-float", "root-null",
     ],
 )
 def test_write_json_matches_json_dumps(tmp_path, payload):
