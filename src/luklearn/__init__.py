@@ -24,7 +24,6 @@ from .analyze import (
     solve_problem2,
 )
 from .constraints import (
-    AffinePiece,
     AffineSet,
     CompileError,
     ConstraintBlock,

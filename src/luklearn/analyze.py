@@ -148,7 +148,7 @@ def solve_problem2(
         column_blocks = [f"c{i + 1}" for i in range(N)]
     act_idx = np.flatnonzero(active)
     sub = M[:, act_idx]
-    lam_act, residual = min_norm_solution(sub, target)
+    lam_act, residual, _ = min_norm_solution(sub, target, tol.nullspace)
     if residual > tol.stationarity * (1.0 + float(np.linalg.norm(target))):
         raise InconsistentSystem(
             f"multiplier system residual {residual:.3e} exceeds tolerance"
@@ -277,14 +277,15 @@ def _deactivate(gs: GeneralSolution, block_id: str, tol: Tolerances, certificate
     when every equation holds within the stationarity tolerance times
     1 + ||target||_inf.  Where ``t_unique`` is false, several multiplier
     vectors avoid the block, and this one may differ from the vertex an
-    LP would return.
+    LP would return.  ``relaxed`` takes the minimum-norm t of the
+    block's equations, with singular values at or below the nullspace
+    cutoff dropped, and ``t_unique`` reads that solve's rank.
     """
     act_cols = [c for c in gs.block_columns[block_id] if gs.active[c]]
     eq_rows = gs.basis[act_cols, :]
-    relaxed_t, residual = min_norm_solution(eq_rows, -gs.particular[act_cols])
+    relaxed_t, residual, rank = min_norm_solution(eq_rows, -gs.particular[act_cols], tol.nullspace)
     relaxed = gs.lambda_of(relaxed_t) if residual <= tol.stationarity else None
-    t_unique = nullspace(eq_rows, tol.nullspace).dim == 0
-    return DeactivationResult(block_id, certificate, relaxed, t_unique, residual)
+    return DeactivationResult(block_id, certificate, relaxed, rank == eq_rows.shape[1], residual)
 
 
 def _deactivations(gs: GeneralSolution, tol: Tolerances, fits: _Fits) -> dict[str, DeactivationResult]:

@@ -35,55 +35,39 @@ class CompileError(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class AffinePiece:
-    """One affine function coord -> terms . p + constant, sparse over
-    coordinates; ``terms`` is sorted by coordinate and has no zeros."""
-
-    terms: tuple[tuple[int, float], ...]
-    constant: float
-
-    def value(self, p: Sequence[float]) -> float:
-        return float(sum(c * p[k] for k, c in self.terms) + self.constant)
-
-    def dense(self, size: int) -> np.ndarray:
-        v = np.zeros(size)
-        for k, c in self.terms:
-            v[k] = c
-        return v
+# A piece during compilation, and as ``Pieces.of`` takes it: its
+# (coordinate, coefficient) terms, sorted by coordinate and free of
+# zeros, and its constant.
+_Piece = tuple[tuple[tuple[int, float], ...], float]
 
 
-class Pieces(Sequence):
-    """Affine pieces stored as flat CSR-style arrays, read as AffinePiece
-    views.
+@dataclass(eq=False, slots=True)
+class Pieces:
+    """Affine pieces stored as flat CSR-style arrays.
 
     Piece i is the sum of coefs[e] * p[coords[e]] over e in
-    indptr[i]:indptr[i + 1], plus constants[i]; its coordinates increase
+    indptr[i]:indptr[i + 1], plus constants[i].  ``indptr`` (from 0,
+    never decreasing, to len(coords)) and ``coords`` are intp, ``coefs``
+    and ``constants`` float64; a piece's coordinates strictly increase
     and its coefficients are nonzero.  Sets and blocks built from one
-    another share these arrays, so they are never written.  Indexing and
-    iteration build the AffinePiece views, of Python ints and floats,
-    once; ``len`` reads ``constants`` only.  Pieces compare equal to the
-    tuple of their views.
+    another share these arrays, so they are never written.  Pieces are
+    equal when their four arrays are, value by value (-0.0 == 0.0).
     """
 
-    __slots__ = ("indptr", "coords", "coefs", "constants", "_views")
-
-    def __init__(self, indptr: np.ndarray, coords: np.ndarray, coefs: np.ndarray, constants: np.ndarray):
-        self.indptr = indptr
-        self.coords = coords
-        self.coefs = coefs
-        self.constants = constants
-        self._views: tuple[AffinePiece, ...] | None = None
+    indptr: np.ndarray
+    coords: np.ndarray
+    coefs: np.ndarray
+    constants: np.ndarray
 
     @classmethod
-    def of(cls, pieces: Iterable[AffinePiece]) -> Pieces:
-        pieces = tuple(pieces)
-        terms = [term for piece in pieces for term in piece.terms]
+    def of(cls, pieces: Iterable[_Piece]) -> Pieces:
+        pieces = list(pieces)
+        terms = [term for piece_terms, _ in pieces for term in piece_terms]
         return cls(
-            np.fromiter(accumulate((len(p.terms) for p in pieces), initial=0), np.intp, len(pieces) + 1),
+            np.fromiter(accumulate((len(t) for t, _ in pieces), initial=0), np.intp, len(pieces) + 1),
             np.array([k for k, _ in terms], dtype=np.intp),
             np.array([c for _, c in terms], dtype=float),
-            np.array([piece.constant for piece in pieces], dtype=float),
+            np.array([c for _, c in pieces], dtype=float),
         )
 
     @classmethod
@@ -104,35 +88,13 @@ class Pieces(Sequence):
             np.concatenate([part.constants for part in parts]),
         )
 
-    def _tuple(self) -> tuple[AffinePiece, ...]:
-        if self._views is None:
-            bounds = self.indptr.tolist()
-            terms = list(zip(self.coords.tolist(), self.coefs.tolist()))
-            self._views = tuple(
-                AffinePiece(tuple(terms[a:b]), c)
-                for a, b, c in zip(bounds, bounds[1:], self.constants.tolist())
-            )
-        return self._views
-
     def __len__(self) -> int:
         return len(self.constants)
 
-    def __getitem__(self, i):
-        return self._tuple()[i]
-
-    def __iter__(self):
-        return iter(self._tuple())
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, Pieces):
-            other = other._tuple()
-        return self._tuple() == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._tuple())
-
-    def __repr__(self) -> str:
-        return f"Pieces{self._tuple()!r}"
+        if not isinstance(other, Pieces):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in Pieces.__slots__)
 
     def lengths(self) -> np.ndarray:
         """The number of terms of every piece."""
@@ -146,8 +108,9 @@ class Pieces(Sequence):
         return rows
 
     def values(self, p: Sequence[float]) -> np.ndarray:
-        """Every piece's value at ``p``.  Each sum runs in term order from
-        0.0, so it has the bits of ``AffinePiece.value``."""
+        """Every piece's value at ``p``.  Each sum adds its products in
+        term order starting from 0.0, then the constant, so its bits do
+        not depend on the other pieces."""
         owners = np.arange(len(self)).repeat(self.lengths())
         products = self.coefs * np.asarray(p, dtype=float)[self.coords]
         return np.bincount(owners, products, len(self)) + self.constants
@@ -155,22 +118,16 @@ class Pieces(Sequence):
 
 @dataclass(frozen=True)
 class AffineSet:
-    """A concave piecewise-linear function, the min of ``pieces``; given
-    as any sequence of AffinePiece, they are stored as ``Pieces``."""
+    """A concave piecewise-linear function, the min of ``pieces``.  It
+    holds them rather than being them, because callers, perfbench's
+    tracer among them, count a compile's pieces as ``len(set.pieces)``."""
 
     pieces: Pieces
-
-    def __post_init__(self):
-        if not isinstance(self.pieces, Pieces):
-            object.__setattr__(self, "pieces", Pieces.of(self.pieces))
 
     def value(self, p: Sequence[float]) -> float:
         values = self.pieces.values(p)
         return float(values[values.argmin()])
 
-
-# A piece during compilation: the (terms, constant) of an AffinePiece.
-_Piece = tuple[tuple[tuple[int, float], ...], float]
 
 _CAP: _Piece = ((), 1.0)
 
@@ -217,10 +174,12 @@ def _occurrence_coordinates(
     occurrences: dict[tuple[str, tuple], int], axes: list[list[str]], index: GroundingIndex
 ) -> list[list[int]]:
     """The coordinate of every occurrence, in id order, in every
-    grounding of the prefix (first variable slowest), or -1 where that
-    atom has none.  An argument is a sample name or the position of a
-    prefix variable, whose samples are ``axes[position]``; the lookup
-    table is read at the sums of the arguments' scaled positions.
+    grounding of the prefix (first variable slowest).  An argument is a
+    sample name or the position of a prefix variable, whose samples are
+    ``axes[position]``; the lookup table is read at the sums of the
+    arguments' scaled positions, and gives -1 where that atom has no
+    coordinate.  Then the first grounding with such an atom raises the
+    GroundingError of its first one.
     """
     groundings = math.prod(map(len, axes))
     grids: dict[tuple[int, int], list[int]] = {}  # (prefix position, id of its scaled positions) -> per grounding
@@ -242,7 +201,44 @@ def _occurrence_coordinates(
                     part = grids[arg, id(where)] = part * math.prod(map(len, axes[:arg]))
             at = part if at is None else map(add, at, part)
         columns.append(list(map(table.__getitem__, at)))
+    if min(chain.from_iterable(columns), default=0) < 0:
+        g = next(g for g in range(groundings) if any(column[g] < 0 for column in columns))
+        name, args = list(occurrences)[next(j for j, column in enumerate(columns) if column[g] < 0)]
+        at = np.unravel_index(g, tuple(map(len, axes)))
+        index.coordinate_of(Atom(name, tuple(a if type(a) is str else axes[a][at[a]] for a in args)))
     return columns
+
+
+def _walk(node, w: SimpleNamespace) -> list[_Piece]:
+    """The pieces of ``node``, walked under the state ``w`` that
+    ``compile_min_affine`` sets up."""
+    kind = type(node)
+    if kind is Atom or (kind is Neg and type(node.child) is Atom):
+        atom = node if kind is Atom else node.child
+        args = tuple(map(w.env.get, atom.args, atom.args))
+        if None in args:
+            free = atom.args[args.index(None)]
+            raise GroundingError(f"free variable {free!r} in {to_text(w.nnf)}; quantify it")
+        j = w.occurrences.setdefault((atom.name, args), len(w.occurrences))
+        if j == len(w.slots):  # a new occurrence, met in the first walk
+            w.slots.append(j)
+        k = w.slots[j]
+        return [(((k, 1.0),), 0.0)] if kind is Atom else [(((k, -1.0),), 1.0)]
+    if kind is StrongDisj:
+        return _sums(_disjunct(_walk(node.left, w)), _disjunct(_walk(node.right, w)))
+    if kind is Forall:
+        var = node.var
+        names = _domain(w.universe, var)
+        outer = w.env[var]
+        pieces = []
+        for name in names:
+            w.env[var] = name
+            pieces += _walk(node.body, w)
+        w.env[var] = outer
+        return pieces
+    if kind is WeakConj:
+        return _walk(node.left, w) + _walk(node.right, w)
+    raise CompileError(f"node {kind.__name__} is outside the concave fragment")
 
 
 def compile_min_affine(nnf: NnfFormula, index: GroundingIndex) -> AffineSet:
@@ -272,67 +268,30 @@ def compile_min_affine(nnf: NnfFormula, index: GroundingIndex) -> AffineSet:
     meet it raises first.  No prefix is the case of one grounding.
     """
     universe = sample_universe(nnf, index)
-    # Every variable of the formula: bound to its position in the
-    # prefix, to its current sample inside an inner forall, or to None
-    # while it is free; a name that is not a key is a sample constant.
-    env: dict[str, str | int | None] = dict.fromkeys(universe)
+    # The walk's state.  ``env`` binds each variable of the formula to its
+    # prefix position, to its current sample inside an inner forall, or
+    # to None while it is free; other names are sample constants.
+    # ``occurrences`` numbers each distinct atom occurrence (predicate,
+    # arguments under env) in walk order, and ``slots`` holds the slot
+    # each number stands for in the pattern being walked; the first walk
+    # gives every occurrence its own slot.
+    w = SimpleNamespace(nnf=nnf, universe=universe, env=dict.fromkeys(universe), occurrences={}, slots=[])
     axes = []  # the samples of each prefix variable
     body = nnf
     while type(body) is Forall:
-        env[body.var] = len(axes)
+        w.env[body.var] = len(axes)
         axes.append(universe.get(body.var) or _domain(universe, body.var))
         body = body.body
-    # Each distinct atom occurrence (predicate, arguments under env), by
-    # id in walk order, and the slot each id stands for in the pattern
-    # being walked; the first walk gives every occurrence its own slot.
-    occurrences: dict[tuple[str, tuple], int] = {}
-    slots: list[int] = []
-
-    def rec(node) -> list[_Piece]:
-        kind = type(node)
-        if kind is Atom or (kind is Neg and type(node.child) is Atom):
-            atom = node if kind is Atom else node.child
-            args = tuple(map(env.get, atom.args, atom.args))
-            if None in args:
-                free = atom.args[args.index(None)]
-                raise GroundingError(f"free variable {free!r} in {to_text(nnf)}; quantify it")
-            j = occurrences.setdefault((atom.name, args), len(occurrences))
-            if j == len(slots):  # a new occurrence, met in the first walk
-                slots.append(j)
-            k = slots[j]
-            return [(((k, 1.0),), 0.0)] if kind is Atom else [(((k, -1.0),), 1.0)]
-        if kind is StrongDisj:
-            return _sums(_disjunct(rec(node.left)), _disjunct(rec(node.right)))
-        if kind is Forall:
-            var = node.var
-            names = _domain(universe, var)
-            outer = env[var]
-            pieces = []
-            for name in names:
-                env[var] = name
-                pieces += rec(node.body)
-            env[var] = outer
-            return pieces
-        if kind is WeakConj:
-            return rec(node.left) + rec(node.right)
-        raise CompileError(f"node {kind.__name__} is outside the concave fragment")
-
-    error = None
+    occurrences = w.occurrences  # every distinct occurrence, once the first walk ends
     try:
-        distinct = rec(body)
-    except (GroundingError, CompileError) as exc:
-        error = exc
+        distinct = _walk(body, w)
+    except (GroundingError, CompileError):
+        # The first grounding meets an error of the walk after the
+        # occurrences seen so far; a missing atom before it comes first.
+        _occurrence_coordinates(occurrences, [axis[:1] for axis in axes], index)
+        raise
     columns = _occurrence_coordinates(occurrences, axes, index)
     groundings = math.prod(map(len, axes))
-    # The first grounding meets an error of the walk after the
-    # occurrences seen so far; a missing atom before it comes first.
-    if min([column[0] for column in columns] if error else chain.from_iterable(columns), default=0) < 0:
-        g = next(g for g in range(groundings) if any(column[g] < 0 for column in columns))
-        name, args = list(occurrences)[next(j for j, column in enumerate(columns) if column[g] < 0)]
-        at = np.unravel_index(g, tuple(map(len, axes)))
-        index.coordinate_of(Atom(name, tuple(a if type(a) is str else axes[a][at[a]] for a in args)))
-    if error:
-        raise error
 
     # Group the groundings by the order of their occurrences'
     # coordinates: equal, below or above, per pair of occurrences of one
@@ -368,8 +327,8 @@ def compile_min_affine(nnf: NnfFormula, index: GroundingIndex) -> AffineSet:
         pattern = tuple(map(first.setdefault, first_grounding, count()))
         pieces = walks.get(pattern)
         if pieces is None:
-            slots = list(pattern)
-            pieces = walks[pattern] = rec(body)
+            w.slots = list(pattern)
+            pieces = walks[pattern] = _walk(body, w)
         rows = []
         for terms, constant in pieces:
             if len(terms) > 1:
@@ -380,7 +339,6 @@ def compile_min_affine(nnf: NnfFormula, index: GroundingIndex) -> AffineSet:
             else:
                 rows.append(repeat((sig, ()), len(group[0])))
         streams.append(zip(*rows))
-    del rec  # a cycle through its closure
     # Keep each piece's first occurrence, in grounding then piece order.
     kept = dict.fromkeys(chain.from_iterable(map(next, map(streams.__getitem__, group_of))))
     sigs, piece_coords = zip(*kept)
@@ -401,8 +359,7 @@ class ConstraintBlock:
 
     ``pieces`` holds the rows M_i as the CSR-style arrays of ``Pieces``
     (coordinates and coefficients, per piece) and the q_i as its
-    ``constants``; given as any sequence of AffinePiece, they are
-    converted.
+    ``constants``.
     """
 
     block_id: str
@@ -411,8 +368,6 @@ class ConstraintBlock:
     source: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.pieces, Pieces):
-            object.__setattr__(self, "pieces", Pieces.of(self.pieces))
         if len(self.pieces.constants) < 1:
             raise CompileError(f"block {self.block_id!r} has no pieces")
 

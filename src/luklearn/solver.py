@@ -425,15 +425,19 @@ def nullspace(M: np.ndarray, tol: float = DEFAULT_TOLERANCES.nullspace) -> Nulls
     return NullspaceBasis(vt[rank:].T.copy(), rank)
 
 
-def min_norm_solution(M: np.ndarray, rhs: Sequence[float]) -> tuple[np.ndarray, float]:
-    """Least-squares solution of M x = rhs with minimal norm, plus the
-    achieved residual norm."""
+def min_norm_solution(
+    M: np.ndarray, rhs: Sequence[float], tol: float = DEFAULT_TOLERANCES.nullspace
+) -> tuple[np.ndarray, float, int]:
+    """Least-squares solution of M x = rhs with minimal norm, the
+    achieved residual norm and the rank of M.  Singular values at or
+    below ``tol`` times the largest count as zero, the cutoff of
+    ``nullspace``, so the rank is the one ``nullspace`` finds."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     rhs = np.asarray(rhs, dtype=float)
     if M.shape[1] == 0:
-        return np.zeros(0), float(np.linalg.norm(rhs))
-    x, _, _, _ = np.linalg.lstsq(M, rhs, rcond=None)
-    return x, float(np.linalg.norm(M @ x - rhs))
+        return np.zeros(0), float(np.linalg.norm(rhs)), 0
+    x, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=tol)
+    return x, float(np.linalg.norm(M @ x - rhs)), int(rank)
 
 
 def nnls(A: np.ndarray, b: Sequence[float]) -> tuple[np.ndarray, float]:

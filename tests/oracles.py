@@ -4,7 +4,7 @@ and the formula compiler.
 The solver oracles deliberately take the brute-force route: enumerate
 candidate active sets and solve the stationarity conditions directly, so
 they share no code path with the iterative solvers under test.  The
-compiler oracle is a direct walk over AffinePiece dataclasses;
+compiler oracle is a direct walk over (terms, constant) tuples;
 ``constraints.compile_min_affine`` must return exactly its pieces, in
 its order.
 """
@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
-from luklearn.constraints import AffinePiece, AffineSet, CompileError
+from luklearn.constraints import AffineSet, CompileError, Pieces
 from luklearn.grounding import GroundingError, sample_universe
 from luklearn.logic import Atom, Forall, Neg, StrongDisj, WeakConj, to_text
 
@@ -117,7 +117,8 @@ def _dedup(pieces):
 
 
 def _is_constant_true(piece):
-    return not piece.terms and piece.constant >= 1.0
+    terms, constant = piece
+    return not terms and constant >= 1.0
 
 
 def _disjunct(pieces):
@@ -127,11 +128,12 @@ def _disjunct(pieces):
 
 
 def reference_compile_min_affine(nnf, index):
-    """The min-of-affines form of ``nnf`` by a walk over AffinePiece
-    dataclasses: every node builds its pieces, strong-disjunction
-    operands and the root are deduplicated through a set of seen
-    pieces, and each ``forall`` instance copies the environment."""
-    cap = AffinePiece((), 1.0)
+    """The min-of-affines form of ``nnf`` by a walk over pieces as
+    (terms, constant) tuples, terms as sorted (coordinate, coefficient)
+    pairs: every node builds its pieces, strong-disjunction operands and
+    the root are deduplicated through a set of seen pieces, and each
+    ``forall`` instance copies the environment."""
+    cap = ((), 1.0)
     universe = sample_universe(nnf, index)
 
     def coordinate(atom, env):
@@ -148,9 +150,9 @@ def reference_compile_min_affine(nnf, index):
     def rec(node, env):
         kind = type(node)
         if kind is Atom:
-            return [AffinePiece(((coordinate(node, env), 1.0),), 0.0)]
+            return [(((coordinate(node, env), 1.0),), 0.0)]
         if kind is Neg and type(node.child) is Atom:
-            return [AffinePiece(((coordinate(node.child, env), -1.0),), 1.0)]
+            return [(((coordinate(node.child, env), -1.0),), 1.0)]
         if kind is WeakConj:
             return rec(node.left, env) + rec(node.right, env)
         if kind is Forall:
@@ -167,14 +169,14 @@ def reference_compile_min_affine(nnf, index):
             left = _disjunct(rec(node.left, env))
             right = _disjunct(rec(node.right, env))
             sums = [cap]
-            for a in left:
-                for b in right:
-                    coeffs = dict(a.terms)
-                    for k, c in b.terms:
+            for a_terms, a_constant in left:
+                for b_terms, b_constant in right:
+                    coeffs = dict(a_terms)
+                    for k, c in b_terms:
                         coeffs[k] = coeffs.get(k, 0.0) + c
                     terms = tuple(sorted((k, c) for k, c in coeffs.items() if c != 0.0))
-                    sums.append(AffinePiece(terms, float(a.constant + b.constant)))
+                    sums.append((terms, float(a_constant + b_constant)))
             return sums
         raise CompileError(f"node {kind.__name__} is outside the concave fragment")
 
-    return AffineSet(tuple(_dedup(rec(nnf, {}))))
+    return AffineSet(Pieces.of(_dedup(rec(nnf, {}))))

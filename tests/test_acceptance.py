@@ -77,16 +77,16 @@ def test_criterion_1_compilation():
     block = to_constraint_block(aset, "phi1")
     elapsed = time.perf_counter() - start
 
-    piece2 = block.pieces[1]
-    M2 = piece2.dense(index.size)
+    M2 = block.pieces.dense(index.size)[1]
+    q2 = block.pieces.constants[1]
     ok = (
         len(block.pieces) == 5
         and np.array_equal(M2, np.array([2.0, 0.0, -1.0, 0.0, 0.0, 0.0]))
-        and piece2.constant == -1.0
+        and q2 == -1.0
         and elapsed < 1.0
     )
     _report(1, ok, f"{len(block.pieces)} pieces, piece 2 = {M2.astype(int).tolist()}, "
-                   f"q = {piece2.constant:g}, {elapsed:.3f}s")
+                   f"q = {q2:g}, {elapsed:.3f}s")
 
 
 def test_criterion_2_end_to_end():
@@ -291,8 +291,8 @@ def test_criterion_6_compiler_oracle_property():
         f = _random_fragment_formula(rng, 4, [], samples)
         block = to_constraint_block(compile_min_affine(f, index), "phi1")
         universe = sample_universe(f, index)
-        rows = np.array([piece.dense(index.size) for piece in block.pieces])
-        offsets = np.array([piece.constant for piece in block.pieces])
+        rows = block.pieces.dense(index.size)
+        offsets = block.pieces.constants
         points = rng.random((200, index.size))
         maxima = np.max(rows @ points.T + offsets[:, None], axis=0)
         for p, computed in zip(points, maxima):

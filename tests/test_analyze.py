@@ -24,7 +24,7 @@ from luklearn.analyze import (
     removable_constraints,
     solve_problem2,
 )
-from luklearn.constraints import AffinePiece, ConstraintBlock, assemble_matrix
+from luklearn.constraints import ConstraintBlock, Pieces, assemble_matrix
 from luklearn.grounding import PredicateDecl, build_samples
 from luklearn.logic import parse_formula
 from luklearn.problem import build_training_problem, load_problem, parse_problem
@@ -366,9 +366,8 @@ def _highs_entailment(tp, block_id, box_as_bounds):
     rows, rhs = [], []
     for block in tp.blocks:
         if block.block_id != block_id:
-            for piece in block.pieces:
-                rows.append(piece.dense(size))
-                rhs.append(-piece.constant)
+            rows += list(block.pieces.dense(size))
+            rhs += (-block.pieces.constants).tolist()
     bounds = [(0.0, 1.0) if box_as_bounds else (None, None)] * size
     kind, _, label = block_id.partition(":")
     if box_as_bounds and kind in ("lb", "ub"):
@@ -378,17 +377,18 @@ def _highs_entailment(tp, block_id, box_as_bounds):
                   bounds=bounds, method="highs")
     target = next(b for b in tp.blocks if b.block_id == block_id)
     maxima = []
-    for piece in target.pieces:
-        if not piece.terms:
-            maxima.append(piece.constant)
+    pieces = target.pieces
+    for row, constant, length in zip(pieces.dense(size), pieces.constants.tolist(), pieces.lengths()):
+        if not length:
+            maxima.append(constant)
             continue
-        res = linprog(-piece.dense(size), **region)
+        res = linprog(-row, **region)
         assert res.status in (0, 2, 3)
         # HiGHS can call an LP that is unbounded over free variables
         # infeasible; the region alone tells the two apart
         if res.status == 2 and linprog(np.zeros(size), **region).status == 2:
             return True, []
-        maxima.append(-res.fun + piece.constant if res.status == 0 else np.inf)
+        maxima.append(-res.fun + constant if res.status == 0 else np.inf)
     return False, maxima
 
 
@@ -535,9 +535,9 @@ def test_minimal_support_sets_fix_mandatory_blocks(monkeypatch):
     the pool, two leave-one-out fits (a, and b1, the copy the pool's fit
     uses), {a} and {a, b2} ... {a, b8}; {a, b1} takes the pool's fit.
     Trying every subset would take 46 fits."""
-    blocks = [ConstraintBlock("a", "logical", (AffinePiece(((0, 1.0),), 0.0),))]
+    blocks = [ConstraintBlock("a", "logical", Pieces.of([(((0, 1.0),), 0.0)]))]
     blocks += [
-        ConstraintBlock(f"b{i}", "logical", (AffinePiece(((1, 1.0),), 0.0),)) for i in range(1, 9)
+        ConstraintBlock(f"b{i}", "logical", Pieces.of([(((1, 1.0),), 0.0)])) for i in range(1, 9)
     ]
     matrix = assemble_matrix(blocks, 2)
     calls = _counting_nnls(monkeypatch)
@@ -560,9 +560,9 @@ def test_minimal_support_sets_match_exhaustive_search_on_random_systems():
             for _ in range(int(rng.integers(1, 3))):
                 coeffs = rng.integers(-2, 3, size).astype(float).tolist()
                 terms = tuple((k, c) for k, c in enumerate(coeffs) if c) or ((0, 1.0),)
-                if AffinePiece(terms, 0.0) not in pieces:
-                    pieces.append(AffinePiece(terms, 0.0))
-            blocks.append(ConstraintBlock(f"b{b}", "logical", tuple(pieces)))
+                if (terms, 0.0) not in pieces:
+                    pieces.append((terms, 0.0))
+            blocks.append(ConstraintBlock(f"b{b}", "logical", Pieces.of(pieces)))
         matrix = assemble_matrix(blocks, size)
         active = rng.random(matrix.n_columns) < 0.8
         lam = rng.integers(0, 3, matrix.n_columns) * (rng.random(matrix.n_columns) < 0.4) * active
@@ -763,14 +763,17 @@ def test_deactivation_fits_each_distinct_question_once(monkeypatch):
     assert len(calls) == 2 + len(holding)
 
 
-def _audit_models(monkeypatch):
-    """The trained models of perfbench's ``audit`` KBs (seed 3) that
-    train; the infeasible ones are left out."""
+def _workload_models(monkeypatch, workload, names=None):
+    """The trained models of perfbench's ``workload`` KBs at seed 3, or
+    of those in ``names``, that train; the infeasible ones are left
+    out."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import gen
 
     models = []
-    for inst in gen.workload("audit", 3):
+    for inst in gen.workload(workload, 3):
+        if names is not None and inst.name not in names:
+            continue
         try:
             models.append(solve_primal(build_training_problem(parse_problem(inst.kb.problem()))))
         except Infeasible:
@@ -784,7 +787,7 @@ def test_analysis_fits_each_column_set_once(monkeypatch):
     minimal-set search and its mandatory-block test share the target
     system's fits.  Checked in both modes on every fixture that analyzes
     and on perfbench's ``audit`` KBs."""
-    models = [m for m in map(_fixture_model, FIXTURE_PATHS) if m is not None] + _audit_models(monkeypatch)
+    models = [m for m in map(_fixture_model, FIXTURE_PATHS) if m is not None] + _workload_models(monkeypatch, "audit")
     calls = _counting_nnls(monkeypatch)
     searched = 0
     for model in models:
@@ -851,6 +854,44 @@ def _same_vector(a, b) -> bool:
     return (a is None and b is None) or (a is not None and b is not None and a.tobytes() == b.tobytes())
 
 
+# Chain KBs of perfbench's ``train`` workload (seed 3) whose per-block
+# systems of phi2, in mode ``all``, have singular values between the
+# machine epsilon and the nullspace cutoff, times the largest.
+NEAR_SINGULAR_TRAIN_KBS = ("train_n4_s0.3_2", "train_n4_s0.3_3", "train_n4_s0.5_1")
+
+
+def test_relaxed_deactivations_drop_what_the_nullspace_drops(monkeypatch):
+    """Each block's relaxed t, the minimum-norm solution of its equations
+    in lam(t), has no component along the right singular vectors of
+    those equations whose singular values are at or below the nullspace
+    cutoff times the largest: the solve truncates where ``nullspace``
+    does.  Checked in both modes on every fixture that analyzes and on
+    three KBs with singular values inside that band."""
+    models = [m for m in map(_fixture_model, FIXTURE_PATHS) if m is not None]
+    models += _workload_models(monkeypatch, "train", NEAR_SINGULAR_TRAIN_KBS)
+    assert len(models) == len(FIXTURE_PATHS) - 2 + len(NEAR_SINGULAR_TRAIN_KBS)
+    checked = 0
+    for model in models:
+        cutoff = model.problem.tolerances.nullspace
+        for mode in ("all", "logical"):
+            report = removable_constraints(model, mode=mode)
+            gs = report.general
+            for entry in report.blocks:
+                rows = gs.basis[[c for c in gs.block_columns[entry.block_id] if gs.active[c]]]
+                if not rows.size or entry.deactivation.relaxed is None:
+                    continue
+                t = gs.basis.T @ (entry.deactivation.relaxed - gs.particular)  # orthonormal basis
+                _, s, vt = np.linalg.svd(rows)
+                rank = int(np.sum(s > cutoff * s[0]))
+                assert entry.deactivation.t_unique is (rank == rows.shape[1])
+                assert np.max(np.abs(vt[rank:] @ t), initial=0.0) <= 1e-9 * (1.0 + np.max(np.abs(t))), (
+                    mode,
+                    entry.block_id,
+                )
+                checked += 1
+    assert checked > 0
+
+
 @pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
 def test_blocks_with_no_active_piece_share_the_whole_systems_answers(path, monkeypatch):
     """A block with no active piece takes the deactivation result and the
@@ -866,9 +907,9 @@ def test_blocks_with_no_active_piece_share_the_whole_systems_answers(path, monke
     lstsq_calls = []
     min_norm_solution = analyze.min_norm_solution
 
-    def counting(M, rhs):
+    def counting(M, rhs, *args):
         lstsq_calls.append(np.shape(M))
-        return min_norm_solution(M, rhs)
+        return min_norm_solution(M, rhs, *args)
 
     monkeypatch.setattr(analyze, "min_norm_solution", counting)
     for mode in ("all", "logical"):

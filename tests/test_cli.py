@@ -52,18 +52,23 @@ def test_compile_example1(tmp_path, capsys):
 
 
 def test_problems_and_commands_leave_no_cyclic_garbage(tmp_path):
-    """Building the training problem of every fixture, one compile and
-    one train leave nothing for the cycle collector: every object they
-    drop is freed by its reference count.  The parser, built once per
-    process with argparse's own cycles, is built first."""
+    """Building the training problem of every fixture, refused ones
+    included, one compile, one compile that refuses a formula with a
+    free variable and one train leave nothing for the cycle collector:
+    every object they drop is freed by its reference count.  The parser,
+    built once per process with argparse's own cycles, is built first."""
+    free = json.loads((FIXTURES / "example4.json").read_text())
+    free["formulas"] = ["forall x: p2(x) -> p2(y)"]
+    (tmp_path / "free.json").write_text(json.dumps(free))
     cli.build_parser()
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        for path in sorted(FIXTURES.glob("*.json")):
+        for path in sorted(FIXTURES.glob("**/*.json")):
             build_training_problem(load_problem(path))
         assert _run("compile", FIXTURES / "example1.json", "-o", tmp_path / "compile") == 0
+        assert _run("compile", tmp_path / "free.json", "-o", tmp_path / "free") == 2
         assert _run("train", FIXTURES / "example4.json", "-o", tmp_path / "train") == 0
         gc.collect()
         garbage = sorted({type(obj).__qualname__ for obj in gc.garbage})

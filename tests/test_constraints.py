@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections.abc
 import csv
 import io
 from pathlib import Path
@@ -12,10 +13,10 @@ from oracles import reference_compile_min_affine
 
 from luklearn import cli, constraints
 from luklearn.constraints import (
-    AffinePiece,
     CompileError,
     ConstraintBlock,
     ConstraintMatrix,
+    Pieces,
     assemble_matrix,
     compile_min_affine,
     consistency_blocks,
@@ -44,7 +45,7 @@ from luklearn.logic import (
     to_nnf,
     to_text,
 )
-from luklearn.problem import build_training_problem, load_problem
+from luklearn.problem import build_training_problem, load_problem, parse_problem
 
 DOMS = {"points": {"x1": (0.2, 0.6), "x2": (0.7, 0.3)}}
 DECLS = [
@@ -55,6 +56,7 @@ DECLS = [
 TRANSITIVE_PRODUCT = "forall x: forall y: (p1(x) * p1(y)) -> p2(x,y)"
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
 def _index():
@@ -68,18 +70,18 @@ def _compile(text: str):
 
 def test_literal_pieces():
     aset, _ = _compile("p1(x1)")
-    assert aset.pieces == (AffinePiece(((0, 1.0),), 0.0),)
+    assert aset.pieces == Pieces.of([(((0, 1.0),), 0.0)])
 
     aset, _ = _compile("~p1(x2)")
-    assert aset.pieces == (AffinePiece(((1, -1.0),), 1.0),)
+    assert aset.pieces == Pieces.of([(((1, -1.0),), 1.0)])
 
 
 def test_weak_conjunction_unions_pieces():
     aset, _ = _compile("p1(x1) & ~p1(x2)")
-    assert aset.pieces == (
-        AffinePiece(((0, 1.0),), 0.0),
-        AffinePiece(((1, -1.0),), 1.0),
-    )
+    assert aset.pieces == Pieces.of([
+        (((0, 1.0),), 0.0),
+        (((1, -1.0),), 1.0),
+    ])
 
 
 def test_duplicate_conjuncts_dedup():
@@ -89,34 +91,34 @@ def test_duplicate_conjuncts_dedup():
 
 def test_strong_disjunction_cap_and_sum():
     aset, _ = _compile("~p1(x1) + p1(x2)")
-    assert aset.pieces == (
-        AffinePiece((), 1.0),
-        AffinePiece(((0, -1.0), (1, 1.0)), 1.0),
-    )
+    assert aset.pieces == Pieces.of([
+        ((), 1.0),
+        (((0, -1.0), (1, 1.0)), 1.0),
+    ])
 
 
 def test_tautology_collapses_to_cap():
     aset, _ = _compile("~p1(x1) + p1(x1)")
-    assert aset.pieces == (AffinePiece((), 1.0),)
+    assert aset.pieces == Pieces.of([((), 1.0)])
 
 
 def test_transitive_product_five_pieces():
     aset, _ = _compile(TRANSITIVE_PRODUCT)
     # the cap, then one sum per instance (x, y) with x outermost
-    assert aset.pieces == (
-        AffinePiece((), 1.0),
-        AffinePiece(((0, -2.0), (2, 1.0)), 2.0),
-        AffinePiece(((0, -1.0), (1, -1.0), (3, 1.0)), 2.0),
-        AffinePiece(((0, -1.0), (1, -1.0), (4, 1.0)), 2.0),
-        AffinePiece(((1, -2.0), (5, 1.0)), 2.0),
-    )
+    assert aset.pieces == Pieces.of([
+        ((), 1.0),
+        (((0, -2.0), (2, 1.0)), 2.0),
+        (((0, -1.0), (1, -1.0), (3, 1.0)), 2.0),
+        (((0, -1.0), (1, -1.0), (4, 1.0)), 2.0),
+        (((1, -2.0), (5, 1.0)), 2.0),
+    ])
 
 
 def test_transitive_product_block_form():
     aset, index = _compile(TRANSITIVE_PRODUCT)
     block = to_constraint_block(aset, "phi1")
-    dense = np.array([p.dense(index.size) for p in block.pieces])
-    offsets = [p.constant for p in block.pieces]
+    dense = block.pieces.dense(index.size)
+    offsets = block.pieces.constants.tolist()
     expected = np.array(
         [
             [0, 0, 0, 0, 0, 0],
@@ -182,11 +184,11 @@ def test_pointwise_blocks():
     pos = pointwise_block("p1", ("x1",), 1, index)
     assert pos.block_id == "pt:p1:x1"
     assert pos.family == "pointwise"
-    assert pos.pieces == (AffinePiece(((0, -1.0),), 1.0),)
+    assert pos.pieces == Pieces.of([(((0, -1.0),), 1.0)])
 
     neg = pointwise_block("p2", ("x2", "x1"), -1, index)
     assert neg.block_id == "pt:p2:x2,x1"
-    assert neg.pieces == (AffinePiece(((4, 1.0),), 0.0),)
+    assert neg.pieces == Pieces.of([(((4, 1.0),), 0.0)])
 
     with pytest.raises(CompileError, match="must be -1 or \\+1"):
         pointwise_block("p1", ("x1",), 0, index)
@@ -197,9 +199,98 @@ def test_consistency_blocks_cover_box():
     blocks = consistency_blocks(index)
     assert len(blocks) == 12
     assert [b.block_id for b in blocks[:4]] == ["lb:p1:x1", "ub:p1:x1", "lb:p1:x2", "ub:p1:x2"]
-    assert blocks[0].pieces == (AffinePiece(((0, -1.0),), 0.0),)
-    assert blocks[1].pieces == (AffinePiece(((0, 1.0),), -1.0),)
+    assert blocks[0].pieces == Pieces.of([(((0, -1.0),), 0.0)])
+    assert blocks[1].pieces == Pieces.of([(((0, 1.0),), -1.0)])
     assert all(b.family == "consistency" for b in blocks)
+
+
+def test_pieces_of_and_equality_on_edge_inputs():
+    """``Pieces.of`` takes (terms, constant) pairs; equality compares the
+    four arrays by value, as the pairs compare."""
+    none = Pieces.of([])
+    assert len(none) == 0 and none.indptr.tolist() == [0] and none == Pieces.of(())
+    empty = Pieces.of([((), 0.5)])
+    assert empty.indptr.tolist() == [0, 0] and len(empty.coords) == len(empty.coefs) == 0
+    assert empty.constants.tolist() == [0.5] and empty != none
+
+    negative_zero = Pieces.of([((), -0.0)])
+    assert np.signbit(negative_zero.constants[0])
+    assert negative_zero == Pieces.of([((), 0.0)])
+    assert Pieces.of([(((0, -0.0),), 1.0)]) == Pieces.of([(((0, 0.0),), 1.0)])
+
+    one = (((0, 1.0),), 0.0)
+    assert Pieces.of([one]) != Pieces.of([one, one])
+    assert Pieces.of([one, one]) != Pieces.of([one])
+    # the same terms and constants, split into pieces differently
+    assert Pieces.of([(((0, 1.0), (1, 1.0)), 0.0), ((), 0.0)]) != Pieces.of([one, (((1, 1.0),), 0.0)])
+    assert Pieces.of([one]) != Pieces.of([(((1, 1.0),), 0.0)])
+    assert Pieces.of([one]) != Pieces.of([(((0, 2.0),), 0.0)])
+    assert Pieces.of([one]) != Pieces.of([(((0, 1.0),), 1.0)])
+
+    assert Pieces.of([one]) != (one,)
+    assert not isinstance(none, collections.abc.Sequence)
+    with pytest.raises(TypeError):
+        hash(none)
+
+
+def _pieces_as_pairs(pieces: Pieces) -> list:
+    """The pieces as (terms, constant) pairs, read off the arrays one
+    piece at a time."""
+    bounds = pieces.indptr.tolist()
+    terms = list(zip(pieces.coords.tolist(), pieces.coefs.tolist()))
+    return [(tuple(terms[a:b]), c) for a, b, c in zip(bounds, bounds[1:], pieces.constants.tolist())]
+
+
+def _assert_pieces_invariants(pieces: Pieces, size: int, rng) -> None:
+    """The invariants ``Pieces`` documents, and ``dense`` and ``values``
+    against the pieces read one at a time: each value the sum of its
+    terms' products in term order from 0.0, plus the constant."""
+    indptr, coords, coefs, constants = pieces.indptr, pieces.coords, pieces.coefs, pieces.constants
+    assert indptr.dtype == coords.dtype == np.intp
+    assert coefs.dtype == constants.dtype == np.float64
+    assert indptr.shape == (len(constants) + 1,) and coefs.shape == coords.shape
+    assert indptr[0] == 0 and indptr[-1] == len(coords) and (np.diff(indptr) >= 0).all()
+    owners = np.arange(len(constants)).repeat(np.diff(indptr))
+    assert (np.diff(coords)[owners[1:] == owners[:-1]] > 0).all()
+    assert (coefs != 0.0).all()
+    assert len(coords) == 0 or 0 <= coords.min() <= coords.max() < size
+
+    pairs = _pieces_as_pairs(pieces)
+    assert Pieces.of(pairs) == pieces
+    dense = np.zeros((len(pairs), size))
+    for row, (terms, _) in zip(dense, pairs):
+        for k, c in terms:
+            row[k] = c
+    assert dense.tobytes() == pieces.dense(size).tobytes()
+    p = rng.random(size)
+    values = [float(sum(c * p[k] for k, c in terms) + constant) for terms, constant in pairs]
+    assert np.array(values).tobytes() == pieces.values(p).tobytes()
+
+
+def _workload_problems(monkeypatch, seed):
+    """The training problems of perfbench's four workloads at ``seed``."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+
+    for workload in gen.WORKLOADS:
+        for inst in gen.workload(workload, seed):
+            yield inst.name, build_training_problem(parse_problem(inst.kb.problem()))
+
+
+def test_every_assembled_block_keeps_the_pieces_invariants(monkeypatch):
+    """Every block of every fixture, refused ones included, and of
+    perfbench's four workloads at seed 3, with its stacked matrix."""
+    rng = np.random.default_rng(5)
+    paths = sorted(FIXTURES.glob("**/*.json"))
+    problems = [(path.stem, build_training_problem(load_problem(path))) for path in paths]
+    problems += list(_workload_problems(monkeypatch, 3))
+    assert {name.split("_", 1)[0] for name, _ in problems[len(paths) :]} == {"train", "analyze", "compile", "audit"}
+    for name, tp in problems:
+        for block in tp.blocks:
+            assert isinstance(block.pieces, Pieces), (name, block.block_id)
+            _assert_pieces_invariants(block.pieces, tp.index.size, rng)
+        stacked = Pieces.concatenate([block.pieces for block in tp.blocks])
+        _assert_pieces_invariants(stacked, tp.index.size, rng)
 
 
 def test_assemble_matrix_drops_constant_pieces_by_default():
@@ -292,10 +383,12 @@ def _stacked_oracle(blocks, size, keep_zero_pieces=False) -> np.ndarray:
     """M as one dense column per kept piece, stacked: each column a zero
     vector with the piece's terms scattered into it."""
     columns = [
-        piece.dense(size)
+        column
         for block in blocks
-        for piece in block.pieces
-        if keep_zero_pieces or piece.terms or piece.constant > 0.0
+        for column, length, constant in zip(
+            block.pieces.dense(size), block.pieces.lengths(), block.pieces.constants
+        )
+        if keep_zero_pieces or length or constant > 0.0
     ]
     return np.column_stack(columns) if columns else np.zeros((size, 0))
 
@@ -352,8 +445,8 @@ def test_random_assemblies_match_the_per_cell_oracles(keep_zero_pieces):
             for _ in range(int(rng.integers(1, 5))):
                 coords = sorted(rng.permutation(size)[: rng.integers(0, min(size, 3) + 1)].tolist())
                 terms = tuple((k, coefficients[rng.integers(len(coefficients))]) for k in coords)
-                pieces.append(AffinePiece(terms, constants[rng.integers(len(constants))]))
-            blocks.append(ConstraintBlock(f"b{b},{trial}", "logical", tuple(pieces)))
+                pieces.append((terms, constants[rng.integers(len(constants))]))
+            blocks.append(ConstraintBlock(f"b{b},{trial}", "logical", Pieces.of(pieces)))
         labels = [f"c{k}" if k % 2 else f'say "r(x{k},y)"' for k in range(size)]
         _assert_same_bytes(blocks, size, labels, keep_zero_pieces)
 
@@ -417,7 +510,7 @@ def test_matrix_csv_with_no_columns():
     assert _csv_text(cm, labels) == _csv_oracle(cm, labels) == 'coord\nx1\n"r(x,y)"\nq\n'
 
     index = _index()
-    never = ConstraintBlock("never", "logical", (AffinePiece((), 0.0),))
+    never = ConstraintBlock("never", "logical", Pieces.of([((), 0.0)]))
     _assert_same_bytes([never], index.size, index.labels())
     assert assemble_matrix([never], index.size).n_columns == 0
 
@@ -487,7 +580,8 @@ def _outcome(compile_fn, nnf, index):
         aset = compile_fn(nnf, index)
     except (GroundingError, CompileError) as exc:
         return type(exc).__name__, str(exc)
-    return repr([(piece.terms, piece.constant) for piece in aset.pieces])
+    p = aset.pieces
+    return repr([p.indptr.tolist(), p.coords.tolist(), p.coefs.tolist(), p.constants.tolist()])
 
 
 WALK_TEXTS = [
@@ -528,7 +622,7 @@ def test_walk_matches_the_reference_on_random_formulas():
                 counts["errors"] += 1
             else:
                 counts["pieces"] += 1
-                counts["tautologies"] += outcome == repr([((), 1.0)])
+                counts["tautologies"] += outcome == repr([[0, 0], [], [], [1.0]])  # the cap alone
     # the draws reach both outcomes, and formulas whose literals all cancel
     assert counts["pieces"] >= 400 and counts["errors"] >= 40 and counts["tautologies"] >= 50
 
@@ -651,10 +745,9 @@ RELATIONAL_DECLS = [PredicateDecl("q", ("points",)), PredicateDecl("r", ("points
 
 def _reference_block(nnf, index, block_id):
     """The block of ``nnf`` built from the reference walk's pieces, each
-    negated as AffinePiece tuples."""
-    pieces = reference_compile_min_affine(nnf, index).pieces
-    negated = tuple(AffinePiece(tuple((k, -c) for k, c in p.terms), 1.0 - p.constant) for p in pieces)
-    return ConstraintBlock(block_id, "logical", negated)
+    negated: (a, c) becomes (-a, 1 - c)."""
+    p = reference_compile_min_affine(nnf, index).pieces
+    return ConstraintBlock(block_id, "logical", Pieces(p.indptr, p.coords, -p.coefs, 1.0 - p.constants))
 
 
 def _assert_same_arrays(a, b, names):

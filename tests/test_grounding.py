@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from luklearn.constraints import AffinePiece, compile_min_affine
+from luklearn.constraints import Pieces, compile_min_affine
 from luklearn.grounding import (
     GroundingError,
     PredicateDecl,
@@ -166,7 +166,7 @@ def test_empty_domain_rejected():
         build_grounding_index(DECLS, samples)
 
 
-def _pieces(text: str, index=None) -> tuple[AffinePiece, ...]:
+def _pieces(text: str, index=None) -> Pieces:
     index = index or _index()
     return compile_min_affine(to_nnf(parse_formula(text)), index).pieces
 
@@ -182,26 +182,26 @@ def test_expand_transitive_formula_conjunct_count():
             k = index.coordinate_of(Atom(pred, t))
             coeffs[k] = coeffs.get(k, 0.0) + c
         terms = tuple(sorted((k, c) for k, c in coeffs.items() if c != 0.0))
-        for piece in (AffinePiece((), 1.0), AffinePiece(terms, 2.0)):
+        for piece in (((), 1.0), (terms, 2.0)):
             if piece not in expected:
                 expected.append(piece)
     text = "forall u: forall v: forall w: ~p2(u,v) + ~p2(v,w) + p2(u,w)"
-    assert _pieces(text, index) == tuple(expected)
+    assert _pieces(text, index) == Pieces.of(expected)
     assert len(expected) == 5
 
 
 def test_expand_single_quantifier_structure():
-    assert _pieces("forall v: p1(v)") == (
-        AffinePiece(((0, 1.0),), 0.0),
-        AffinePiece(((1, 1.0),), 0.0),
-    )
+    assert _pieces("forall v: p1(v)") == Pieces.of([
+        (((0, 1.0),), 0.0),
+        (((1, 1.0),), 0.0),
+    ])
 
 
 def test_expand_constant_arguments():
-    assert _pieces("forall v: p2(x1,v)") == (
-        AffinePiece(((2, 1.0),), 0.0),
-        AffinePiece(((3, 1.0),), 0.0),
-    )
+    assert _pieces("forall v: p2(x1,v)") == Pieces.of([
+        (((2, 1.0),), 0.0),
+        (((3, 1.0),), 0.0),
+    ])
 
 
 def test_expand_rejects_free_variables():

@@ -486,18 +486,35 @@ def test_min_norm_solution_matches_pinv():
     rng = np.random.default_rng(71)
     M = rng.standard_normal((4, 6))
     rhs = rng.standard_normal(4)
-    x, res = min_norm_solution(M, rhs)
-    assert res <= 1e-10
+    x, res, rank = min_norm_solution(M, rhs)
+    assert res <= 1e-10 and rank == 4
     assert np.allclose(x, np.linalg.pinv(M) @ rhs, atol=1e-10)
 
     M2 = np.array([[1.0], [1.0]])
-    x2, res2 = min_norm_solution(M2, [0.0, 2.0])
+    x2, res2, rank2 = min_norm_solution(M2, [0.0, 2.0])
     assert x2[0] == pytest.approx(1.0, abs=1e-12)
     assert res2 == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert rank2 == 1
 
-    x3, res3 = min_norm_solution(np.zeros((2, 0)), [3.0, 4.0])
+    x3, res3, rank3 = min_norm_solution(np.zeros((2, 0)), [3.0, 4.0])
     assert x3.shape == (0,)
     assert res3 == pytest.approx(5.0)
+    assert rank3 == 0
+
+
+def test_min_norm_solution_truncates_where_nullspace_does():
+    """Singular values at or below the cutoff times the largest count as
+    zero in both the rank and the solution, as in ``nullspace``: the
+    solution has no component along their right singular vectors."""
+    rng = np.random.default_rng(72)
+    u, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    for tol in (1e-10, 1e-6):
+        s = np.array([1.0, 0.5, 0.1 * tol, 0.01])
+        M = u[:, :4] @ np.diag(s) @ v.T
+        x, _, rank = min_norm_solution(M, rng.standard_normal(5), tol)
+        assert rank == nullspace(M, tol).rank == 3
+        assert abs(v[:, 2] @ x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_qp_scalar_bound():
