@@ -72,14 +72,12 @@ from .solver import (
     Infeasible,
     LpRegion,
     LpResult,
-    NullspaceBasis,
     QpProblem,
     QpSolution,
     SolverError,
     Tolerances,
     min_norm_solution,
     nnls,
-    nullspace,
     solve_qp,
     tolerances_with,
 )

@@ -48,15 +48,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .constraints import ConstraintBlock, ConstraintMatrix, Pieces
-from .solver import (
-    DEFAULT_TOLERANCES,
-    LpRegion,
-    Tolerances,
-    min_norm_solution,
-    nnls,
-    nullspace,
-)
+from .constraints import ConstraintBlock, ConstraintMatrix, Pieces, assemble_matrix
+from .solver import DEFAULT_TOLERANCES, LpRegion, Tolerances, min_norm_solution, nnls
 from .train import TrainedModel, TrainingProblem, solve_primal
 
 
@@ -131,7 +124,8 @@ def solve_problem2(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> GeneralSolution:
     """Minimum-norm particular solution plus nullspace basis of the
-    multiplier system restricted to active columns.
+    multiplier system restricted to active columns, both from one
+    ``min_norm_solution``.
 
     ``activity`` defaults to every column active.  Raises
     InconsistentSystem when no multiplier vector reproduces ``target``,
@@ -148,16 +142,15 @@ def solve_problem2(
         column_blocks = [f"c{i + 1}" for i in range(N)]
     act_idx = np.flatnonzero(active)
     sub = M[:, act_idx]
-    lam_act, residual, _ = min_norm_solution(sub, target, tol.nullspace)
+    lam_act, residual, kernel = min_norm_solution(sub, target, tol.nullspace)
     if residual > tol.stationarity * (1.0 + float(np.linalg.norm(target))):
         raise InconsistentSystem(
             f"multiplier system residual {residual:.3e} exceeds tolerance"
         )
-    ns = nullspace(sub, tol.nullspace)
     particular = np.zeros(N)
     particular[act_idx] = lam_act
-    basis = np.zeros((N, ns.dim))
-    basis[act_idx, :] = ns.vectors
+    basis = np.zeros((N, kernel.shape[1]))
+    basis[act_idx, :] = kernel
     return GeneralSolution(M, target, active, list(column_blocks), particular, basis, residual)
 
 
@@ -279,13 +272,13 @@ def _deactivate(gs: GeneralSolution, block_id: str, tol: Tolerances, certificate
     vectors avoid the block, and this one may differ from the vertex an
     LP would return.  ``relaxed`` takes the minimum-norm t of the
     block's equations, with singular values at or below the nullspace
-    cutoff dropped, and ``t_unique`` reads that solve's rank.
+    cutoff dropped, and ``t_unique`` is true when that solve's kernel is
+    trivial.
     """
     act_cols = [c for c in gs.block_columns[block_id] if gs.active[c]]
-    eq_rows = gs.basis[act_cols, :]
-    relaxed_t, residual, rank = min_norm_solution(eq_rows, -gs.particular[act_cols], tol.nullspace)
+    relaxed_t, residual, kernel = min_norm_solution(gs.basis[act_cols, :], -gs.particular[act_cols], tol.nullspace)
     relaxed = gs.lambda_of(relaxed_t) if residual <= tol.stationarity else None
-    return DeactivationResult(block_id, certificate, relaxed, rank == eq_rows.shape[1], residual)
+    return DeactivationResult(block_id, certificate, relaxed, kernel.shape[1] == 0, residual)
 
 
 def _deactivations(gs: GeneralSolution, tol: Tolerances, fits: _Fits) -> dict[str, DeactivationResult]:
@@ -488,43 +481,13 @@ class AblationRecord:
     identical: bool
 
 
-def _without_block(cm: ConstraintMatrix, block_id: str) -> ConstraintMatrix:
-    """``cm`` less the columns of one block: the matrix
-    ``assemble_matrix`` builds from the other blocks, whose columns keep
-    their order and labels and close up over the removed ones."""
-    columns = cm.block_columns[block_id]
-    start = columns[0] if columns else 0
-    stop = start + len(columns)
-    kept = (cm.cols < start) | (cm.cols >= stop)
-    cols = cm.cols[kept]
-    cols[cols >= stop] -= len(columns)
-    return ConstraintMatrix(
-        (cm.shape[0], cm.shape[1] - len(columns)),
-        cm.coords[kept],
-        cols,
-        cm.values[kept],
-        np.concatenate((cm.offsets[:start], cm.offsets[stop:])),
-        cm.column_labels[:start] + cm.column_labels[stop:],
-        cm.column_block[:start] + cm.column_block[stop:],
-        [b for b in cm.block_order if b != block_id],
-        {
-            b: [c - len(columns) if c >= stop else c for c in cs]
-            for b, cs in cm.block_columns.items()
-            if b != block_id
-        },
-        {b: f for b, f in cm.families.items() if b != block_id},
-        {b: s for b, s in cm.sources.items() if b != block_id},
-        {b: n for b, n in cm.dropped.items() if b != block_id},
-    )
-
-
 def ablated_problem(tp: TrainingProblem, block_id: str) -> TrainingProblem:
     """The same training problem with one constraint block removed; its
-    matrix is the problem's less that block's columns."""
+    matrix is assembled from the other blocks."""
     if all(b.block_id != block_id for b in tp.blocks):
         raise AnalysisError(f"unknown block {block_id!r}")
     blocks = [b for b in tp.blocks if b.block_id != block_id]
-    return replace(tp, blocks=blocks, matrix=_without_block(tp.matrix, block_id))
+    return replace(tp, blocks=blocks, matrix=assemble_matrix(blocks, tp.index.size, tp.keep_zero_pieces))
 
 
 def ablate_and_compare(

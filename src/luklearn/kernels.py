@@ -106,11 +106,14 @@ def gram(spec: KernelSpec, points: Sequence[Sequence[float]]) -> GramMatrix:
 
 def psd_check(g: GramMatrix) -> str:
     """Classify a Gram matrix as positive_definite, positive_semidefinite
-    or invalid by its smallest eigenvalue (tolerance 1e-9)."""
+    or invalid by its smallest eigenvalue: above 1e-9 is definite, and
+    below -1e-9 times max(1, largest |diagonal entry|) is invalid.
+    Rounding moves an eigenvalue by about the machine epsilon times the
+    largest, and the largest diagonal entry is within a factor n of it."""
     if not g.symmetric:
         raise KernelError("Gram matrix is not symmetric")
     if g.min_eigenvalue > 1e-9:
         return "positive_definite"
-    if g.min_eigenvalue >= -1e-9:
+    if g.min_eigenvalue >= -1e-9 * max(1.0, float(np.max(np.abs(np.diagonal(g.matrix)), initial=0.0))):
         return "positive_semidefinite"
     return "invalid"

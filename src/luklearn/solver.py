@@ -1,6 +1,7 @@
 """Dense numeric core: nonnegative least squares (NNLS), convex quadratic
 programming by least-distance NNLS solves behind a KKT gate, linear
-programming by a tableau simplex, and nullspace / least-squares helpers.
+programming by a tableau simplex, and one minimum-norm least-squares
+solve that also returns the kernel of its matrix.
 
 An ``LpRegion`` is the one entry point for LPs: the region A x <= b,
 x >= 0.  Its simplex starts from the slack basis and adds artificials,
@@ -399,45 +400,29 @@ class LpRegion:
 
 
 # ---------------------------------------------------------------------------
-# Nullspace and least squares
-
-
-@dataclass(eq=False)
-class NullspaceBasis:
-    """Orthonormal basis of Ker(M), one vector per column of ``vectors``."""
-
-    vectors: np.ndarray  # n x dim
-    rank: int
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-
-def nullspace(M: np.ndarray, tol: float = DEFAULT_TOLERANCES.nullspace) -> NullspaceBasis:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    n = M.shape[1]
-    if M.size == 0:  # no rows, or no columns: the kernel is the whole space
-        return NullspaceBasis(np.eye(n), 0)
-    _, s, vt = np.linalg.svd(M)
-    smax = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0.0 else 0
-    return NullspaceBasis(vt[rank:].T.copy(), rank)
+# Least squares
 
 
 def min_norm_solution(
     M: np.ndarray, rhs: Sequence[float], tol: float = DEFAULT_TOLERANCES.nullspace
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Least-squares solution of M x = rhs with minimal norm, the
-    achieved residual norm and the rank of M.  Singular values at or
-    below ``tol`` times the largest count as zero, the cutoff of
-    ``nullspace``, so the rank is the one ``nullspace`` finds."""
+    achieved residual norm and an orthonormal basis of Ker(M), one
+    vector per column, all from one SVD M = U diag(s) V'.  Singular
+    values at or below ``tol`` times the largest count as zero: the
+    rank r is the number above, x = V_r (U_r' rhs / s_r), and the kernel
+    is the last n - r columns of V (Golub and Van Loan, Matrix
+    Computations, sec. 5.5).  Without rows or columns the kernel is the
+    whole space."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     rhs = np.asarray(rhs, dtype=float)
-    if M.shape[1] == 0:
-        return np.zeros(0), float(np.linalg.norm(rhs)), 0
-    x, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=tol)
-    return x, float(np.linalg.norm(M @ x - rhs)), int(rank)
+    n = M.shape[1]
+    if M.size == 0:
+        return np.zeros(n), float(np.linalg.norm(rhs)), np.eye(n)
+    u, s, vt = np.linalg.svd(M)
+    rank = int(np.count_nonzero(s > tol * s[0]))
+    x = vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
+    return x, float(np.linalg.norm(M @ x - rhs)), vt[rank:].T
 
 
 def nnls(A: np.ndarray, b: Sequence[float]) -> tuple[np.ndarray, float]:

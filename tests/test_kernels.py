@@ -126,6 +126,21 @@ def test_psd_check_branches():
         psd_check(asym)
 
 
+def test_psd_check_scales_the_invalid_threshold_with_the_diagonal():
+    """Rounding leaves eigenvalues of about -1e-8 on large valid Gram
+    matrices; those are semidefinite, while a truly indefinite kernel
+    stays invalid."""
+    cases = [
+        (KernelSpec("linear"), np.random.default_rng(0).random((6, 2)) * 1e4, "positive_semidefinite"),
+        (KernelSpec("polynomial", degree=2), np.random.default_rng(1).random((8, 2)) * 100, "positive_semidefinite"),
+        (KernelSpec("linear", offset=-1.0), np.random.default_rng(0).random((6, 2)), "invalid"),
+    ]
+    for spec, points, verdict in cases:
+        g = gram(spec, points)
+        assert g.min_eigenvalue < -1e-9
+        assert psd_check(g) == verdict
+
+
 def test_min_eigenvalue_matches_numpy():
     rng = np.random.default_rng(41)
     points = rng.random((5, 2))

@@ -1,4 +1,4 @@
-"""Tests for the simplex LP, NNLS, nullspace helpers, and the least-distance QP."""
+"""Tests for the simplex LP, NNLS, the minimum-norm least-squares solve, and the least-distance QP."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from luklearn.solver import (
     SolverError,
     min_norm_solution,
     nnls,
-    nullspace,
     solve_qp,
     tolerances_with,
 )
@@ -430,20 +429,26 @@ def test_nnls_without_columns():
     assert rnorm == pytest.approx(5.0)
 
 
+def _kernel(M, tol=DEFAULT_TOLERANCES.nullspace):
+    """The kernel basis ``min_norm_solution`` returns for M."""
+    M = np.atleast_2d(M)
+    return min_norm_solution(M, np.zeros(M.shape[0]), tol)[2]
+
+
 def test_nullspace_identity_and_zero():
-    basis = nullspace(np.eye(4))
-    assert basis.dim == 0 and basis.rank == 4
+    kernel = _kernel(np.eye(4))
+    assert kernel.shape == (4, 0)
 
-    basis = nullspace(np.zeros((3, 5)))
-    assert basis.dim == 5 and basis.rank == 0
+    kernel = _kernel(np.zeros((3, 5)))
+    assert kernel.shape == (5, 5)  # rank 0
 
-    basis = nullspace(np.zeros((3, 0)))
-    assert basis.dim == 0
+    kernel = _kernel(np.zeros((3, 0)))
+    assert kernel.shape[1] == 0
 
     # without rows every vector is in the kernel
-    basis = nullspace(np.zeros((0, 3)))
-    assert basis.dim == 3 and basis.rank == 0
-    assert np.array_equal(basis.vectors, np.eye(3))
+    kernel = _kernel(np.zeros((0, 3)))
+    assert kernel.shape == (3, 3)  # rank 0
+    assert np.array_equal(kernel, np.eye(3))
 
 
 def test_nullspace_known_matrix():
@@ -458,13 +463,13 @@ def test_nullspace_known_matrix():
         ],
         dtype=float,
     )
-    basis = nullspace(M)
-    assert basis.dim == 2
-    assert np.max(np.abs(M @ basis.vectors)) <= 1e-12
-    assert np.allclose(basis.vectors.T @ basis.vectors, np.eye(2), atol=1e-12)
+    kernel = _kernel(M)
+    assert kernel.shape[1] == 2
+    assert np.max(np.abs(M @ kernel)) <= 1e-12
+    assert np.allclose(kernel.T @ kernel, np.eye(2), atol=1e-12)
     for v in ([-1, 0, -1, 0, 1, 0], [0, -1, 0, -1, 0, 1]):
         v = np.asarray(v, dtype=float)
-        proj = basis.vectors @ (basis.vectors.T @ v)
+        proj = kernel @ (kernel.T @ v)
         assert np.max(np.abs(proj - v)) <= 1e-12
 
 
@@ -474,47 +479,74 @@ def test_nullspace_random_rank():
         n = int(rng.integers(2, 9))
         r = int(rng.integers(0, n + 1))
         M = rng.standard_normal((10, r)) @ rng.standard_normal((r, n)) if r else np.zeros((10, n))
-        basis = nullspace(M)
-        assert basis.rank == r
-        assert basis.dim == n - r
-        if basis.dim:
-            assert np.max(np.abs(M @ basis.vectors)) <= 1e-8
-            assert np.allclose(basis.vectors.T @ basis.vectors, np.eye(basis.dim), atol=1e-10)
+        kernel = _kernel(M)
+        assert kernel.shape[0] - kernel.shape[1] == r  # the rank
+        assert kernel.shape[1] == n - r
+        if kernel.shape[1]:
+            assert np.max(np.abs(M @ kernel)) <= 1e-8
+            assert np.allclose(kernel.T @ kernel, np.eye(kernel.shape[1]), atol=1e-10)
 
 
 def test_min_norm_solution_matches_pinv():
     rng = np.random.default_rng(71)
     M = rng.standard_normal((4, 6))
     rhs = rng.standard_normal(4)
-    x, res, rank = min_norm_solution(M, rhs)
-    assert res <= 1e-10 and rank == 4
+    x, res, kernel = min_norm_solution(M, rhs)
+    assert res <= 1e-10 and kernel.shape == (6, 2)  # rank 4
     assert np.allclose(x, np.linalg.pinv(M) @ rhs, atol=1e-10)
 
     M2 = np.array([[1.0], [1.0]])
-    x2, res2, rank2 = min_norm_solution(M2, [0.0, 2.0])
+    x2, res2, kernel2 = min_norm_solution(M2, [0.0, 2.0])
     assert x2[0] == pytest.approx(1.0, abs=1e-12)
     assert res2 == pytest.approx(np.sqrt(2.0), abs=1e-12)
-    assert rank2 == 1
+    assert kernel2.shape == (1, 0)  # rank 1
 
-    x3, res3, rank3 = min_norm_solution(np.zeros((2, 0)), [3.0, 4.0])
+    x3, res3, kernel3 = min_norm_solution(np.zeros((2, 0)), [3.0, 4.0])
     assert x3.shape == (0,)
     assert res3 == pytest.approx(5.0)
-    assert rank3 == 0
+    assert kernel3.shape == (0, 0)  # rank 0
 
 
 def test_min_norm_solution_truncates_where_nullspace_does():
     """Singular values at or below the cutoff times the largest count as
-    zero in both the rank and the solution, as in ``nullspace``: the
-    solution has no component along their right singular vectors."""
+    zero in the rank, the solution and the nullspace: the solution has
+    no component along their right singular vectors, and the returned
+    kernel spans them."""
     rng = np.random.default_rng(72)
     u, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     for tol in (1e-10, 1e-6):
         s = np.array([1.0, 0.5, 0.1 * tol, 0.01])
         M = u[:, :4] @ np.diag(s) @ v.T
-        x, _, rank = min_norm_solution(M, rng.standard_normal(5), tol)
-        assert rank == nullspace(M, tol).rank == 3
+        x, _, kernel = min_norm_solution(M, rng.standard_normal(5), tol)
+        assert kernel.shape == (4, 1)  # rank 3
         assert abs(v[:, 2] @ x) <= 1e-12 * np.linalg.norm(x)
+        assert abs(abs(v[:, 2] @ kernel[:, 0]) - 1.0) <= 1e-9
+
+
+def test_min_norm_solution_just_below_the_cutoff():
+    """On seeded rank-deficient matrices with one more singular value
+    just below the cutoff, the solution is orthogonal to the kernel, M
+    maps the kernel to about zero, and the kernel is orthonormal, of
+    width n minus the rank above the cutoff."""
+    rng = np.random.default_rng(73)
+    tol = DEFAULT_TOLERANCES.nullspace
+    for _ in range(40):
+        m, n = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        k = min(m, n)
+        rank = int(rng.integers(1, k + 1))
+        u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        s = np.zeros(k)
+        s[:rank] = np.sort(rng.uniform(0.5, 2.0, rank))[::-1]
+        if rank < k:
+            s[rank] = 0.9 * tol * s[0]  # kept out of the rank
+        M = u[:, :k] @ np.diag(s) @ v[:, :k].T
+        x, _, kernel = min_norm_solution(M, rng.standard_normal(m), tol)
+        assert kernel.shape == (n, n - rank)
+        assert np.max(np.abs(kernel.T @ x), initial=0.0) <= 1e-12 * (1.0 + np.linalg.norm(x))
+        assert np.max(np.abs(M @ kernel), initial=0.0) <= tol * s[0]
+        assert np.allclose(kernel.T @ kernel, np.eye(n - rank), atol=1e-12)
 
 
 def test_qp_scalar_bound():
