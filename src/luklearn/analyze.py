@@ -49,8 +49,8 @@ from typing import Sequence
 import numpy as np
 
 from .constraints import ConstraintBlock, ConstraintMatrix, Pieces, assemble_matrix
-from .solver import DEFAULT_TOLERANCES, LpRegion, Tolerances, min_norm_solution, nnls
-from .train import TrainedModel, TrainingProblem, solve_primal
+from .solver import DEFAULT_TOLERANCES, LpRegion, Tolerances, _kkt_residuals, min_norm_solution, nnls
+from .train import TrainedModel, TrainingProblem, solve_primal, training_qp
 
 
 class AnalysisError(Exception):
@@ -490,18 +490,44 @@ def ablated_problem(tp: TrainingProblem, block_id: str) -> TrainingProblem:
     return replace(tp, blocks=blocks, matrix=assemble_matrix(blocks, tp.index.size, tp.keep_zero_pieces))
 
 
+def _stays_optimal(model: TrainedModel, block_id: str) -> bool:
+    """Whether the trained point is a KKT point of the QP without
+    ``block_id``: the block's multipliers are all exactly zero, and the
+    trained (x, mu) over the other rows pass ``_kkt_residuals`` at the
+    QP tolerance."""
+    tp = model.problem
+    kept = np.array([b != block_id for b in tp.matrix.column_block], dtype=bool)
+    if model.multipliers[~kept].any():
+        return False
+    qp = training_qp(tp, tp.khat())
+    _, optimal = _kkt_residuals(qp.Q, qp.c, qp.A[kept], qp.b[kept], model.qp.x, model.multipliers[kept], tp.tolerances.qp)
+    return optimal
+
+
 def ablate_and_compare(
     tp: TrainingProblem,
     block_id: str,
     model: TrainedModel | None = None,
 ) -> AblationRecord:
-    """Retrain without one block and compare optima and losses."""
+    """Retrain without one block and compare optima and losses.
+
+    A block whose trained multipliers are all exactly zero needs no
+    retraining: a zero multiplier drops out of stationarity, and
+    dropping rows keeps the point feasible and complementary, so the
+    trained point is a KKT point of the smaller convex QP, hence its
+    optimum.  That is checked, not assumed: ``_kkt_residuals`` is
+    evaluated on the ablated QP, M's rows less the block's columns, at
+    the trained (x, mu).  When it passes, the record reports the trained
+    loss, ``p_distance`` exactly 0.0 and the block's violation at the
+    trained p*; when it refuses, or a multiplier of the block is
+    nonzero, the problem without the block is trained from scratch.
+    """
     dropped = next((b for b in tp.blocks if b.block_id == block_id), None)
     if dropped is None:
         raise AnalysisError(f"unknown block {block_id!r}")
     if model is None:
         model = solve_primal(tp)
-    ablated = solve_primal(ablated_problem(tp, block_id))
+    ablated = model if _stays_optimal(model, block_id) else solve_primal(ablated_problem(tp, block_id))
     distance = float(np.max(np.abs(model.p_star - ablated.p_star), initial=0.0))
     violation = dropped.max_value(ablated.p_star)
     return AblationRecord(

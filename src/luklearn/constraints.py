@@ -551,14 +551,16 @@ def matrix_csv(cm: ConstraintMatrix, coordinate_labels: Sequence[str], out: Text
     its float, formatted once per distinct value by its bits (so -0.0
     stays -0.0).  A stable sort by coordinate puts M's entries by row,
     then column (``cols`` never decreases), and a piece's coordinates
-    increase, so a cell holds at most one entry.  A row joins its label,
+    increase, so a cell holds at most one entry.  The sort keys are the
+    coordinates in the narrowest unsigned type that holds them, which
+    numpy sorts by radix, in the same order.  A row joins its label,
     per entry the "0.0" cells before it and its cell, and the "0.0"
     cells after the last; it is written before the next is built.  A
     label count that does not match M raises before anything is written.
     """
     cm.check_labels(coordinate_labels)
     size, n = cm.shape
-    order = np.argsort(cm.coords, kind="stable")
+    order = np.argsort(cm.coords.astype(np.min_scalar_type(size)), kind="stable")
     rows, cols = cm.coords[order], cm.cols[order]
     bits = np.concatenate([cm.values[order], cm.offsets]).view(np.int64)
     distinct, ids = np.unique(bits, return_inverse=True)

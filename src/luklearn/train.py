@@ -291,6 +291,22 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+def training_qp(tp: TrainingProblem, khat: np.ndarray) -> QpProblem:
+    """The training QP in the coefficients, then one bias per predicate
+    when ``tp.bias``: Q = 2 ``khat`` padded with zeros for the biases,
+    no linear term, one row M'K-hat | M'B per constraint column, and the
+    offsets q as b."""
+    S = tp.index.size
+    n = S + (len(tp.decls) if tp.bias else 0)
+    Q = np.zeros((n, n))
+    Q[:S, :S] = 2.0 * khat
+    M = tp.matrix.matrix
+    rows = M.T @ khat
+    if tp.bias:
+        rows = np.hstack([rows, M.T @ tp.bias_map()])
+    return QpProblem(Q, np.zeros(n), rows, tp.matrix.offsets.copy())
+
+
 def solve_primal(tp: TrainingProblem) -> TrainedModel:
     """Solve the constrained training problem to optimality.
 
@@ -305,15 +321,8 @@ def solve_primal(tp: TrainingProblem) -> TrainedModel:
     S = tp.index.size
     khat = tp.khat()
     n_bias = len(tp.decls) if tp.bias else 0
-    n = S + n_bias
-
-    Q = np.zeros((n, n))
-    Q[:S, :S] = 2.0 * khat
-    rows = tp.matrix.matrix.T @ khat  # one row per constraint column
-    if n_bias:
-        rows = np.hstack([rows, tp.matrix.matrix.T @ tp.bias_map()])
     try:
-        qp = solve_qp(QpProblem(Q, np.zeros(n), rows, tp.matrix.offsets.copy()), tp.tolerances)
+        qp = solve_qp(training_qp(tp, khat), tp.tolerances)
     except Infeasible as exc:
         drift = float(np.max(np.abs(tp.matrix.matrix @ exc.farkas), initial=0.0))
         if drift > 1e-9 * exc.certificate:

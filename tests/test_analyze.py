@@ -636,6 +636,106 @@ def test_ablated_matrix_is_the_assembly_of_the_other_blocks(path):
         assert np.array_equal(np.bincount(got.cols, minlength=got.shape[1]) == 0, empty[kept])
 
 
+def _idle(model, block_id) -> bool:
+    """Whether every trained multiplier of ``block_id`` is exactly zero."""
+    matrix = model.problem.matrix
+    return not model.multipliers[matrix.block_columns.get(block_id, [])].any()
+
+
+def _counting_solve_primal(monkeypatch):
+    """Route ``analyze``'s ``solve_primal`` through a wrapper; returns
+    the list it appends each call's problem to."""
+    calls = []
+
+    def counting(tp):
+        calls.append(tp)
+        return solve_primal(tp)
+
+    monkeypatch.setattr(analyze, "solve_primal", counting)
+    return calls
+
+
+@pytest.mark.parametrize("path", [p for p in FIXTURE_PATHS if p.stem != "conflict"], ids=lambda p: p.stem)
+def test_ablating_an_idle_block_matches_retraining(path):
+    """A block whose multipliers are all zero is ablated without a
+    retrain; its record matches the one an explicit retrain without the
+    block gives: the same flags, the distance within 1e-12 relative to
+    the loss, and the loss within the KKT gate's tolerance relative to
+    it, the accuracy a retrain itself has.  On chain_bias and
+    chain_ill_conditioned retrains scatter around the trained loss by up
+    to 2.3e-10 and 5.8e-10 relative; on the other fixtures the two
+    losses are equal."""
+    tp = build_training_problem(load_problem(path))
+    model = solve_primal(tp)
+    idle = [b.block_id for b in tp.blocks if _idle(model, b.block_id)]
+    assert idle
+    for block_id in idle:
+        record = ablate_and_compare(tp, block_id, model)
+        assert record.p_distance == 0.0 and record.ablated_loss == record.loss, block_id
+        retrained = solve_primal(ablated_problem(tp, block_id))
+        violation = next(b for b in tp.blocks if b.block_id == block_id).max_value(retrained.p_star)
+        distance = float(np.max(np.abs(model.p_star - retrained.p_star), initial=0.0))
+        assert record.identical == (distance <= 1e-7), block_id
+        assert record.dropped_satisfied == (violation <= 1e-7), block_id
+        assert abs(record.ablated_loss - retrained.loss) <= tp.tolerances.qp * (1.0 + model.loss), block_id
+        assert abs(record.p_distance - distance) <= 1e-12 * (1.0 + model.loss), block_id
+
+
+def test_ablation_retrains_only_for_a_block_with_a_multiplier(monkeypatch):
+    """Ablating a block trains the full problem, then retrains only when
+    one of the block's multipliers is nonzero."""
+    tp = build_training_problem(load_problem(FIXTURES / "example4.json"))
+    model = solve_primal(tp)
+    calls = _counting_solve_primal(monkeypatch)
+    kinds = set()
+    for block in tp.blocks:
+        calls.clear()
+        ablate_and_compare(tp, block.block_id)
+        idle = _idle(model, block.block_id)
+        assert len(calls) == (1 if idle else 2), block.block_id
+        kinds.add(idle)
+    assert kinds == {True, False}
+
+
+def test_ablation_retrains_when_the_gate_refuses_the_trained_point(monkeypatch):
+    """When the KKT gate refuses the trained point on the ablated QP, an
+    idle block is ablated by retraining, exactly as a busy one."""
+    tp = build_training_problem(load_problem(FIXTURES / "example4.json"))
+    model = solve_primal(tp)
+    block_id = next(b.block_id for b in tp.blocks if _idle(model, b.block_id))
+    monkeypatch.setattr(analyze, "_kkt_residuals", lambda *args: ({}, False))
+    calls = _counting_solve_primal(monkeypatch)
+    record = ablate_and_compare(tp, block_id, model)
+    assert len(calls) == 1 and [b.block_id for b in calls[0].blocks] == [b.block_id for b in tp.blocks if b.block_id != block_id]
+    retrained = solve_primal(ablated_problem(tp, block_id))
+    assert record.ablated_loss == retrained.loss
+    assert record.p_distance == float(np.max(np.abs(model.p_star - retrained.p_star), initial=0.0))
+
+
+@pytest.mark.parametrize("sigma", [0.2, 0.5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verdicts_agree_with_ablation_on_ladder_chains(monkeypatch, seed, sigma):
+    """Ablation as the oracle of every verdict on the n = 10 ladder
+    chains, judged on p*'s inf-norm shift: an entailed or removable
+    block moves it by at most 1e-7, a necessary one by more, and a
+    candidate keeps the loss."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+
+    kb = gen.chain_kb(np.random.default_rng([seed, 5, 10, round(100 * sigma)]), 10, sigma)
+    model = solve_primal(build_training_problem(parse_problem(kb.problem())))
+    report = removable_constraints(model, check_entailment=True)
+    for entry in report.blocks:
+        record = ablate_and_compare(model.problem, entry.block_id, model)
+        if entry.verdict in ("entailed", "removable"):
+            assert record.p_distance <= 1e-7, (entry.block_id, entry.verdict, record.p_distance)
+        elif entry.verdict == "necessary":
+            assert record.p_distance > 1e-7, (entry.block_id, record.p_distance)
+        else:
+            assert entry.verdict == "candidate"
+            assert abs(record.ablated_loss - record.loss) <= 1e-7 * (1.0 + record.loss), entry.block_id
+
+
 # ---------------------------------------------------------------------------
 # full report
 
