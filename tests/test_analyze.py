@@ -712,6 +712,17 @@ def test_ablation_retrains_when_the_gate_refuses_the_trained_point(monkeypatch):
     assert record.p_distance == float(np.max(np.abs(model.p_star - retrained.p_star), initial=0.0))
 
 
+def test_ablation_gate_checks_the_qp_training_solved(monkeypatch):
+    """The gate on an idle block reads the QP kept on the model; it
+    builds neither K-hat nor the QP again."""
+    tp = build_training_problem(load_problem(FIXTURES / "example4.json"))
+    model = solve_primal(tp)
+    block_id = next(b.block_id for b in tp.blocks if _idle(model, b.block_id))
+    expected = vars(ablate_and_compare(tp, block_id, model))
+    monkeypatch.setattr(type(tp), "khat", lambda self: pytest.fail("K-hat built again"))
+    assert vars(ablate_and_compare(tp, block_id, model)) == expected
+
+
 @pytest.mark.parametrize("sigma", [0.2, 0.5])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_verdicts_agree_with_ablation_on_ladder_chains(monkeypatch, seed, sigma):

@@ -524,6 +524,33 @@ def test_every_json_artifact_is_the_json_dumps_text(tmp_path, monkeypatch, path)
         assert out.read_text() == expected, out.name
 
 
+def test_artifacts_written_over_larger_ones_match_a_fresh_directory(tmp_path):
+    """Every command writes over the larger artifacts of another problem
+    in place, and leaves the bytes a fresh directory gets."""
+    example1, chain = FIXTURES / "example1.json", FIXTURES / "chain_ill_conditioned.json"
+    commands = [  # the command, then its options for example1 and for the chain
+        ("compile", [], []),
+        ("train", [], []),
+        ("analyze", ["--entailment", "--minimal-sets"], ["--entailment", "--minimal-sets"]),
+        ("ablate", ["--drop", "phi1"], ["--drop", "phi2"]),
+        ("predict-grid", ["--predicate", "p1"], ["--predicate", "p1"]),
+    ]
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    for command, options, chain_options in commands:
+        assert _run(command, example1, "-o", fresh, *options) == 0
+        assert _run(command, chain, "-o", reused, *chain_options) == 0
+    names = sorted(f.name for f in fresh.iterdir())
+    assert names == sorted(f.name for f in reused.iterdir())
+    old = {name: (reused / name).stat() for name in names}
+    for name in names:  # so every write leaves an old tail to cut
+        assert old[name].st_size > (fresh / name).stat().st_size, name
+    for command, options, _ in commands:
+        assert _run(command, example1, "-o", reused, *options) == 0
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert (reused / name).stat().st_ino == old[name].st_ino, name
+
+
 def test_module_entry_point_version():
     # the child imports luklearn from wherever this process found it
     proc = subprocess.run(

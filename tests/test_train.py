@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -420,7 +422,15 @@ def _written(tmp_path, payload) -> str:
     ],
 )
 def test_write_json_matches_json_dumps(tmp_path, payload):
-    assert _written(tmp_path, payload) == json.dumps(payload, indent=2) + "\n"
+    expected = json.dumps(payload, indent=2) + "\n"
+    assert _written(tmp_path, payload) == expected
+    _junk(tmp_path / "out.json")  # written over in place, the old tail cut
+    assert _written(tmp_path, payload) == expected
+
+
+def _junk(path, size=64 * 1024):
+    """Fill ``path`` with ``size`` bytes that no artifact holds."""
+    path.write_bytes(b"#" * size)
 
 
 @pytest.mark.parametrize(
@@ -438,7 +448,38 @@ def test_write_json_matches_json_dumps(tmp_path, payload):
          "tuple-key-mixed"],
 )
 def test_write_json_raises_where_json_dumps_does(tmp_path, payload):
+    """Over a longer file too, and then the file holds what a new file
+    shows was written before the error, and nothing of the old file."""
     with pytest.raises(TypeError):
         json.dumps(payload, indent=2)
-    with pytest.raises(TypeError):
-        write_json(tmp_path / "out.json", payload)
+    fresh, over = tmp_path / "fresh.json", tmp_path / "over.json"
+    _junk(over)
+    for path in (fresh, over):
+        with pytest.raises(TypeError):
+            write_json(path, payload)
+    assert over.read_bytes() == fresh.read_bytes()
+
+
+def test_a_new_artifact_gets_the_default_mode_less_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_json(tmp_path / "out.json", {"a": 1})
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "out.json").stat().st_mode) == 0o666 & ~0o027
+
+
+def test_an_artifact_is_written_over_in_place(tmp_path):
+    """An existing artifact keeps its inode and mode, so a hard link sees
+    the new text; a link to a file that cannot be cut still takes it."""
+    path, link = tmp_path / "out.json", tmp_path / "link.json"
+    _junk(path)
+    path.chmod(0o600)
+    os.link(path, link)
+    inode = path.stat().st_ino
+    write_json(path, {"a": [1, 2]})
+    assert link.read_text() == json.dumps({"a": [1, 2]}, indent=2) + "\n"
+    assert path.stat().st_ino == inode
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    (tmp_path / "null.json").symlink_to(os.devnull)
+    write_json(tmp_path / "null.json", {"a": 1})
