@@ -567,14 +567,24 @@ class AnalysisReport:
     column_labels: list[str]     # their labels
 
     def to_dict(self) -> dict:
-        def vec(v, labels=None):
+        """The report as JSON data, each vector a dict from the reported
+        column labels to its entries there.  Most blocks take the pool's
+        own fit or the particular solution as their certificate, so
+        vectors with equal bits share one dict (``-0.0`` and ``0.0``
+        differ), which ``write_json`` encodes once; treat the result as
+        read-only."""
+        labels = self.column_labels
+        shared: dict[bytes, dict] = {}
+
+        def vec(v):
             if v is None:
                 return None
-            if labels is None:
-                return np.asarray(v, dtype=float).tolist()
-            return dict(zip(labels, np.asarray(v, dtype=float)[self.columns].tolist()))
+            values = np.asarray(v, dtype=float)[self.columns]
+            key = values.tobytes()
+            if key not in shared:
+                shared[key] = dict(zip(labels, values.tolist()))
+            return shared[key]
 
-        labels = self.column_labels
         blocks = []
         for entry in self.blocks:
             d = entry.deactivation
@@ -588,12 +598,12 @@ class AnalysisReport:
                     "target_system": None
                     if d is None
                     else {
-                        "certificate": vec(d.certificate, labels),
-                        "relaxed": vec(d.relaxed, labels),
+                        "certificate": vec(d.certificate),
+                        "relaxed": vec(d.relaxed),
                         "t_unique": d.t_unique,
                         "equality_residual": d.equality_residual,
                     },
-                    "gradient_certificate": vec(entry.kkt, labels),
+                    "gradient_certificate": vec(entry.kkt),
                     "entailment": None
                     if entry.entailment is None
                     else {
@@ -613,13 +623,13 @@ class AnalysisReport:
             "kernel_classification": dict(self.psd),
             "nullspace_dimension": self.general.nullspace_dim,
             "system_residual": self.general.residual,
-            "target": vec(self.target),
-            "particular_solution": vec(self.general.particular, labels),
+            "target": np.asarray(self.target, dtype=float).tolist(),
+            "particular_solution": vec(self.general.particular),
             "blocks": blocks,
             "minimal_support_sets": None
             if self.minimal_sets is None
             else [
-                {"blocks": list(s.blocks), "certificate": vec(s.certificate, labels)}
+                {"blocks": list(s.blocks), "certificate": vec(s.certificate)}
                 for s in self.minimal_sets
             ],
         }

@@ -4,8 +4,9 @@ Subcommands: compile, train, analyze, ablate, predict-grid.  All
 outputs are deterministic: rerunning a command on the same input file
 produces byte-identical artifacts.
 
-Exit codes: 0 success, 2 input error, 3 infeasible problem, 4 resource
-guard tripped or a numerical result refused.
+Exit codes: 0 success, 2 input error or an output path that cannot be
+written, 3 infeasible problem, 4 resource guard tripped or a numerical
+result refused.
 """
 
 from __future__ import annotations
@@ -272,6 +273,9 @@ def main(argv=None) -> int:
         AnalysisError,
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # reading the problem raises ProblemError, so this is an output path
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
 
 

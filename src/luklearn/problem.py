@@ -199,10 +199,12 @@ def parse_problem(data: Mapping) -> Problem:
 
 def load_problem(path) -> Problem:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259)
             data = json.load(fh)
     except OSError as exc:
         raise ProblemError("file", str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ProblemError("file", f"not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProblemError("file", f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     return parse_problem(data)

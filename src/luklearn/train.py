@@ -254,11 +254,17 @@ def _key(key) -> str:
     return _flat_encoder(0)({key: 0})[1:-4]
 
 
-def _write_container(write, value, depth: int) -> None:
+def _write_container(write, value, depth: int, flat: dict) -> None:
     """Stream the dict, list or tuple ``value`` at ``depth`` as
     ``json.dumps(value, indent=2)`` writes it there.  A container that
-    holds no container is encoded in C, whole; only containers of
+    holds no container is encoded in C, whole, and its text is kept in
+    ``flat`` under ``(id(value), depth)``, so the same container met
+    again at that depth is written from it; only containers of
     containers are walked here."""
+    text = flat.get((id(value), depth))
+    if text is not None:
+        write(text)
+        return
     is_dict = isinstance(value, dict)
     opening, closing = "{}" if is_dict else "[]"
     if not value:
@@ -268,7 +274,9 @@ def _write_container(write, value, depth: int) -> None:
     closing = "\n" + _INDENT * depth + closing
     kinds = set(map(type, value.values() if is_dict else value))
     if not any(issubclass(kind, _CONTAINERS) for kind in kinds):
-        write(opening + inner + _flat_encoder(depth + 1)(value)[1:-1] + closing)
+        text = opening + inner + _flat_encoder(depth + 1)(value)[1:-1] + closing
+        flat[id(value), depth] = text
+        write(text)
         return
     write(opening)
     sep = inner
@@ -276,7 +284,7 @@ def _write_container(write, value, depth: int) -> None:
         head = sep + _key(key) + ": " if is_dict else sep
         if isinstance(item, _CONTAINERS):
             write(head)
-            _write_container(write, item, depth + 1)
+            _write_container(write, item, depth + 1, flat)
         else:
             write(head + _scalar(item))
         sep = "," + inner
@@ -285,10 +293,10 @@ def _write_container(write, value, depth: int) -> None:
 
 @contextlib.contextmanager
 def rewrite(path):
-    """Open the text file ``path`` for writing like ``open(path, "w")``,
-    but write over its old bytes and cut it to the length written when
-    the block ends, also when it raises, instead of truncating it on
-    open.  On ext4 mounted with ``discard``, writing 2-20 KB through a
+    """Open the text file ``path`` for writing like ``open(path, "w",
+    encoding="utf-8")``, but write over its old bytes and cut it to the
+    length written when the block ends, also when it raises, instead of
+    truncating it on open.  On ext4 mounted with ``discard``, writing 2-20 KB through a
     truncating open of a non-empty file took 67-85 us, and 11-12 us
     this way.  An existing file keeps its inode, mode and links; a new
     one gets 0o666 less the umask.  A file that is not regular
@@ -298,7 +306,7 @@ def rewrite(path):
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         regular = stat.S_ISREG(os.fstat(fd).st_mode)
-        fh = open(fd, "w")
+        fh = open(fd, "w", encoding="utf-8")
     except BaseException:
         os.close(fd)
         raise
@@ -314,11 +322,15 @@ def write_json(path, payload: dict) -> None:
     """Write ``payload`` as ``json.dumps(payload, indent=2)`` does, then a
     newline, streamed to the file container by container through
     ``rewrite``: joining the whole document first held it all in memory
-    and saved no time.  A payload that ``json.dumps`` refuses raises the
-    same error here and leaves the text written before it."""
+    and saved no time.  A container that holds no container and appears
+    again at the same depth is encoded once and its text written again;
+    the texts are kept for this call only, keyed by the container's id,
+    which stays valid because ``payload`` keeps every container alive
+    until the call returns.  A payload that ``json.dumps`` refuses raises
+    the same error here and leaves the text written before it."""
     with rewrite(path) as fh:
         if isinstance(payload, _CONTAINERS):
-            _write_container(fh.write, payload, 0)
+            _write_container(fh.write, payload, 0, {})
         else:
             fh.write(_scalar(payload))
         fh.write("\n")
@@ -397,8 +409,11 @@ class LoadedModel:
 
 
 def load_model(path) -> LoadedModel:
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise TrainError(f"{path} is not UTF-8: {exc}") from exc
     if data.get("format") != "luklearn-model/1":
         raise TrainError(f"{path} is not a model file")
     return LoadedModel(data["predicates"])

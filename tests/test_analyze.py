@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from luklearn.grounding import PredicateDecl, build_samples
 from luklearn.logic import parse_formula
 from luklearn.problem import build_training_problem, load_problem, parse_problem
 from luklearn.solver import Infeasible
-from luklearn.train import assemble_problem, solve_primal
+from luklearn.train import assemble_problem, solve_primal, write_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
@@ -1161,6 +1162,58 @@ def test_report_to_dict_structure():
     assert by_id["phi3"]["verdict"] == "entailed"
     assert by_id["phi2"]["gradient_certificate"] is not None
     assert len(data["minimal_support_sets"]) == 2
+
+
+def _vector_dicts(data) -> list[dict]:
+    """Every labeled vector of a ``to_dict`` result, in report order."""
+    found = [data["particular_solution"]]
+    for block in data["blocks"]:
+        if block["target_system"] is not None:
+            found += [block["target_system"]["certificate"], block["target_system"]["relaxed"]]
+        found.append(block["gradient_certificate"])
+    found += [s["certificate"] for s in data["minimal_support_sets"] or ()]
+    return [v for v in found if v is not None]
+
+
+def _bits(vector: dict) -> bytes:
+    return np.array(list(vector.values()), dtype=float).tobytes()
+
+
+def test_report_to_dict_shares_one_dict_per_distinct_vector():
+    """Vectors are one dict exactly when their float64 bits are equal;
+    a gradient certificate of -0.0 entries is not the one of 0.0."""
+    model = solve_primal(build_training_problem(load_problem(FIXTURES / "example4.json")))
+    report = removable_constraints(model, minimal_sets=True)
+    vectors = _vector_dicts(report.to_dict())
+    assert len({id(v) for v in vectors}) < len(vectors)  # the pool's fit is shared
+    for a, b in itertools.combinations(vectors, 2):
+        assert (a is b) == (_bits(a) == _bits(b))
+
+    size = model.problem.matrix.matrix.shape[1]
+    first, second, third = report.blocks[:3]
+    first.kkt, second.kkt, third.kkt = np.zeros(size), np.full(size, -0.0), np.zeros(size)
+    data = report.to_dict()
+    zero, negative, zero_again = (b["gradient_certificate"] for b in data["blocks"][:3])
+    assert zero is zero_again and negative is not zero
+    assert all(np.signbit(v) for v in negative.values())
+    assert not any(np.signbit(v) for v in zero.values())
+    assert sum(v is negative for v in _vector_dicts(data)) == 1
+
+
+@pytest.mark.parametrize("sigma", [0.2, 0.5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_written_analysis_of_ladder_chains_is_the_json_dumps_text(tmp_path, monkeypatch, seed, sigma):
+    """``write_json`` writes a shared vector dict from its kept text; the
+    file stays ``json.dumps`` of the report on the n = 10 ladder chains."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+
+    kb = gen.chain_kb(np.random.default_rng([seed, 5, 10, round(100 * sigma)]), 10, sigma)
+    model = solve_primal(build_training_problem(parse_problem(kb.problem())))
+    for mode in ("all", "logical"):
+        payload = removable_constraints(model, mode=mode, minimal_sets=True).to_dict()
+        write_json(tmp_path / "analysis.json", payload)
+        assert (tmp_path / "analysis.json").read_text() == json.dumps(payload, indent=2) + "\n", mode
 
 
 def test_logical_coefficients_rejects_unknown_mode():

@@ -439,6 +439,32 @@ def test_invalid_json_exit_2(tmp_path):
     assert _run("train", bad, "-o", tmp_path) == 2
 
 
+def test_problem_file_that_is_not_utf8_exit_2(tmp_path, capsys):
+    """JSON is UTF-8; a file of other bytes is an input error, not a
+    traceback, and writes nothing."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{" + (FIXTURES / "example4.json").read_bytes())
+    out = tmp_path / "out"
+    assert _run("train", bad, "-o", out) == 2
+    assert "input error: [file] not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_output_dir_that_is_a_file_exit_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert _run("train", FIXTURES / "example4.json", "-o", taken) == 2
+    assert "output error: " in capsys.readouterr().err
+    assert taken.read_text() == "not a directory"
+
+
+def test_artifact_name_taken_by_a_directory_exit_2(tmp_path, capsys):
+    (tmp_path / "model.json").mkdir()
+    assert _run("train", FIXTURES / "example4.json", "-o", tmp_path) == 2
+    assert "output error: " in capsys.readouterr().err
+    assert not (tmp_path / "training_report.json").exists()
+
+
 def test_section_of_the_wrong_json_type_exit_2(tmp_path, capsys):
     data = json.loads((FIXTURES / "example4.json").read_text())
     data["kernels"] = []
@@ -516,6 +542,7 @@ def test_every_json_artifact_is_the_json_dumps_text(tmp_path, monkeypatch, path)
         commands = [
             ["analyze", "--entailment", "--minimal-sets"],
             ["analyze", "--mode", "logical", "--entailment"],
+            ["analyze", "--mode", "logical", "--minimal-sets"],
             ["ablate", "--drop", "phi1"],
         ]
         for i, (command, *options) in enumerate(commands):

@@ -343,6 +343,9 @@ def test_save_and_load_round_trip(tmp_path):
     bad.write_text(json.dumps({"format": "something-else"}))
     with pytest.raises(TrainError, match="not a model file"):
         load_model(bad)
+    bad.write_bytes(b"\xff\xfe" + path.read_bytes())
+    with pytest.raises(TrainError, match="is not UTF-8"):
+        load_model(bad)
 
 
 def test_bias_relaxes_the_problem():
@@ -391,6 +394,10 @@ def _written(tmp_path, payload) -> str:
     return path.read_text()
 
 
+_FLAT = {"a": 1.5, "b": -0.0, "c": "s"}
+_PAIR = (2.5, "x")
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -414,11 +421,16 @@ def _written(tmp_path, payload) -> str:
         "top-level string",
         3.25,
         None,
+        {"x": _FLAT, "y": _FLAT, "z": [1, 2], "w": _FLAT},
+        {"d1": _FLAT, "d2": {"k": _FLAT}, "d3": [{"k": _FLAT}, _FLAT]},
+        {"t": _PAIR, "u": [_PAIR, _PAIR, (_PAIR, _PAIR)]},
+        [[0.0], [-0.0], [0.0]],
     ],
     ids=[
         "empty-dict", "empty-list", "nested-empties", "list-of-empties", "deep", "floats", "non-finite-nested",
         "ints-bools", "bools-in-mixed", "non-ascii-control", "tuples", "numpy-float64", "non-string-keys",
-        "manifest-blocks", "root-string", "root-float", "root-null",
+        "manifest-blocks", "root-string", "root-float", "root-null", "shared-flat-one-depth",
+        "shared-flat-depths-1-2-3", "shared-tuple", "equal-but-signed-zero",
     ],
 )
 def test_write_json_matches_json_dumps(tmp_path, payload):
@@ -426,6 +438,21 @@ def test_write_json_matches_json_dumps(tmp_path, payload):
     assert _written(tmp_path, payload) == expected
     _junk(tmp_path / "out.json")  # written over in place, the old tail cut
     assert _written(tmp_path, payload) == expected
+
+
+def test_write_json_keeps_no_text_past_a_call(tmp_path):
+    """Payloads built fresh and dropped one after another get their
+    containers' ids back from CPython; a text kept from one call would be
+    written for another payload's container there."""
+    path = tmp_path / "out.json"
+    ids = set()
+    for i in range(200):
+        payload = {"v": {"x": float(i)}, "w": [i, -i], "n": [{"y": i}]}
+        ids.add(id(payload["v"]))
+        write_json(path, payload)
+        assert path.read_text() == json.dumps(payload, indent=2) + "\n", i
+        del payload
+    assert len(ids) < 200  # ids were reused
 
 
 def _junk(path, size=64 * 1024):
